@@ -43,11 +43,11 @@
 // rendered live by cmd/bdtop; see DESIGN.md §12.
 //
 // The coordinator keeps its own content-addressed result cache, a
-// persistent job journal with per-unit progress records, and a unit
-// store (all under -data-dir): repeated grids are served without
-// touching the workers, job metadata survives restarts, and a
-// coordinator killed mid-job re-adopts the job on restart and
-// re-dispatches only the units not journaled as done.
+// persistent job journal and a cell cache (all under -data-dir): repeated
+// grids are served without touching the workers, job metadata survives
+// restarts, and a coordinator killed mid-job re-adopts the job on restart
+// and dispatches only the workload×node columns its cell cache lacks.
+// With -cell-cache "" a re-adopted job re-runs every unit.
 package main
 
 import (
@@ -82,7 +82,7 @@ func run() error {
 	var (
 		addr    = flag.String("addr", ":8360", "listen address")
 		workers = flag.String("workers", "", "comma-separated bdservd worker base URLs seeding the fleet (optional: workers may instead join at runtime via POST /v1/workers)")
-		dataDir = flag.String("data-dir", "bdcoord-data", "on-disk result store + journal + unit store ('' = memory only, no crash recovery)")
+		dataDir = flag.String("data-dir", "bdcoord-data", "on-disk result store + journal + cell cache ('' = memory only, no crash recovery)")
 		queue   = flag.Int("queue", 64, "max queued jobs")
 		entries = flag.Int("cache-entries", 256, "in-memory LRU result entries")
 		maxJobs = flag.Int("max-jobs", 1024, "max retained job records (oldest terminal evicted)")
@@ -147,10 +147,9 @@ func run() error {
 		stop()
 	}
 
-	journal, unitDir := "", ""
+	journal := ""
 	if *dataDir != "" {
 		journal = filepath.Join(*dataDir, "journal.ndjson")
-		unitDir = filepath.Join(*dataDir, "units")
 	}
 	cellCacheDir := *cellDir
 	if cellCacheDir == "auto" {
@@ -158,6 +157,9 @@ func run() error {
 		if *dataDir != "" {
 			cellCacheDir = filepath.Join(*dataDir, "cells")
 		}
+	}
+	if journal != "" && cellCacheDir == "" {
+		logger.Warn("cell cache disabled: jobs re-adopted after a restart re-run every unit")
 	}
 	// One registry spans both layers: the manager's queue/cache/journal
 	// metrics and the executor's fleet metrics render on the same
@@ -173,7 +175,6 @@ func run() error {
 		ProbeInterval:    *probe,
 		BreakerThreshold: *brk,
 		UnitsPerWorker:   *upw,
-		UnitCacheDir:     unitDir,
 		CellCacheDir:     cellCacheDir,
 		CellCacheEntries: *cellEntries,
 		CellCacheMaxAge:  *cellMaxAge,
@@ -330,8 +331,8 @@ func run() error {
 	// Graceful shutdown: stop accepting connections, let in-flight jobs
 	// drain within -drain-timeout, then Close — which cuts any stragglers
 	// short WITHOUT journaling a terminal record, so the next incarnation
-	// re-adopts them and (thanks to the unit store) re-dispatches only the
-	// units not yet journaled done.
+	// re-adopts them and (thanks to the cell cache) dispatches only the
+	// columns not yet stored.
 	logger.Info("bdcoord shutting down", "drain_timeout", *drain)
 	shutCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()

@@ -1,5 +1,5 @@
 // Package fsio holds the shared durable-write primitive used by every
-// on-disk store in the daemons (result cache, unit store, cell cache).
+// on-disk store in the daemons (result cache, cell cache).
 package fsio
 
 import (

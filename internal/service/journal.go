@@ -7,7 +7,6 @@ import (
 	"log/slog"
 	"os"
 	"path/filepath"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -24,48 +23,40 @@ import (
 // themselves live in the on-disk result cache; the journal only restores
 // the records that point at them.
 //
-// Sharded executors additionally journal unit-level progress: a "plan"
-// record fixes the job's unit tiling (the part count the planner was
-// given — the tiling is a pure function of (normalized spec, parts)),
-// and one "unit_done" record per finished unit carries the unit index
-// plus the content-addressed key its bytes were stored under. A
-// restarted daemon re-adopts non-terminal jobs, re-plans the identical
-// tiling, and re-dispatches only the units without a unit_done record.
-// Tracing adds a "span" record per completed span (see internal/obs):
+// A restarted daemon re-adopts non-terminal jobs and runs them again from
+// the start; a sharded executor recovers their finished columns from its
+// cell cache, so the journal carries no unit-level progress. Record types
+// this version does not know — such as the unit-progress lines older
+// versions wrote — are skipped on replay and dropped by the next
+// compaction. Tracing adds a "span" record per completed span (see internal/obs):
 // replay restores the spans of non-terminal jobs into the flight
 // recorder, so a re-adopted job's trace carries its pre-crash history;
 // terminal jobs drop their spans, keeping the journal bounded.
 type journalRecord struct {
 	TS    time.Time `json:"ts"`
-	Type  string    `json:"type"` // submit | start | plan | unit_done | span | done | fail | cancel
+	Type  string    `json:"type"` // submit | start | span | done | fail | cancel
 	ID    string    `json:"id"`
 	Spec  *JobSpec  `json:"spec,omitempty"`  // on submit
 	Trace string    `json:"trace,omitempty"` // on submit: propagated X-BD-Trace value
 	Hash  string    `json:"hash,omitempty"`  // on done
 	Err   string    `json:"error,omitempty"`
-	Parts int       `json:"parts,omitempty"` // on plan: planner part count
-	Unit  *int      `json:"unit,omitempty"`  // on unit_done: unit index
-	Key   string    `json:"key,omitempty"`   // on unit_done: sub-result store key
-	Span  *obs.Span `json:"span,omitempty"`  // on span: one completed trace span
+	Span  *obs.Span `json:"span,omitempty"` // on span: one completed trace span
 }
 
 // replayedJob is the state of one job reconstructed from the journal.
 // A zero state means the job never reached a terminal record — the
-// daemon died while it was queued or running — and planParts/unitsDone
-// carry whatever unit-level progress its executor journaled.
+// daemon died while it was queued or running.
 type replayedJob struct {
-	id        string
-	spec      JobSpec
-	state     State
-	hash      string
-	errMsg    string
-	created   time.Time
-	started   time.Time
-	finished  time.Time
-	planParts int
-	unitsDone map[int]string // unit index → sub-result store key
-	trace     string         // propagated X-BD-Trace value from submit
-	spans     []obs.Span     // journaled trace spans (non-terminal jobs only)
+	id       string
+	spec     JobSpec
+	state    State
+	hash     string
+	errMsg   string
+	created  time.Time
+	started  time.Time
+	finished time.Time
+	trace    string     // propagated X-BD-Trace value from submit
+	spans    []obs.Span // journaled trace spans (non-terminal jobs only)
 }
 
 // journalMsg is one unit of writer-goroutine work: a record to append,
@@ -138,8 +129,7 @@ func (jl *journal) health() (ok bool, detail string) {
 // surviving jobs, keeping at most the newest maxJobs — and returns the
 // replayed jobs in submission order together with an open append handle.
 // Non-terminal jobs (the daemon died while they were queued or running)
-// are returned too, along with their journaled unit-level progress, so
-// the caller can re-adopt and finish them.
+// are returned too, so the caller can re-adopt and finish them.
 func openJournal(path string, maxJobs int, logger *slog.Logger, mx *journalMetrics) (*journal, []replayedJob, error) {
 	if logger == nil {
 		logger = slog.New(slog.DiscardHandler)
@@ -275,24 +265,6 @@ func replayJournal(path string) ([]replayedJob, error) {
 			if j, ok := byID[rec.ID]; ok {
 				j.started = rec.TS
 			}
-		case "plan":
-			if j, ok := byID[rec.ID]; ok && rec.Parts > 0 {
-				if j.planParts != rec.Parts {
-					// A different tiling (the fleet changed between
-					// incarnations): unit indexes from the old plan no
-					// longer name the same cells, so earlier unit_done
-					// records are void.
-					j.unitsDone = nil
-				}
-				j.planParts = rec.Parts
-			}
-		case "unit_done":
-			if j, ok := byID[rec.ID]; ok && rec.Unit != nil && *rec.Unit >= 0 && rec.Key != "" {
-				if j.unitsDone == nil {
-					j.unitsDone = make(map[int]string)
-				}
-				j.unitsDone[*rec.Unit] = rec.Key
-			}
 		case "span":
 			if j, ok := byID[rec.ID]; ok && rec.Span != nil {
 				j.spans = append(j.spans, *rec.Span)
@@ -300,17 +272,17 @@ func replayJournal(path string) ([]replayedJob, error) {
 		case "done":
 			if j, ok := byID[rec.ID]; ok {
 				j.state, j.hash, j.finished = StateDone, rec.Hash, rec.TS
-				j.planParts, j.unitsDone, j.spans = 0, nil, nil
+				j.spans = nil
 			}
 		case "fail":
 			if j, ok := byID[rec.ID]; ok {
 				j.state, j.errMsg, j.finished = StateFailed, rec.Err, rec.TS
-				j.planParts, j.unitsDone, j.spans = 0, nil, nil
+				j.spans = nil
 			}
 		case "cancel":
 			if j, ok := byID[rec.ID]; ok {
 				j.state, j.finished = StateCanceled, rec.TS
-				j.planParts, j.unitsDone, j.spans = 0, nil, nil
+				j.spans = nil
 			}
 		}
 	}
@@ -319,8 +291,8 @@ func replayJournal(path string) ([]replayedJob, error) {
 	}
 
 	// Terminal AND non-terminal jobs are returned: a job the daemon died
-	// on keeps its submit record (and any unit-level progress) so the
-	// next incarnation can re-adopt it instead of forfeiting the work.
+	// on keeps its submit record so the next incarnation can re-adopt it
+	// instead of forfeiting the work.
 	out := make([]replayedJob, 0, len(order))
 	for _, id := range order {
 		out = append(out, *byID[id])
@@ -329,8 +301,8 @@ func replayJournal(path string) ([]replayedJob, error) {
 }
 
 // compactJournal rewrites the journal to exactly the surviving jobs:
-// submit + terminal record for finished jobs, submit (+ start, plan and
-// unit_done progress) for jobs still in flight — so the file stays
+// submit + terminal record for finished jobs, submit (+ start and trace
+// spans) for jobs still in flight — so the file stays
 // bounded by the live job history instead of growing across restarts.
 // The rewrite is atomic: a crash mid-compaction leaves the old journal
 // in place.
@@ -362,24 +334,8 @@ func compactJournal(path string, jobs []replayedJob) error {
 			case StateCanceled:
 				rec = journalRecord{TS: j.finished, Type: "cancel", ID: j.id}
 			default:
-				// Still in flight: preserve unit-level progress instead of a
-				// terminal record, in deterministic (unit-index) order.
-				if j.planParts > 0 {
-					if err := enc.Encode(journalRecord{TS: j.created, Type: "plan", ID: j.id, Parts: j.planParts}); err != nil {
-						return err
-					}
-				}
-				units := make([]int, 0, len(j.unitsDone))
-				for u := range j.unitsDone {
-					units = append(units, u)
-				}
-				sort.Ints(units)
-				for _, u := range units {
-					u := u
-					if err := enc.Encode(journalRecord{TS: j.created, Type: "unit_done", ID: j.id, Unit: &u, Key: j.unitsDone[u]}); err != nil {
-						return err
-					}
-				}
+				// Still in flight: keep its trace spans instead of a
+				// terminal record.
 				for s := range j.spans {
 					sp := j.spans[s]
 					if err := enc.Encode(journalRecord{TS: sp.End, Type: "span", ID: j.id, Span: &sp}); err != nil {

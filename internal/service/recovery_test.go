@@ -1,12 +1,13 @@
 package service
 
-// Crash-recovery and graceful-shutdown tests for the manager: unit-level
-// journal replay under torn tails, re-adoption of non-terminal jobs,
-// drain semantics, and the degraded-health path when the journal loses
-// its disk.
+// Crash-recovery and graceful-shutdown tests for the manager: journal
+// replay under torn tails and from older versions, re-adoption of
+// non-terminal jobs, drain semantics, and the degraded-health path when
+// the journal loses its disk.
 
 import (
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -14,27 +15,32 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/obs"
 )
 
-// TestJournalUnitDoneReplayEveryTruncation truncates a journal carrying
-// plan + unit_done records at EVERY byte offset and replays each prefix:
-// replay must never error, must reconstruct exactly the unit_done
-// records whose lines are complete (a partial line contributes nothing),
-// and must keep the plan/terminal semantics intact at every cut.
-func TestJournalUnitDoneReplayEveryTruncation(t *testing.T) {
+// TestJournalReplayEveryTruncation truncates a journal carrying submit,
+// start, span and done records for two jobs at EVERY byte offset and
+// replays each prefix: replay must never error, a partial line must
+// contribute nothing, and the terminal/non-terminal semantics must hold
+// at every cut — an in-flight job keeps exactly its complete span lines,
+// a terminal one keeps none.
+func TestJournalReplayEveryTruncation(t *testing.T) {
 	spec := tinySpec()
-	u0, u1, u2 := 0, 1, 2
-	key := func(b byte) string { return strings.Repeat(string(b), 32) }
+	ts := time.Date(2026, 1, 2, 3, 4, 5, 0, time.UTC)
+	span := func(id string) *obs.Span {
+		return &obs.Span{TraceID: "job-a", ID: id, Name: "unit", Start: ts, End: ts.Add(time.Second)}
+	}
+	hash := strings.Repeat("c", 64)
 	recs := []journalRecord{
-		{Type: "submit", ID: "job-a", Spec: &spec},
-		{Type: "start", ID: "job-a"},
-		{Type: "plan", ID: "job-a", Parts: 4},
-		{Type: "unit_done", ID: "job-a", Unit: &u0, Key: key('a')},
-		{Type: "unit_done", ID: "job-a", Unit: &u1, Key: key('b')},
-		{Type: "submit", ID: "job-b", Spec: &spec},
-		{Type: "start", ID: "job-b"},
-		{Type: "done", ID: "job-b", Hash: key('c')},
-		{Type: "unit_done", ID: "job-a", Unit: &u2, Key: key('d')},
+		{TS: ts, Type: "submit", ID: "job-a", Spec: &spec},
+		{TS: ts, Type: "start", ID: "job-a"},
+		{TS: ts, Type: "span", ID: "job-a", Span: span("s1")},
+		{TS: ts, Type: "submit", ID: "job-b", Spec: &spec},
+		{TS: ts, Type: "start", ID: "job-b"},
+		{TS: ts, Type: "span", ID: "job-b", Span: span("s2")},
+		{TS: ts, Type: "done", ID: "job-b", Hash: hash},
+		{TS: ts, Type: "span", ID: "job-a", Span: span("s3")},
 	}
 	var buf []byte
 	ends := make([]int, len(recs)) // byte offset just past each record's newline
@@ -47,13 +53,13 @@ func TestJournalUnitDoneReplayEveryTruncation(t *testing.T) {
 		buf = append(buf, '\n')
 		ends[i] = len(buf)
 	}
-	full := map[int]string{u0: key('a'), u1: key('b'), u2: key('d')}
 
 	path := filepath.Join(t.TempDir(), "journal.ndjson")
 	for cut := 0; cut <= len(buf); cut++ {
 		// A record is replayable once all its bytes short of the trailing
 		// newline are on disk — a final line cut exactly before its
-		// newline still parses.
+		// newline still parses. Records are in file order, so record i is
+		// replayable iff i < complete.
 		complete := 0
 		for _, e := range ends {
 			if e-1 <= cut {
@@ -76,47 +82,111 @@ func TestJournalUnitDoneReplayEveryTruncation(t *testing.T) {
 				b = &jobs[i]
 			}
 		}
-		// job-a: plan visible iff its line is complete; unit_done entries
-		// are exactly the complete ones, each pointing at the right key.
-		wantUnits := 0
-		for i, r := range recs {
-			if r.Type == "unit_done" && ends[i]-1 <= cut {
-				wantUnits++
-			}
+		if (a != nil) != (complete > 0) || (b != nil) != (complete > 3) {
+			t.Fatalf("cut %d: job-a present %v, job-b present %v (complete lines %d)", cut, a != nil, b != nil, complete)
 		}
-		switch {
-		case complete == 0:
-			if a != nil {
-				t.Fatalf("cut %d: job-a replayed before its submit line is complete", cut)
-			}
-		default:
-			if a == nil {
-				t.Fatalf("cut %d: job-a missing", cut)
-			}
-			if complete >= 3 && a.planParts != 4 || complete < 3 && a.planParts != 0 {
-				t.Fatalf("cut %d: job-a planParts = %d (complete lines %d)", cut, a.planParts, complete)
-			}
-			if len(a.unitsDone) != wantUnits {
-				t.Fatalf("cut %d: job-a has %d unit_done, want %d", cut, len(a.unitsDone), wantUnits)
-			}
-			for u, k := range a.unitsDone {
-				if full[u] != k {
-					t.Fatalf("cut %d: job-a unit %d has key %q, want %q", cut, u, k, full[u])
+		if a != nil {
+			var wantSpans []string
+			for i, r := range recs {
+				if r.Type == "span" && r.ID == "job-a" && i < complete {
+					wantSpans = append(wantSpans, r.Span.ID)
 				}
 			}
-			if a.state.terminal() {
-				t.Fatalf("cut %d: job-a replayed terminal", cut)
+			if a.state.terminal() || a.started.IsZero() != (complete <= 1) || len(a.spans) != len(wantSpans) {
+				t.Fatalf("cut %d: job-a = %+v, want non-terminal, started %v, %d spans", cut, a, complete > 1, len(wantSpans))
+			}
+			for i, id := range wantSpans {
+				if a.spans[i].ID != id {
+					t.Fatalf("cut %d: job-a span %d is %q, want %q", cut, i, a.spans[i].ID, id)
+				}
 			}
 		}
-		// job-b: terminal iff its done line is complete, and terminal
-		// replay carries no unit-level leftovers.
-		if complete >= 8 {
-			if b == nil || b.state != StateDone || b.hash != key('c') {
-				t.Fatalf("cut %d: job-b not replayed done: %+v", cut, b)
+		if b != nil {
+			// job-b: terminal iff its done line is complete, and terminal
+			// replay drops its spans.
+			if complete > 6 {
+				if b.state != StateDone || b.hash != hash || len(b.spans) != 0 {
+					t.Fatalf("cut %d: job-b not replayed done without spans: %+v", cut, b)
+				}
+			} else if b.state.terminal() || b.started.IsZero() != (complete <= 4) || len(b.spans) != boolInt(complete > 5) {
+				t.Fatalf("cut %d: in-flight job-b = %+v (complete lines %d)", cut, b, complete)
 			}
-			if b.planParts != 0 || len(b.unitsDone) != 0 {
-				t.Fatalf("cut %d: terminal job-b kept unit progress: %+v", cut, b)
-			}
+		}
+	}
+}
+
+func boolInt(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// TestLegacyJournalReadopts replays a journal written by an older version
+// that also journaled unit-level progress ("plan" and "unit_done" lines)
+// over a data dir still holding that version's unit store: replay must
+// not error, the non-terminal job must be re-adopted and finish, the boot
+// compaction must drop the legacy lines, and the leftover units/
+// directory must be ignored.
+func TestLegacyJournalReadopts(t *testing.T) {
+	dir := t.TempDir()
+	cfg := Config{
+		DataDir:     filepath.Join(dir, "data"),
+		JournalPath: filepath.Join(dir, "journal.ndjson"),
+		Execute:     fakeExec(0),
+	}
+	spec := tinySpec()
+	id, err := spec.ID()
+	if err != nil {
+		t.Fatal(err)
+	}
+	specJSON, err := json.Marshal(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := strings.Repeat("a", 64)
+	legacy := fmt.Sprintf(`{"ts":"2026-01-02T03:04:05Z","type":"submit","id":%q,"spec":%s}
+{"ts":"2026-01-02T03:04:06Z","type":"start","id":%q}
+{"ts":"2026-01-02T03:04:06Z","type":"plan","id":%q,"parts":4}
+{"ts":"2026-01-02T03:04:07Z","type":"unit_done","id":%q,"unit":0,"key":%q}
+`, id, specJSON, id, id, id, key)
+	if err := os.WriteFile(cfg.JournalPath, []byte(legacy), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	units := filepath.Join(cfg.DataDir, "units")
+	if err := os.MkdirAll(units, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(units, key+".json"), []byte("{}"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	m, err := New(cfg)
+	if err != nil {
+		t.Fatalf("legacy journal refused: %v", err)
+	}
+	if got, ok := m.Get(id); !ok || got.State.terminal() {
+		m.Close()
+		t.Fatalf("legacy non-terminal job not re-adopted: %+v (ok %v)", got, ok)
+	}
+	fin := waitTerminal(t, m, id, 10*time.Second)
+	m.Close()
+	if fin.State != StateDone {
+		t.Fatalf("re-adopted legacy job finished %s: %s", fin.State, fin.Error)
+	}
+	data, err := os.ReadFile(cfg.JournalPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range strings.Split(strings.TrimSpace(string(data)), "\n") {
+		var rec struct {
+			Type string `json:"type"`
+		}
+		if err := json.Unmarshal([]byte(line), &rec); err != nil {
+			t.Fatalf("compacted journal line %q: %v", line, err)
+		}
+		if rec.Type == "plan" || rec.Type == "unit_done" {
+			t.Fatalf("compacted journal kept a legacy %s line: %s", rec.Type, line)
 		}
 	}
 }

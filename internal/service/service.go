@@ -92,12 +92,6 @@ type job struct {
 	more       chan struct{} // closed and replaced on every append
 	done       bool          // terminal event emitted
 
-	// Unit-level crash-recovery state, maintained through the job's
-	// UnitProgress (see unitprogress.go) and seeded from the journal when
-	// the job was re-adopted after a restart.
-	planParts int
-	unitsDone map[int]string // unit index → sub-result store key
-
 	// Tracing identity, immutable once the job is visible: the trace ID
 	// (the job ID, or one propagated from an upstream coordinator via
 	// X-BD-Trace), the upstream parent span, and the pre-allocated ID of
@@ -298,9 +292,9 @@ type Manager struct {
 // New starts a manager with cfg.Workers executor goroutines, replaying
 // the job journal (if configured) so terminal job records survive
 // restarts. Non-terminal journaled jobs — ones a previous incarnation
-// died holding — are re-adopted: re-queued with whatever unit-level
-// progress was journaled, so sharded executors re-dispatch only the
-// incomplete remainder.
+// died holding — are re-adopted: re-queued as if freshly submitted. A
+// sharded executor recovers their finished work from its own cell cache,
+// not from the journal.
 func New(cfg Config) (*Manager, error) {
 	if cfg.Workers < 1 {
 		cfg.Workers = 1
@@ -376,23 +370,20 @@ func New(cfg Config) (*Manager, error) {
 			if !r.state.terminal() {
 				// The previous incarnation died while this job was queued
 				// or running: re-adopt it. The job re-enters the queue as
-				// freshly submitted, carrying the unit-level progress the
-				// old incarnation journaled so a sharded executor can skip
-				// the units already done.
+				// freshly submitted.
 				if len(m.queue) >= cap(m.queue) {
 					m.log.Warn("journal re-adoption: queue full, dropping job (resubmit to re-run)", "job", r.id)
 					continue
 				}
 				j := newJob(m.root, r.id, r.spec)
 				j.created = r.created
-				j.planParts, j.unitsDone = r.planParts, r.unitsDone
 				m.initTrace(j, r.trace)
 				m.tracer.Replay(r.id, r.spans)
 				j.emit(Event{Type: "state", State: StateQueued})
 				m.jobs[r.id] = j
 				m.order = append(m.order, r.id)
 				m.queue <- j
-				m.log.Info("job re-adopted from journal", "job", r.id, "units_done", len(r.unitsDone), "plan_parts", r.planParts)
+				m.log.Info("job re-adopted from journal", "job", r.id)
 				continue
 			}
 			if r.state == StateDone && cfg.DataDir == "" {
@@ -1022,13 +1013,6 @@ func (m *Manager) maybeCompactJournal() {
 			// re-adopts it.
 			state = ""
 		}
-		var unitsDone map[int]string
-		if len(j.unitsDone) > 0 {
-			unitsDone = make(map[int]string, len(j.unitsDone))
-			for u, k := range j.unitsDone {
-				unitsDone[u] = k
-			}
-		}
 		trace := ""
 		if j.parentSpan != "" {
 			trace = obs.FormatTraceParent(j.traceID, j.parentSpan)
@@ -1036,8 +1020,8 @@ func (m *Manager) maybeCompactJournal() {
 		var spans []obs.Span
 		if !state.terminal() && m.tracer.Enabled() {
 			// In-flight jobs keep their spans across the rewrite — the
-			// trace must survive compaction the same way unit progress
-			// does. Terminal jobs' spans are dropped with the rest of
+			// trace must survive compaction the same way the job
+			// itself does. Terminal jobs' spans are dropped with the rest of
 			// their non-essential history.
 			if exp, ok := m.tracer.Export(j.id); ok {
 				spans = exp.Spans
@@ -1047,7 +1031,6 @@ func (m *Manager) maybeCompactJournal() {
 			id: j.id, spec: j.spec, state: state,
 			hash: j.resultHash, errMsg: j.errMsg,
 			created: j.created, started: j.started, finished: j.finished,
-			planParts: j.planParts, unitsDone: unitsDone,
 			trace: trace, spans: spans,
 		})
 		j.mu.Unlock()
@@ -1111,9 +1094,7 @@ func (m *Manager) execute(j *job) (string, error) {
 	timer := core.NewStageTimer(progress, func(stage core.Stage, seconds float64) {
 		m.mx.stageDuration.With(string(stage)).Observe(seconds)
 	})
-	// Sharded executors pick the unit-level crash-recovery capability off
-	// the context (see unitprogress.go); the local pipeline ignores it.
-	ctx := context.WithValue(j.ctx, unitProgressKey{}, &jobUnitProgress{m: m, j: j})
+	ctx := j.ctx
 	// Tracing capability: stage transitions become spans under the job's
 	// root span, and sharded executors pick the context off ctx to emit
 	// plan/unit/merge spans into the same trace.

@@ -10,6 +10,8 @@ package chaostest
 import (
 	"bufio"
 	"bytes"
+	"os"
+	"path/filepath"
 	"strconv"
 	"strings"
 	"testing"
@@ -51,12 +53,12 @@ type cellStats struct {
 
 // runCellCached runs spec through a fresh coordinator (fresh executor,
 // fresh manager — no result-cache or journal carry-over) whose executor
-// shares cellDir, and returns the merged hash/bytes plus the run's cell
+// shares cellDir and plans upw units per worker, and returns the merged hash/bytes plus the run's cell
 // counter deltas (the registry is fresh, so totals ARE deltas).
-func runCellCached(t *testing.T, spec service.JobSpec, workers []string, cellDir string) (string, []byte, cellStats) {
+func runCellCached(t *testing.T, spec service.JobSpec, workers []string, cellDir string, upw int) (string, []byte, cellStats) {
 	t.Helper()
 	reg := obs.NewRegistry()
-	cfg := chaosExecConfig(workers, 4)
+	cfg := chaosExecConfig(workers, upw)
 	cfg.CellCacheDir = cellDir
 	cfg.Registry = reg
 	exec, err := shard.New(cfg)
@@ -108,7 +110,7 @@ func TestCellCacheColdWarmOverlap(t *testing.T) {
 	w1, w2 := startWorker(t), startWorker(t)
 	urls := []string{w1.url, w2.url}
 
-	hash, data, st := runCellCached(t, spec, urls, cellDir)
+	hash, data, st := runCellCached(t, spec, urls, cellDir, 4)
 	assertIdentical(t, "cold cell cache", wantHash, wantBytes, hash, data)
 	if st.hits != 0 {
 		t.Errorf("cold run: %v cell hits, want 0", st.hits)
@@ -120,7 +122,7 @@ func TestCellCacheColdWarmOverlap(t *testing.T) {
 
 	// Warm: no workers at all. Every unit is assembled coordinator-side
 	// from cached columns, so the job settles without a single dispatch.
-	hash, data, st = runCellCached(t, spec, nil, cellDir)
+	hash, data, st = runCellCached(t, spec, nil, cellDir, 4)
 	assertIdentical(t, "warm cell cache (empty fleet)", wantHash, wantBytes, hash, data)
 	if st.hits != 4*nodes || st.misses != 0 {
 		t.Errorf("warm run: hits=%v misses=%v, want %d/0", st.hits, st.misses, 4*nodes)
@@ -130,12 +132,50 @@ func TestCellCacheColdWarmOverlap(t *testing.T) {
 	// computed; the rest arrive from the cache the first spec populated.
 	spec2 := chaosSpec([]string{"H-Sort", "S-Sort", "H-Grep", "H-WordCount"}, nodes, 1, 1500, 8, false)
 	wantHash2, wantBytes2 := golden(t, spec2)
-	hash, data, st = runCellCached(t, spec2, urls, cellDir)
+	hash, data, st = runCellCached(t, spec2, urls, cellDir, 4)
 	assertIdentical(t, "overlapping suite", wantHash2, wantBytes2, hash, data)
 	if st.hits != 3*nodes {
 		t.Errorf("overlap run: %v cell hits, want %d (3 shared workloads × %d nodes)", st.hits, 3*nodes, nodes)
 	}
 	if st.stores != 1*nodes {
 		t.Errorf("overlap run: %v cell stores, want %d (1 new workload × %d nodes)", st.stores, nodes, nodes)
+	}
+}
+
+// TestCellCacheStoresOnlyMisses pins the write-back rule for a partly
+// cached unit: the columns that hit at probe time are already stored and
+// must not be rewritten, so the unit's store count equals its misses. A
+// restarted coordinator that re-tiles the grid meets such mixed units
+// all the time.
+func TestCellCacheStoresOnlyMisses(t *testing.T) {
+	cellDir := t.TempDir()
+	spec := chaosSpec([]string{"H-Sort", "S-Sort"}, 2, 1, 1500, 8, false)
+	wantHash, wantBytes := golden(t, spec)
+	urls := []string{startWorker(t).url}
+
+	// Fill the cache, then drop half of its columns.
+	runCellCached(t, spec, urls, cellDir, 4)
+	entries, err := os.ReadDir(cellDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 4 {
+		t.Fatalf("cold run left %d cell entries, want 4", len(entries))
+	}
+	for _, e := range entries[:2] {
+		if err := os.Remove(filepath.Join(cellDir, e.Name())); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	// One worker × one unit per worker: a single unit over all four
+	// columns, two of them cached.
+	hash, data, st := runCellCached(t, spec, urls, cellDir, 1)
+	assertIdentical(t, "partly cached unit", wantHash, wantBytes, hash, data)
+	if st.hits != 2 || st.misses != 2 {
+		t.Fatalf("partly cached unit: hits=%v misses=%v, want 2/2", st.hits, st.misses)
+	}
+	if st.stores != st.misses {
+		t.Errorf("partly cached unit stored %v columns, want only its %v misses", st.stores, st.misses)
 	}
 }

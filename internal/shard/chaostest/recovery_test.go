@@ -1,13 +1,13 @@
 package chaostest
 
 // Coordinator crash-recovery chaos tests: the coordinator itself — not a
-// worker — is killed mid-job and restarted over its journal + unit
-// store, while the worker fleet churns (a fresh worker joins, a seeded
+// worker — is killed mid-job and restarted over its journal + cell
+// cache, while the worker fleet churns (a fresh worker joins, a seeded
 // one leaves). The acceptance property is twofold: the merged result
-// stays byte-identical to the single-daemon golden run, and the
-// restarted coordinator re-submits exactly the units it had NOT
-// journaled as done — proven by counting worker-side unit submissions
-// through the chaos proxies.
+// stays byte-identical to the single-daemon golden run, and no finished
+// work is redone — across both incarnations every workload×node column
+// is stored in the cell cache exactly once, and the restarted
+// coordinator reads back every column stored before the crash.
 
 import (
 	"encoding/json"
@@ -17,26 +17,16 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/obs"
 	"repro/internal/service"
 	"repro/internal/shard"
 )
 
-// journalView is the unit-level progress a journal records for one job,
-// parsed with the same semantics as the daemon's replay: a plan record
-// with a different part count voids earlier unit_done records, and a
-// terminal record clears them all.
-type journalView struct {
-	parts    int
-	done     map[int]string // unit index → sub-result store key
-	terminal bool
-}
-
-// parseJournal reads the journal NDJSON and reduces jobID's records to a
-// journalView. A torn tail (partial last line) stops the scan, exactly
+// journalTerminal reports whether the journal holds a terminal record
+// for jobID. A torn tail (partial last line) stops the scan, exactly
 // like replay.
-func parseJournal(t *testing.T, path, jobID string) journalView {
+func journalTerminal(t *testing.T, path, jobID string) bool {
 	t.Helper()
-	v := journalView{done: map[int]string{}}
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatalf("reading journal: %v", err)
@@ -46,62 +36,50 @@ func parseJournal(t *testing.T, path, jobID string) journalView {
 			continue
 		}
 		var rec struct {
-			Type  string `json:"type"`
-			ID    string `json:"id"`
-			Parts int    `json:"parts"`
-			Unit  *int   `json:"unit"`
-			Key   string `json:"key"`
+			Type string `json:"type"`
+			ID   string `json:"id"`
 		}
 		if json.Unmarshal([]byte(line), &rec) != nil {
 			break // torn tail
 		}
-		if rec.ID != jobID {
-			continue
-		}
-		switch rec.Type {
-		case "plan":
-			if rec.Parts > 0 && rec.Parts != v.parts {
-				v.parts, v.done = rec.Parts, map[int]string{}
-			}
-		case "unit_done":
-			if rec.Unit != nil && rec.Key != "" {
-				v.done[*rec.Unit] = rec.Key
-			}
-		case "done", "fail", "cancel":
-			v.terminal = true
-			v.parts, v.done = 0, map[int]string{}
+		if rec.ID == jobID && (rec.Type == "done" || rec.Type == "fail" || rec.Type == "cancel") {
+			return true
 		}
 	}
-	return v
+	return false
 }
 
 // startWorkerThrottled is startWorker with an artificial per-cell delay,
-// slow enough that a coordinator killed after the first journaled
-// unit_done reliably leaves work unfinished.
+// slow enough that a coordinator killed after its first cell-cache store
+// reliably leaves work unfinished.
 func startWorkerThrottled(t *testing.T, d time.Duration) *worker {
 	t.Helper()
 	return startWorkerWith(t, service.Config{Workers: 2, Parallelism: 2, CellDelay: d})
 }
 
-// runWithCoordinatorCrash runs spec through a journaled coordinator that
-// is killed the moment its first unit_done record lands (Close with the
-// job still running journals no terminal record — the crash model), then
-// restarted over the same journal and unit store. During recovery the
-// fleet churns: extra (if non-nil) joins via the registration path and
-// the last initial proxy's worker leaves. It asserts the restarted
-// coordinator re-submits exactly the units not journaled done, and
-// returns the merged hash and bytes for the caller's golden comparison.
+// runWithCoordinatorCrash runs spec through a journaled coordinator with
+// a cell cache that is killed the moment its first column lands in that
+// cache (Close with the job still running journals no terminal record —
+// the crash model), then restarted over the same journal and cell cache.
+// During recovery the fleet churns: extra (if non-nil) joins via the
+// registration path and the last initial proxy's worker leaves. It
+// asserts that across both incarnations each workload×node column is
+// stored exactly once and that the restarted coordinator's cell-cache
+// hits cover every column stored before the crash, and returns the
+// merged hash and bytes for the caller's golden comparison.
 func runWithCoordinatorCrash(t *testing.T, spec service.JobSpec, proxies []*Proxy, upw int, extra *Proxy) (string, []byte) {
 	t.Helper()
 	dir := t.TempDir()
 	journal := filepath.Join(dir, "journal.ndjson")
+	cellDir := filepath.Join(dir, "cells")
 	urls := make([]string, len(proxies))
 	for i, p := range proxies {
 		urls[i] = p.URL()
 	}
-	mkExec := func() *shard.Executor {
+	mkExec := func(reg *obs.Registry) *shard.Executor {
 		cfg := chaosExecConfig(urls, upw)
-		cfg.UnitCacheDir = filepath.Join(dir, "units")
+		cfg.CellCacheDir = cellDir
+		cfg.Registry = reg
 		exec, err := shard.New(cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -121,41 +99,36 @@ func runWithCoordinatorCrash(t *testing.T, spec service.JobSpec, proxies []*Prox
 		return coord
 	}
 
-	// Incarnation one: submit, wait for the first journaled unit_done,
-	// then die without a terminal record.
-	exec1 := mkExec()
+	// Incarnation one: submit, wait for the first cell-cache store, then
+	// die without a terminal record.
+	reg1 := obs.NewRegistry()
+	exec1 := mkExec(reg1)
 	coord1 := mkCoord(exec1)
 	st, err := coord1.Submit(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
 	deadline := time.Now().Add(60 * time.Second)
-	for len(parseJournal(t, journal, st.ID).done) == 0 {
+	for counterValue(t, reg1, "bd_cellcache_stores_total") < 1 {
 		if cur, _ := coord1.Get(st.ID); cur.State == service.StateFailed {
 			t.Fatalf("job failed before crash: %s", cur.Error)
 		}
 		if time.Now().After(deadline) {
-			t.Fatal("no unit_done journaled within 60s")
+			t.Fatal("no cell-cache store within 60s")
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
 	coord1.Close()
 	exec1.Close()
+	// Close waited for every dispatcher, so no store lands after this read.
+	preStores := counterValue(t, reg1, "bd_cellcache_stores_total")
+	terminal := journalTerminal(t, journal, st.ID)
 
-	pre := parseJournal(t, journal, st.ID)
-	doneKeys := map[string]bool{}
-	for _, k := range pre.done {
-		doneKeys[k] = true
-	}
-	preCounts := make([]int, len(proxies))
-	for i, p := range proxies {
-		preCounts[i] = len(p.SubmittedIDs())
-	}
-
-	// Incarnation two over the same journal + unit store re-adopts the
+	// Incarnation two over the same journal + cell cache re-adopts the
 	// job at New. Churn the fleet while it recovers: extra joins, the
 	// last seeded worker leaves.
-	exec2 := mkExec()
+	reg2 := obs.NewRegistry()
+	exec2 := mkExec(reg2)
 	defer exec2.Close()
 	coord2 := mkCoord(exec2)
 	defer coord2.Close()
@@ -177,54 +150,48 @@ func runWithCoordinatorCrash(t *testing.T, spec service.JobSpec, proxies []*Prox
 		t.Fatal("recovered job has no result bytes")
 	}
 
-	if pre.terminal {
+	if terminal {
 		// The job slipped to terminal between the last poll and Close —
 		// nothing was left to recover; the golden comparison still holds.
-		t.Logf("job completed before the crash landed; skipping re-submission accounting")
+		t.Logf("job completed before the crash landed; skipping recovery accounting")
 		return fin.ResultHash, data
 	}
 
-	// The restart must re-execute exactly the remainder: every distinct
-	// unit submitted after the crash (unit job IDs are content-addressed,
-	// so identity survives coordinator incarnations and worker moves) is
-	// outside the journaled-done set, and together they cover exactly the
-	// plan's complement of that set.
+	// No column is computed twice: the restarted coordinator re-plans for
+	// its own fleet, finds every column stored before the crash (whatever
+	// the new tiling), and stores only the rest.
 	norm, err := spec.Normalized()
 	if err != nil {
 		t.Fatal(err)
 	}
-	units, err := shard.Plan(norm, pre.parts)
+	suite, err := norm.ResolveSuite()
 	if err != nil {
 		t.Fatal(err)
 	}
-	phase2 := map[string]bool{}
-	for i, p := range proxies {
-		for _, id := range p.SubmittedIDs()[preCounts[i]:] {
-			phase2[id] = true
-		}
+	columns := float64(len(suite) * norm.Cluster.SlaveNodes)
+	postStores := counterValue(t, reg2, "bd_cellcache_stores_total")
+	if preStores+postStores != columns {
+		t.Errorf("stored %v columns before the crash and %v after, want %v in total (each exactly once)",
+			preStores, postStores, columns)
 	}
-	if extra != nil {
-		for _, id := range extra.SubmittedIDs() {
-			phase2[id] = true
-		}
+	entries, err := os.ReadDir(cellDir)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for id := range phase2 {
-		if doneKeys[id] {
-			t.Errorf("restarted coordinator re-submitted unit %s already journaled done", id)
-		}
+	if float64(len(entries)) != columns {
+		t.Errorf("cell cache holds %d entries, want one per column (%v)", len(entries), columns)
 	}
-	if want := len(units) - len(pre.done); len(phase2) != want {
-		t.Errorf("restart submitted %d distinct units, want %d (%d planned, %d journaled done)",
-			len(phase2), want, len(units), len(pre.done))
+	if hits := counterValue(t, reg2, "bd_cellcache_hits_total"); hits < preStores {
+		t.Errorf("restarted coordinator hit %v cached columns, want ≥ the %v stored before the crash", hits, preStores)
 	}
 	return fin.ResultHash, data
 }
 
 // TestChaosCoordinatorCrashRecovery is the acceptance scenario: the
-// coordinator is killed after its first unit_done record and restarted
+// coordinator is killed after its first cell-cache store and restarted
 // mid-job while a fresh worker joins and a seeded one leaves. The merged
-// result must be byte-identical to the single-daemon golden run and only
-// the units not journaled done may be re-submitted.
+// result must be byte-identical to the single-daemon golden run, and no
+// column stored before the crash may be computed again.
 func TestChaosCoordinatorCrashRecovery(t *testing.T) {
 	spec := chaosSpec([]string{"H-Sort", "S-Sort", "H-Grep", "S-Grep"}, 2, 1, 1500, 8, false)
 	wantHash, wantBytes := golden(t, spec)

@@ -84,24 +84,17 @@ type Config struct {
 	// first registration — without hanging forever on a dead fleet.
 	DownGrace time.Duration
 
-	// UnitCacheDir, when set, persists each finished unit's result bytes
-	// on the coordinator's disk under the unit's content-addressed key.
-	// Together with the manager's unit-level journal records this is
-	// what makes coordinator restarts lossless: the restarted process
-	// re-adopts the job, re-plans the identical tiling, loads journaled-
-	// done units from this store, and re-dispatches only the remainder.
-	// Empty disables unit persistence (a restart re-executes all units).
-	UnitCacheDir string
-
 	// CellCacheDir, when set, gives the coordinator a shared cell-level
 	// result cache: one workload×node column (all runs) per entry, keyed
 	// by the cell's content address (see cluster.CellKey). It is probed
 	// before dispatch — a unit whose every column is cached is assembled
 	// coordinator-side and never leaves the coordinator — and written
 	// through after every unit completes, so overlapping suites submitted
-	// over time pay only for the cells they add. Unlike UnitCacheDir
-	// (bounded by the in-flight working set, entries dropped at merge)
-	// this cache persists across jobs; Empty disables it.
+	// over time pay only for the cells they add. It is also the
+	// coordinator's only crash recovery: a job re-adopted after a restart
+	// is planned afresh and its probe finds every column stored before the
+	// crash, whatever the new tiling. Empty disables it (a re-adopted job
+	// then re-runs every unit).
 	CellCacheDir string
 	// CellCacheEntries bounds the cell cache's on-disk entry count
 	// (0 = the cellcache package default).
@@ -138,7 +131,6 @@ const dispatchPoll = 10 * time.Millisecond
 type Executor struct {
 	cfg   Config
 	reg   *registry
-	store *unitStore       // nil when UnitCacheDir is unset
 	cells *cellcache.Store // nil when CellCacheDir is unset
 	mx    *shardMetrics
 	log   *slog.Logger
@@ -209,13 +201,6 @@ func New(cfg Config) (*Executor, error) {
 		if err := e.reg.seed(base); err != nil {
 			return nil, err
 		}
-	}
-	if cfg.UnitCacheDir != "" {
-		store, err := newUnitStore(cfg.UnitCacheDir)
-		if err != nil {
-			return nil, err
-		}
-		e.store = store
 	}
 	if cfg.CellCacheDir != "" {
 		cells, err := cellcache.Open(cfg.CellCacheDir, cfg.CellCacheEntries, cfg.CellCacheMaxAge, cellcache.NewMetrics(mreg))
@@ -294,8 +279,8 @@ type unitQueue struct {
 }
 
 // newUnitQueue builds the queue over total units; units flagged in
-// preDone (recovered from the journal + unit store after a restart) are
-// born completed and never dispatched.
+// preDone (assembled from the cell cache) are born completed and never
+// dispatched.
 func newUnitQueue(total, maxAttempts int, preDone []bool, onErr context.CancelFunc) *unitQueue {
 	q := &unitQueue{
 		failedOn:    make([]map[string]bool, total),
@@ -447,9 +432,9 @@ func (q *unitQueue) stuckCheck(allUnavailable func() bool, grace time.Duration) 
 }
 
 // jobRun bundles the shared per-job dispatch state handed to every
-// dispatcher goroutine. oms/keys entries are written only by the
-// dispatcher holding that unit (a unit is held by at most one attempt at
-// a time) and read after all dispatchers join.
+// dispatcher goroutine. oms entries are written only by the dispatcher
+// holding that unit (a unit is held by at most one attempt at a time)
+// and read after all dispatchers join.
 type jobRun struct {
 	id    string // job ID, tagging dispatch log lines
 	q     *unitQueue
@@ -457,14 +442,12 @@ type jobRun struct {
 	full  service.JobSpec
 	agg   *progressAgg
 	oms   []*core.ObservationMatrix
-	keys  []string             // unit → content-addressed store key
-	up    service.UnitProgress // nil without a manager journal
-	tc    *obs.TraceContext    // nil when tracing is disabled
-	// cellKeys holds each unit's column cell keys (flattened
-	// wi*unit.Nodes+nd, "" where derivation failed), computed once at
-	// probe time; nil when the executor has no cell cache or the unit
-	// never reached the probe (recovered preDone).
-	cellKeys [][]string
+	tc    *obs.TraceContext // nil when tracing is disabled
+	// missKeys holds the cell keys of each unit's columns that missed the
+	// cell cache at probe time (flattened wi*unit.Nodes+nd; "" where the
+	// column hit or its key could not be derived), so write-back stores
+	// only what the cache lacks; nil without a cell cache.
+	missKeys [][]string
 }
 
 // Execute implements service.ExecuteFunc: plan fine-grained units → run
@@ -476,35 +459,22 @@ type jobRun struct {
 // regardless of which worker ran which unit, and the node/run reduction
 // and analysis go through the same code path.
 //
-// The unit tiling is planned once per job incarnation and journaled
-// (via the manager's UnitProgress): Plan is a pure function of
-// (normalized spec, parts), so a restarted coordinator re-planning with
-// the journaled part count reproduces the identical units no matter how
-// the fleet has changed since — which is what lets it trust journaled
-// unit_done indexes, load those units' bytes from the unit store, and
-// dispatch only the remainder.
+// Crash recovery needs nothing extra: a job the manager re-adopts after a
+// restart is planned from the current fleet like a fresh one, and the
+// cell-cache probe builds every unit whose columns were stored before the
+// crash. Cell keys depend only on the spec and the absolute grid
+// coordinates, never on the tiling, so recovery works per column.
 func (e *Executor) Execute(ctx context.Context, spec service.JobSpec, progress core.Progress) ([]byte, error) {
 	spec, err := spec.Normalized()
 	if err != nil {
 		return nil, err
 	}
 	jobID, _ := spec.ID()
-	up, _ := service.UnitProgressFrom(ctx)
 	tc := obs.TraceFromContext(ctx)
 	parts := len(e.reg.snapshot()) * e.cfg.UnitsPerWorker
 	if parts < e.cfg.UnitsPerWorker {
 		parts = e.cfg.UnitsPerWorker
 	}
-	var recovered map[int]string
-	if up != nil {
-		if rp, rd := up.RecoveredPlan(); rp > 0 {
-			parts, recovered = rp, rd
-		}
-		up.RecordPlan(parts)
-	}
-	// The plan span covers the pure tiling plus restart recovery: units
-	// re-adopted from the journal and unit store never reach dispatch, so
-	// they belong to planning time, not execution time.
 	planSpan := tc.StartSpan("plan")
 	units, err := Plan(spec, parts)
 	if err != nil {
@@ -531,69 +501,26 @@ func (e *Executor) Execute(ctx context.Context, spec service.JobSpec, progress c
 		progress(core.StageCharacterize, 0, 0)
 	}
 
-	// Re-adopt units a previous incarnation journaled as done: decode and
-	// re-validate their stored bytes (a missing or corrupt entry just
-	// re-dispatches the unit), mark them complete before dispatch starts.
-	oms := make([]*core.ObservationMatrix, len(units))
-	keys := make([]string, len(units))
-	preDone := make([]bool, len(units))
-	if e.store != nil {
-		for u, key := range recovered {
-			if u < 0 || u >= len(units) {
-				continue
-			}
-			data, ok := e.store.get(key)
-			if !ok {
-				continue
-			}
-			om, err := decodeUnitResult(data, units[u], units[u].Spec(spec))
-			if err != nil {
-				e.store.remove(key)
-				continue
-			}
-			oms[u], keys[u], preDone[u] = om, key, true
-			agg.report(u, len(units[u].Workloads)*runs*units[u].Nodes)
-		}
-	}
-
-	// The dispatch loop: one goroutine per fleet member, each pulling its
-	// next unit from the shared queue the moment the previous one
-	// completes — fast workers steal the tail a slow one would otherwise
-	// stall on. The supervisor polls the registry so membership changes
-	// land mid-job: a joining worker gets a dispatcher (and starts
-	// stealing pending units) within one poll tick; a leaving worker's
-	// dispatcher context is canceled through its gone channel, releasing
-	// its in-flight unit back to the queue without charging an attempt.
-	// Units from failed or stalled workers are re-queued; a permanent
-	// failure (attempt budget, dead fleet) cancels the siblings.
-	recoveredUnits := 0
-	for _, d := range preDone {
-		if d {
-			recoveredUnits++
-		}
-	}
 	planSpan.SetAttr("units", strconv.Itoa(len(units)))
-	planSpan.SetAttr("recovered", strconv.Itoa(recoveredUnits))
 	planSpan.End()
 
-	// Probe the shared cell cache: each remaining unit's workload×node
-	// columns are looked up by content address, and a unit with every
-	// column cached is assembled coordinator-side — born preDone, never
-	// dispatched. Partial hits only record the keys here; the columns a
-	// worker does compute are written through after the unit validates.
-	var cellKeys [][]string
+	// Probe the shared cell cache: each unit's workload×node columns are
+	// looked up by content address, and a unit with every column cached
+	// is assembled coordinator-side — born preDone, never dispatched.
+	// Partial hits only record the missed columns' keys here; those are
+	// written through after a worker computes the unit and it validates.
+	oms := make([]*core.ObservationMatrix, len(units))
+	preDone := make([]bool, len(units))
+	var missKeys [][]string
 	cachedUnits := 0
 	if e.cells != nil {
 		probeSpan := tc.StartSpan("cellcache-probe")
 		nmetrics := len(perf.MetricNames())
-		cellKeys = make([][]string, len(units))
+		missKeys = make([][]string, len(units))
 		hits, misses := 0, 0
 		for u, unit := range units {
-			if preDone[u] {
-				continue
-			}
 			ncols := len(unit.Workloads) * unit.Nodes
-			cellKeys[u] = make([]string, ncols)
+			missKeys[u] = make([]string, ncols)
 			vecs := make([][][]float64, ncols)
 			complete := true
 			for wi := range unit.Workloads {
@@ -604,11 +531,11 @@ func (e *Executor) Execute(ctx context.Context, spec service.JobSpec, progress c
 						complete = false
 						continue
 					}
-					cellKeys[u][ci] = key
 					if v, ok := e.cells.GetCell(unit.Workloads[wi], key, runs, nmetrics); ok {
 						vecs[ci] = v
 						hits++
 					} else {
+						missKeys[u][ci] = key
 						misses++
 						complete = false
 					}
@@ -618,8 +545,7 @@ func (e *Executor) Execute(ctx context.Context, spec service.JobSpec, progress c
 				continue
 			}
 			// Re-assemble the unit's matrix from cached columns in the
-			// exact shape a worker would have returned; keys[u] stays ""
-			// (there are no unit-store bytes to journal or drop).
+			// exact shape a worker would have returned.
 			cells := make([][][][]float64, len(unit.Workloads))
 			for wi := range cells {
 				cells[wi] = make([][][]float64, runs)
@@ -647,14 +573,23 @@ func (e *Executor) Execute(ctx context.Context, spec service.JobSpec, progress c
 		probeSpan.End()
 	}
 
+	// The dispatch loop: one goroutine per fleet member, each pulling its
+	// next unit from the shared queue the moment the previous one
+	// completes — fast workers steal the tail a slow one would otherwise
+	// stall on. The supervisor polls the registry so membership changes
+	// land mid-job: a joining worker gets a dispatcher (and starts
+	// stealing pending units) within one poll tick; a leaving worker's
+	// dispatcher context is canceled through its gone channel, releasing
+	// its in-flight unit back to the queue without charging an attempt.
+	// Units from failed or stalled workers are re-queued; a permanent
+	// failure (attempt budget, dead fleet) cancels the siblings.
 	e.log.Info("sharded job dispatch starting", "job", jobID,
-		"units", len(units), "recovered_units", recoveredUnits,
-		"cached_units", cachedUnits,
+		"units", len(units), "cached_units", cachedUnits,
 		"workers", len(e.reg.snapshot()))
 	dctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	q := newUnitQueue(len(units), e.cfg.MaxUnitAttempts, preDone, cancel)
-	run := &jobRun{id: jobID, q: q, units: units, full: spec, agg: agg, oms: oms, keys: keys, up: up, tc: tc, cellKeys: cellKeys}
+	run := &jobRun{id: jobID, q: q, units: units, full: spec, agg: agg, oms: oms, tc: tc, missKeys: missKeys}
 	var wg sync.WaitGroup
 	active := make(map[*workerState]bool)
 	// fleet tracks membership for the trace: a join/leave instant per
@@ -724,14 +659,10 @@ func (e *Executor) Execute(ctx context.Context, spec service.JobSpec, progress c
 		// winning exec span's attempt attribute is always attempts+1 — the
 		// cross-check the chaostest trace property asserts.
 		for u, n := range q.attemptCounts() {
-			attrs := map[string]string{
+			tc.Instant("unit-done", map[string]string{
 				"unit":     strconv.Itoa(u),
 				"attempts": strconv.Itoa(n),
-			}
-			if keys[u] != "" {
-				attrs["key"] = keys[u]
-			}
-			tc.Instant("unit-done", attrs)
+			})
 		}
 	}
 
@@ -761,17 +692,6 @@ func (e *Executor) Execute(ctx context.Context, spec service.JobSpec, progress c
 	}
 	if err != nil {
 		return nil, err
-	}
-	// The merged result supersedes the per-unit bytes: drop them so the
-	// unit store stays bounded by the in-flight working set. (A unit key
-	// shared with a concurrently running job only loses that job's
-	// recovery shortcut, never its correctness.)
-	if e.store != nil {
-		for _, key := range keys {
-			if key != "" {
-				e.store.remove(key)
-			}
-		}
 	}
 	return out, nil
 }
@@ -824,22 +744,13 @@ func (e *Executor) dispatch(ctx context.Context, w *workerState, run *jobRun) {
 			unitSpan.SetAttr("stolen", "true")
 		}
 		attemptStart := time.Now()
-		om, data, key, err := e.runUnitOn(ctx, w, run, u, unitSpan.ID(), attempt, stolen)
+		om, err := e.runUnitOn(ctx, w, run, u, unitSpan.ID(), attempt, stolen)
 		if err == nil {
-			run.oms[u], run.keys[u] = om, key
+			run.oms[u] = om
 			e.storeUnitCells(run, u, om)
 			w.recordSuccess()
 			e.mx.unitDuration.With(w.url).Observe(time.Since(attemptStart).Seconds())
 			run.agg.report(u, len(run.units[u].Workloads)*run.full.Cluster.Runs*run.units[u].Nodes)
-			// Persist the unit's bytes *before* journaling it done: a
-			// unit_done record must never point at bytes a restarted
-			// coordinator can't load. A store failure only costs this
-			// unit its recovery shortcut.
-			if e.store != nil && run.up != nil {
-				if perr := e.store.put(key, data); perr == nil {
-					run.up.UnitDone(u, key)
-				}
-			}
 			unitSpan.End()
 			q.complete(u)
 			continue
@@ -870,20 +781,23 @@ func (e *Executor) dispatch(ctx context.Context, w *workerState, run *jobRun) {
 	}
 }
 
-// storeUnitCells writes a validated unit's workload×node columns through
-// to the shared cell cache under the keys derived at probe time. The
-// matrix has already passed validateUnitResult, so every column has the
+// storeUnitCells writes a validated unit's missed workload×node columns
+// through to the shared cell cache under the keys recorded at probe time;
+// columns that hit are already stored and are not rewritten. The matrix
+// has already passed validateUnitResult, so every column has the
 // canonical runs×metrics shape; stores are best-effort (cellcache
-// swallows write failures — the grid already holds the bytes).
+// swallows write failures — the grid already holds the bytes). Each
+// store is fsynced before its rename, which is what makes it a crash
+// recovery point.
 func (e *Executor) storeUnitCells(run *jobRun, u int, om *core.ObservationMatrix) {
-	if e.cells == nil || run.cellKeys == nil || run.cellKeys[u] == nil {
+	if run.missKeys == nil {
 		return
 	}
 	unit := run.units[u]
 	runs := run.full.Cluster.Runs
 	for wi := range unit.Workloads {
 		for nd := 0; nd < unit.Nodes; nd++ {
-			key := run.cellKeys[u][wi*unit.Nodes+nd]
+			key := run.missKeys[u][wi*unit.Nodes+nd]
 			if key == "" {
 				continue
 			}
@@ -936,15 +850,13 @@ func (w *unitWatch) touch() { w.last.Store(time.Now().UnixNano()) }
 
 // runUnitOn runs one unit attempt against one worker: submit, stream
 // progress events into the aggregate, fetch and decode the observation
-// matrix, and sanity-check its shape against the plan. It returns the
-// decoded matrix together with the raw result bytes and the unit's
-// content-addressed key (the worker-side job ID), which the caller may
-// persist for crash recovery. The whole attempt runs under a stall
+// matrix, and sanity-check its shape against the plan. The whole
+// attempt runs under a stall
 // watchdog: when the worker goes silent past StallTimeout, its job
 // status is probed, and only an unanswered probe abandons the attempt —
 // so a healthy worker whose queue is merely busy is never failed over,
 // while a dead-but-connected one is.
-func (e *Executor) runUnitOn(ctx context.Context, w *workerState, run *jobRun, u int, unitSpanID string, attempt int, stolen bool) (*core.ObservationMatrix, []byte, string, error) {
+func (e *Executor) runUnitOn(ctx context.Context, w *workerState, run *jobRun, u int, unitSpanID string, attempt int, stolen bool) (*core.ObservationMatrix, error) {
 	stall := e.cfg.StallTimeout
 	if stall <= 0 {
 		return e.attemptUnit(ctx, w.client, run, u, unitSpanID, attempt, stolen, &unitWatch{})
@@ -989,7 +901,7 @@ func (e *Executor) runUnitOn(ctx context.Context, w *workerState, run *jobRun, u
 		}
 	}()
 
-	om, data, key, err := e.attemptUnit(actx, w.client, run, u, unitSpanID, attempt, stolen, uw)
+	om, err := e.attemptUnit(actx, w.client, run, u, unitSpanID, attempt, stolen, uw)
 	if err != nil && actx.Err() != nil && ctx.Err() == nil {
 		// The watchdog (not the job) aborted the attempt. Report it as a
 		// worker *failure* — deliberately not wrapping the underlying
@@ -997,7 +909,7 @@ func (e *Executor) runUnitOn(ctx context.Context, w *workerState, run *jobRun, u
 		// settle as canceled instead of failed.
 		err = fmt.Errorf("worker unresponsive (no activity for %v and status probe failed): %v", stall, err)
 	}
-	return om, data, key, err
+	return om, err
 }
 
 // attemptUnit is the watchdog-free body of one unit attempt. The attempt
@@ -1007,7 +919,7 @@ func (e *Executor) runUnitOn(ctx context.Context, w *workerState, run *jobRun, u
 // the worker in the submission's X-BD-Trace header, so the worker's own
 // stage spans join this trace and are imported under the exec span once
 // the unit validates.
-func (e *Executor) attemptUnit(ctx context.Context, c *client.Client, run *jobRun, u int, unitSpanID string, attempt int, stolen bool, w *unitWatch) (*core.ObservationMatrix, []byte, string, error) {
+func (e *Executor) attemptUnit(ctx context.Context, c *client.Client, run *jobRun, u int, unitSpanID string, attempt int, stolen bool, w *unitWatch) (*core.ObservationMatrix, error) {
 	tc := run.tc
 	unit := run.units[u]
 	sub := unit.Spec(run.full)
@@ -1021,7 +933,7 @@ func (e *Executor) attemptUnit(ctx context.Context, c *client.Client, run *jobRu
 	st, err := c.SubmitSpecTraced(ctx, sub, traceParent)
 	if err != nil {
 		dispatchSpan.EndErr(err)
-		return nil, nil, "", err
+		return nil, err
 	}
 	dispatchSpan.End()
 	w.touch()
@@ -1046,7 +958,7 @@ func (e *Executor) attemptUnit(ctx context.Context, c *client.Client, run *jobRu
 	case service.StateFailed, service.StateCanceled:
 		err := fmt.Errorf("unit job %s born %s: %s", st.ID, st.State, st.Error)
 		execSpan.EndErr(err)
-		return nil, nil, "", err
+		return nil, err
 	default:
 		// Follow the worker's NDJSON stream, multiplexing its per-cell
 		// progress into the coordinator's merged stream. The worker job
@@ -1072,7 +984,7 @@ func (e *Executor) attemptUnit(ctx context.Context, c *client.Client, run *jobRu
 		})
 		if err != nil {
 			execSpan.EndErr(err)
-			return nil, nil, "", err
+			return nil, err
 		}
 	}
 	execSpan.End()
@@ -1082,13 +994,13 @@ func (e *Executor) attemptUnit(ctx context.Context, c *client.Client, run *jobRu
 	data, err := c.Result(ctx, st.ID)
 	if err != nil {
 		validateSpan.EndErr(err)
-		return nil, nil, "", err
+		return nil, err
 	}
 	w.touch()
 	om, err := decodeUnitResult(data, unit, sub)
 	if err != nil {
 		validateSpan.EndErr(err)
-		return nil, nil, "", err
+		return nil, err
 	}
 	validateSpan.End()
 	if tc != nil {
@@ -1101,14 +1013,11 @@ func (e *Executor) attemptUnit(ctx context.Context, c *client.Client, run *jobRu
 			tc.Import(export.Spans, execSpan.ID(), c.BaseURL, map[string]string{"unit": unitAttr})
 		}
 	}
-	return om, data, st.ID, nil
+	return om, nil
 }
 
 // decodeUnitResult unmarshals one unit's raw result bytes and validates
-// the matrix shape against the unit's plan. It serves both live attempts
-// and restart recovery (re-validating bytes loaded from the unit store),
-// so a corrupted store entry is caught the same way a corrupted worker
-// response is.
+// the matrix shape against the unit's plan.
 func decodeUnitResult(data []byte, unit Shard, sub service.JobSpec) (*core.ObservationMatrix, error) {
 	var oj benchio.ObservationsJSON
 	if err := json.Unmarshal(data, &oj); err != nil {

@@ -6,12 +6,15 @@
 #     characterize-only worker that self-registers (-register) under a
 #     5s heartbeat lease; assert the lease (source, ttl, remaining)
 #     shows on GET /v1/workers.
-#  2. Submit a job, wait for the first per-unit "unit_done" record to
-#     land in the coordinator's journal, then SIGKILL the coordinator
-#     mid-job — the crash model, no drain, no terminal record.
+#  2. Submit a job, wait until the coordinator's /metrics shows its first
+#     cell-cache store (bd_cellcache_stores_total >= 1) while the job is
+#     still running, then SIGKILL the coordinator mid-job — the crash
+#     model, no drain, no terminal record.
 #  3. Register a second worker (fleet churn during recovery) and restart
 #     the coordinator over the same data dir: it must re-adopt the job
-#     from the journal and finish it.
+#     from the journal, read every column stored before the kill back
+#     from its cell cache (bd_cellcache_hits_total >= the pre-kill store
+#     count), and finish the job.
 #  4. Assert the recovered merged result is byte-identical to a
 #     single-daemon run of the same spec.
 #  5. SIGTERM the second worker and assert its graceful shutdown
@@ -29,8 +32,15 @@ W2="http://$W2_ADDR"
 SD="http://$SD_ADDR"
 WORKDIR="$(mktemp -d)"
 PIDS=()
-# ${PIDS[@]:-} so the trap survives an empty array under set -u (bash<4.4).
-trap 'kill "${PIDS[@]:-}" 2>/dev/null || true; rm -rf "$WORKDIR"' EXIT
+# Kill and reap every daemon started here (the restarted coordinator and
+# both workers included), so none outlives the script. ${PIDS[@]:-} keeps
+# the trap working on an empty array under set -u (bash<4.4).
+cleanup() {
+  kill -9 "${PIDS[@]:-}" 2>/dev/null || true
+  wait "${PIDS[@]:-}" 2>/dev/null || true
+  rm -rf "$WORKDIR"
+}
+trap cleanup EXIT
 
 echo "==> building bdservd + bdcoord"
 go build -o "$WORKDIR/bdservd" ./cmd/bdservd
@@ -63,6 +73,14 @@ poll_done() { # poll_done <base-url> <job-id> <status-file>
   done
   echo "job stuck in state '$state'" >&2
   return 1
+}
+
+metric_total() { # metric_total <base-url> <name> — sum over all label sets
+  curl -fsS "$1/metrics" | python3 -c '
+import re, sys
+text = sys.stdin.read()
+print(int(sum(float(m.group(1)) for m in
+    re.finditer(r"^%s(?:\{[^}]*\})? ([0-9.eE+-]+)$" % sys.argv[1], text, re.M))))' "$2"
 }
 
 registered_count() { # registered workers currently on the fleet
@@ -102,26 +120,31 @@ PY
 JOB='{"workloads":["H-Sort","S-Sort","H-Grep","S-Grep"],"nodes":2,"instructions":6000,"kmax":3}'
 JOURNAL="$WORKDIR/coord/journal.ndjson"
 
-echo "==> submitting the job, then SIGKILL-ing the coordinator after the first unit_done"
+echo "==> submitting the job, then SIGKILL-ing the coordinator after its first cell-cache store"
 curl -fsS -X POST -d "$JOB" "$CO/v1/jobs" -o "$WORKDIR/submit.json"
 CO_ID=$(json_field "$WORKDIR/submit.json" id)
 [ -n "$CO_ID" ] || { echo "no job id from coordinator" >&2; cat "$WORKDIR/submit.json" >&2; exit 1; }
 echo "    job $CO_ID"
-N1=0
+STORES=0
 for i in $(seq 1 300); do
-  N1=$(grep -c '"type":"unit_done"' "$JOURNAL" 2>/dev/null || true)
-  [ "${N1:-0}" -ge 1 ] && break
+  STORES=$(metric_total "$CO" bd_cellcache_stores_total)
+  [ "$STORES" -ge 1 ] && break
   sleep 0.2
 done
-[ "${N1:-0}" -ge 1 ] || { echo "no unit_done journaled within 60s" >&2; exit 1; }
+[ "$STORES" -ge 1 ] || { echo "no cell-cache store within 60s" >&2; exit 1; }
+curl -fsS "$CO/v1/jobs/$CO_ID" -o "$WORKDIR/prekill.json"
+PREKILL_STATE=$(json_field "$WORKDIR/prekill.json" state)
+case "$PREKILL_STATE" in
+  queued|running) ;;
+  *) echo "job already '$PREKILL_STATE' before the kill — crash landed too late" >&2; exit 1 ;;
+esac
 kill -9 "$CO_PID"
 wait "$CO_PID" 2>/dev/null || true
-N1=$(grep -c '"type":"unit_done"' "$JOURNAL")
 grep -q '"type":"done".*"id":"'"$CO_ID"'"\|"id":"'"$CO_ID"'".*"type":"done"' "$JOURNAL" \
   && { echo "job already terminal before the kill — crash landed too late" >&2; exit 1; }
-echo "    coordinator killed with $N1 unit(s) journaled done and the job non-terminal"
+echo "    coordinator killed after >= $STORES cell-cache store(s) with the job non-terminal"
 
-echo "==> second worker joins; coordinator restarts over the same journal + unit store"
+echo "==> second worker joins; coordinator restarts over the same journal + cell cache"
 "$WORKDIR/bdservd" -addr "$W2_ADDR" -data-dir "$WORKDIR/w2" -characterize-only \
   -register "$CO" -advertise "$W2" -lease-ttl 5s &
 PIDS+=($!); W2_PID=$!
@@ -138,6 +161,9 @@ poll_done "$CO" "$CO_ID" "$WORKDIR/recovered.json"
 RC_HASH=$(json_field "$WORKDIR/recovered.json" result_hash)
 [ -n "$RC_HASH" ] || { echo "recovered job has no result_hash" >&2; exit 1; }
 echo "    recovered merged hash $RC_HASH"
+HITS=$(metric_total "$CO" bd_cellcache_hits_total)
+[ "$HITS" -ge "$STORES" ] || { echo "restarted coordinator hit $HITS cached columns, want >= $STORES stored before the kill" >&2; exit 1; }
+echo "    restarted coordinator read $HITS column(s) from its cell cache (>= $STORES stored before the kill)"
 
 echo "==> single-daemon golden comparison"
 "$WORKDIR/bdservd" -addr "$SD_ADDR" -data-dir "$WORKDIR/single" &
