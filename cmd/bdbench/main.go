@@ -17,11 +17,6 @@
 // With no -workloads selection the run covers the built-ins plus every
 // -workload-file definition; presets join a run when named in
 // -workloads. -list-workloads prints the full registry and exits.
-//
-// With -bench, bdbench instead times the full pipeline (characterize +
-// analyze) once sequentially and once with parallel worker pools, checks
-// both produce the identical analysis, and writes the comparison to
-// BENCH_pipeline.json (see EXPERIMENTS.md §3).
 package main
 
 import (
@@ -30,12 +25,10 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"runtime"
 	"strings"
 	"text/tabwriter"
 	"time"
 
-	"repro/internal/benchio"
 	"repro/internal/bigdata/cluster"
 	"repro/internal/bigdata/custom"
 	"repro/internal/bigdata/workloads"
@@ -66,8 +59,6 @@ type options struct {
 	noMultiplex   bool
 	jitter        float64
 	par           int
-	bench         bool
-	benchReps     int
 	traceOut      string
 }
 
@@ -94,15 +85,6 @@ func (o options) validate() error {
 	}
 	if o.par < 0 {
 		return fmt.Errorf("-parallelism must be ≥0, got %d", o.par)
-	}
-	if o.benchReps < 1 {
-		return fmt.Errorf("-bench-reps must be ≥1, got %d", o.benchReps)
-	}
-	if o.bench && o.out != "" {
-		return fmt.Errorf("-bench writes BENCH_pipeline.json; -out is only for CSV mode")
-	}
-	if o.bench && o.traceOut != "" {
-		return fmt.Errorf("-trace-out traces a CSV-mode run; -bench times untraced code")
 	}
 	return nil
 }
@@ -240,8 +222,6 @@ func run() error {
 	flag.BoolVar(&o.noMultiplex, "no-multiplex", false, "disable PMC time multiplexing (exact counts)")
 	flag.Float64Var(&o.jitter, "jitter", 0.06, "node/run execution variation sigma")
 	flag.IntVar(&o.par, "parallelism", 0, "bound on concurrent node simulations (0 = GOMAXPROCS)")
-	flag.BoolVar(&o.bench, "bench", false, "time the end-to-end pipeline (sequential vs parallel) and write BENCH_pipeline.json")
-	flag.IntVar(&o.benchReps, "bench-reps", 1, "pipeline repetitions per -bench variant")
 	flag.StringVar(&o.traceOut, "trace-out", "", "write a Chrome trace_event JSON of this run's pipeline stages (open in chrome://tracing or Perfetto)")
 	flag.Parse()
 
@@ -265,10 +245,6 @@ func run() error {
 		return err
 	}
 	ccfg := o.clusterConfig()
-
-	if o.bench {
-		return runPipelineBench(suite, ccfg, o.benchReps)
-	}
 
 	fmt.Fprintf(os.Stderr, "characterizing %d workloads on %d nodes (%d instr/core, %d run(s))...\n",
 		len(suite), o.nodes, o.instr, o.runs)
@@ -323,61 +299,4 @@ func run() error {
 		w = f
 	}
 	return ds.WriteCSV(w)
-}
-
-// runPipelineBench times the end-to-end pipeline on the given suite, once
-// with Parallelism=1 and once at GOMAXPROCS, verifies both runs produce
-// the identical analysis, and writes BENCH_pipeline.json via the shared
-// internal/benchio emitter.
-func runPipelineBench(suite []workloads.Workload, ccfg cluster.Config, reps int) error {
-	if reps < 1 {
-		reps = 1
-	}
-	variants := []struct {
-		name string
-		par  int
-	}{
-		{"sequential", 1},
-		{"parallel", runtime.GOMAXPROCS(0)},
-	}
-	results := map[string]benchio.Variant{}
-	for _, v := range variants {
-		c := ccfg
-		c.Parallelism = v.par
-		acfg := core.DefaultAnalysis()
-		acfg.Parallelism = v.par
-		fmt.Fprintf(os.Stderr, "bench %s: %d workloads × %d nodes × %d run(s), parallelism %d, %d rep(s)...\n",
-			v.name, len(suite), c.SlaveNodes, c.Runs, v.par, reps)
-		var an *core.Analysis
-		start := time.Now()
-		for i := 0; i < reps; i++ {
-			ds, err := core.CharacterizeSuite(suite, c)
-			if err != nil {
-				return err
-			}
-			an, err = core.Analyze(ds, acfg)
-			if err != nil {
-				return err
-			}
-		}
-		elapsed := time.Since(start)
-		results[v.name] = benchio.Variant{
-			SecondsPerOp: elapsed.Seconds() / float64(reps),
-			Iterations:   reps,
-			Parallelism:  v.par,
-			BestK:        an.KBest.K,
-			Subset:       an.SubsetNames(),
-		}
-	}
-
-	seq, par := results["sequential"], results["parallel"]
-	if err := benchio.Write(
-		fmt.Sprintf("core pipeline end-to-end (%d workloads)", len(suite)),
-		fmt.Sprintf("%d nodes, %d instr/core, %d slices", ccfg.SlaveNodes, ccfg.InstructionsPerCore, ccfg.Slices),
-		seq, par); err != nil {
-		return err
-	}
-	fmt.Fprintf(os.Stderr, "sequential %.3fs parallel %.3fs speedup %.2fx → BENCH_pipeline.json\n",
-		seq.SecondsPerOp, par.SecondsPerOp, seq.SecondsPerOp/par.SecondsPerOp)
-	return nil
 }

@@ -11,7 +11,7 @@ import (
 func validOptions() options {
 	return options{
 		nodes: 4, instr: 60000, scale: 4096, seed: 20140901,
-		runs: 1, jitter: 0.06, benchReps: 1,
+		runs: 1, jitter: 0.06,
 	}
 }
 
@@ -36,8 +36,6 @@ func TestValidateRejectsBadFlagCombinations(t *testing.T) {
 		"jitter negative":    {func(o *options) { o.jitter = -0.1 }, "-jitter"},
 		"jitter huge":        {func(o *options) { o.jitter = 0.75 }, "-jitter"},
 		"parallelism neg":    {func(o *options) { o.par = -2 }, "-parallelism"},
-		"bench reps zero":    {func(o *options) { o.benchReps = 0 }, "-bench-reps"},
-		"bench with out":     {func(o *options) { o.bench = true; o.out = "x.csv" }, "-out"},
 	}
 	for name, tc := range cases {
 		o := validOptions()

@@ -1,3 +1,7 @@
+// Package benchio is the canonical wire encoding of the pipeline's
+// results: datasets, observation matrices and analyses projected onto
+// fixed-layout JSON, so equal results marshal to identical bytes and
+// their content hashes agree across the daemons and the benchmark.
 package benchio
 
 import (

@@ -34,8 +34,16 @@ CO="http://$CO_ADDR"
 SD="http://$SD_ADDR"
 WORKDIR="$(mktemp -d)"
 PIDS=()
-# ${PIDS[@]:-} so the trap survives an empty array under set -u (bash<4.4).
-trap 'kill "${PIDS[@]:-}" 2>/dev/null || true; rm -rf "$WORKDIR"' EXIT
+# Kill and reap every daemon started here (restarted coordinators
+# included) before removing their data dirs, so none outlives the script.
+# ${PIDS[@]:-} keeps the trap working on an empty array under set -u
+# (bash<4.4).
+cleanup() {
+  kill -9 "${PIDS[@]:-}" 2>/dev/null || true
+  wait "${PIDS[@]:-}" 2>/dev/null || true
+  rm -rf "$WORKDIR"
+}
+trap cleanup EXIT
 
 echo "==> building bdservd + bdcoord + bdtop"
 go build -o "$WORKDIR/bdservd" ./cmd/bdservd

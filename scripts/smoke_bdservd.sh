@@ -10,7 +10,14 @@ ADDR="127.0.0.1:8356"
 BASE="http://$ADDR"
 WORKDIR="$(mktemp -d)"
 SERVD_PID=""
-trap 'kill "${SERVD_PID:-}" 2>/dev/null || true; rm -rf "$WORKDIR"' EXIT
+# Kill and reap the daemon before removing its data dir, so it neither
+# outlives the script nor drains into a directory being deleted.
+cleanup() {
+  kill -9 "${SERVD_PID:-}" 2>/dev/null || true
+  wait "${SERVD_PID:-}" 2>/dev/null || true
+  rm -rf "$WORKDIR"
+}
+trap cleanup EXIT
 
 echo "==> building bdservd"
 go build -o "$WORKDIR/bdservd" ./cmd/bdservd
