@@ -18,6 +18,7 @@ package workloads
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 
 	"repro/internal/bigdata/bdgs"
@@ -405,6 +406,9 @@ type Config struct {
 // DefaultConfig returns the standard suite configuration.
 func DefaultConfig() Config { return Config{Seed: 20140901, Scale: 4096} }
 
+// engines are the two stacks every algorithm runs on, in suite order.
+var engines = []stack.Engine{stack.EngineHadoop, stack.EngineSpark}
+
 // Suite synthesizes all 32 workloads (16 algorithms × {Hadoop/Hive,
 // Spark/Shark}) in the paper's naming scheme. Workloads are ordered
 // H-<alg>, S-<alg> per algorithm.
@@ -414,8 +418,12 @@ func Suite(cfg Config) ([]Workload, error) {
 	}
 	var out []Workload
 	for _, alg := range algorithms() {
-		for _, eng := range []stack.Engine{stack.EngineHadoop, stack.EngineSpark} {
-			w, err := build(alg, eng, cfg)
+		a, err := alg.derive(cfg)
+		if err != nil {
+			return nil, err
+		}
+		for _, eng := range engines {
+			w, err := Synthesize(a, eng, cfg)
 			if err != nil {
 				return nil, err
 			}
@@ -423,6 +431,29 @@ func Suite(cfg Config) ([]Workload, error) {
 		}
 	}
 	return out, nil
+}
+
+// Builtin synthesizes the one built-in workload with the given paper-style
+// name. Data traits are derived from a per-algorithm RNG, so the result is
+// identical to the same entry of Suite(cfg) without synthesizing the other
+// 31.
+func Builtin(cfg Config, name string) (Workload, error) {
+	if cfg.Scale <= 0 {
+		return Workload{}, fmt.Errorf("workloads: non-positive scale %v", cfg.Scale)
+	}
+	for _, alg := range algorithms() {
+		for _, eng := range engines {
+			if StackFor(alg.category, eng).Prefix+alg.name != name {
+				continue
+			}
+			a, err := alg.derive(cfg)
+			if err != nil {
+				return Workload{}, err
+			}
+			return Synthesize(a, eng, cfg)
+		}
+	}
+	return Workload{}, fmt.Errorf("workloads: unknown workload %q", name)
 }
 
 // ByName returns the workload with the given paper-style name from a
@@ -436,30 +467,43 @@ func ByName(suite []Workload, name string) (Workload, error) {
 	return Workload{}, fmt.Errorf("workloads: unknown workload %q", name)
 }
 
-// Select picks suite members by name, in the given order. Names are
-// whitespace-trimmed; empty and duplicate names are rejected, and an
-// unknown name errors with the full list of valid names (the shared
-// validation for every front-end that accepts a workload selection).
-func Select(suite []Workload, names []string) ([]Workload, error) {
-	picked := make([]Workload, 0, len(names))
-	seen := make(map[string]bool, len(names))
+// CheckSelection validates a workload selection against the names a suite
+// defines and returns the selected names, whitespace-trimmed, in the given
+// order. Empty and duplicate names are rejected, and an unknown name
+// errors with the full list of valid names. This is the shared validation
+// for every front-end that accepts a workload selection; it works on names
+// alone, so no workload needs synthesizing to check one.
+func CheckSelection(valid, names []string) ([]string, error) {
+	picked := make([]string, 0, len(names))
 	for i, raw := range names {
 		name := strings.TrimSpace(raw)
 		if name == "" {
 			return nil, fmt.Errorf("workloads: empty workload name at position %d", i)
 		}
-		if seen[name] {
+		if slices.Contains(picked, name) {
 			return nil, fmt.Errorf("workloads: workload %q listed twice", name)
 		}
-		seen[name] = true
-		w, err := ByName(suite, name)
-		if err != nil {
+		if !slices.Contains(valid, name) {
 			return nil, fmt.Errorf("workloads: unknown workload %q (valid names: %s)",
-				name, strings.Join(Names(suite), ", "))
+				name, strings.Join(valid, ", "))
 		}
-		picked = append(picked, w)
+		picked = append(picked, name)
 	}
 	return picked, nil
+}
+
+// Select picks suite members by name, in the given order, after
+// validating the selection with CheckSelection.
+func Select(suite []Workload, names []string) ([]Workload, error) {
+	picked, err := CheckSelection(Names(suite), names)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]Workload, len(picked))
+	for i, name := range picked {
+		out[i], _ = ByName(suite, name) // CheckSelection found every name
+	}
+	return out, nil
 }
 
 // StackFor selects the concrete stack for a category+engine: interactive
@@ -480,8 +524,9 @@ func StackFor(category string, eng stack.Engine) stack.Profile {
 
 // Algorithm is the stack-independent description of one suite entry with
 // its data traits already derived: the input to Synthesize. Built-in
-// Table I entries reach it through Suite; custom workload definitions
-// construct it directly, so both go through the identical blending path.
+// Table I entries reach it through Suite and Builtin; custom workload
+// definitions construct it directly, so both go through the identical
+// blending path.
 type Algorithm struct {
 	Name        string
 	Category    string
@@ -562,16 +607,17 @@ func Synthesize(alg Algorithm, eng stack.Engine, cfg Config) (Workload, error) {
 	}, nil
 }
 
-func build(alg algorithm, eng stack.Engine, cfg Config) (Workload, error) {
-	// Derive data traits from generated data. The RNG is seeded per
-	// algorithm so both stacks see identical data (§III-A: "Identical
-	// Data Sets").
+// derive turns a Table I entry into its stack-independent Algorithm by
+// deriving the data traits from generated data. The RNG is seeded per
+// algorithm, so both stacks see identical data (§III-A: "Identical Data
+// Sets") and one entry synthesized alone equals the same entry of Suite.
+func (alg algorithm) derive(cfg Config) (Algorithm, error) {
 	r := rng.New(cfg.Seed ^ hashName(alg.name))
 	skew, err := alg.deriveSkew(r)
 	if err != nil {
-		return Workload{}, fmt.Errorf("workloads: %s: %w", alg.name, err)
+		return Algorithm{}, fmt.Errorf("workloads: %s: %w", alg.name, err)
 	}
-	return Synthesize(Algorithm{
+	return Algorithm{
 		Name:             alg.name,
 		Category:         alg.category,
 		ProblemSize:      alg.problemSize,
@@ -581,7 +627,7 @@ func build(alg algorithm, eng stack.Engine, cfg Config) (Workload, error) {
 		ShuffleIntensity: alg.shuffleIntensity,
 		Skew:             skew,
 		Tweak:            alg.tweak,
-	}, eng, cfg)
+	}, nil
 }
 
 // BuiltinNames returns the 32 built-in workload names (H-/S- per Table I
@@ -591,7 +637,7 @@ func BuiltinNames() []string {
 	algs := algorithms()
 	out := make([]string, 0, 2*len(algs))
 	for _, alg := range algs {
-		for _, eng := range []stack.Engine{stack.EngineHadoop, stack.EngineSpark} {
+		for _, eng := range engines {
 			out = append(out, StackFor(alg.category, eng).Prefix+alg.name)
 		}
 	}

@@ -1,6 +1,7 @@
 package workloads
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -196,6 +197,49 @@ func TestStackDominanceCompressesAlgorithmDiversity(t *testing.T) {
 func TestByNameUnknown(t *testing.T) {
 	if _, err := ByName(suite(t), "X-Nothing"); err == nil {
 		t.Error("unknown name accepted")
+	}
+}
+
+// Builtin synthesizes one entry alone; it must equal the same entry of the
+// whole suite at every config, or selecting workloads would change bits.
+func TestBuiltinMatchesSuiteEntry(t *testing.T) {
+	for _, cfg := range []Config{DefaultConfig(), {Seed: 11, Scale: 1 << 16}, {Seed: 1, Scale: 1}} {
+		all, err := Suite(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, name := range BuiltinNames() {
+			want, err := ByName(all, name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := Builtin(cfg, name)
+			if err != nil {
+				t.Fatalf("%+v %s: %v", cfg, name, err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("%+v: Builtin(%s) differs from its Suite entry", cfg, name)
+			}
+		}
+	}
+}
+
+func TestBuiltinRejectsUnknownAndBadScale(t *testing.T) {
+	if _, err := Builtin(DefaultConfig(), "X-Nothing"); err == nil {
+		t.Error("unknown name accepted")
+	}
+	if _, err := Builtin(Config{Seed: 1}, "H-Sort"); err == nil {
+		t.Error("zero scale accepted")
+	}
+}
+
+func TestCheckSelectionTrimsAndKeepsOrder(t *testing.T) {
+	got, err := CheckSelection(BuiltinNames(), []string{" S-Grep", "H-Sort "})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, []string{"S-Grep", "H-Sort"}) {
+		t.Errorf("selection %q, want [S-Grep H-Sort]", got)
 	}
 }
 

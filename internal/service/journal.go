@@ -88,11 +88,9 @@ type journal struct {
 	log  *slog.Logger
 	mx   *journalMetrics
 
-	// appends counts records since the last compaction; compacting
-	// debounces concurrent compaction triggers. Both are touched by
-	// Manager.maybeCompactJournal and reset by the writer goroutine.
-	appends    atomic.Int64
-	compacting atomic.Bool
+	// appends counts records queued since the last compaction request;
+	// Manager.maybeCompactJournal resets it when it makes one.
+	appends atomic.Int64
 
 	// failure records the first persistent write problem (append encode
 	// error, failed compaction, failed reopen). It is sticky: once the
@@ -197,8 +195,6 @@ func (jl *journal) run() {
 			} else {
 				jl.f, jl.enc = f, json.NewEncoder(f)
 			}
-			jl.appends.Store(0)
-			jl.compacting.Store(false)
 			continue
 		}
 		if jl.enc == nil {

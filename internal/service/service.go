@@ -989,6 +989,12 @@ func (m *Manager) runJob(j *job) {
 // snapshot + compaction request are taken while holding m.mu, so no
 // record of any kind can slip between the snapshot and the request and
 // be erased by the rewrite.
+//
+// The append count restarts with each request, so requests come at most
+// once per threshold's worth of records. A request made while an earlier
+// one is still queued or running simply follows it on the writer. Once
+// the writer catches up, the file holds the last snapshot plus less than
+// one threshold of tail records, however fast appends arrive.
 func (m *Manager) maybeCompactJournal() {
 	m.jmu.Lock()
 	jl := m.journal
@@ -997,11 +1003,17 @@ func (m *Manager) maybeCompactJournal() {
 		return
 	}
 	threshold := int64(4*m.cfg.MaxJobs + 64)
-	if jl.appends.Load() < threshold || !jl.compacting.CompareAndSwap(false, true) {
+	if jl.appends.Load() < threshold {
 		return
 	}
 
 	m.mu.Lock()
+	// Re-check under m.mu, where the count is reset: a concurrent caller
+	// may have requested this compaction already.
+	if jl.appends.Load() < threshold {
+		m.mu.Unlock()
+		return
+	}
 	snapshot := make([]replayedJob, 0, len(m.order))
 	for _, id := range m.order {
 		j := m.jobs[id]
@@ -1035,6 +1047,9 @@ func (m *Manager) maybeCompactJournal() {
 		})
 		j.mu.Unlock()
 	}
+	// Every record appended from now on lands after the rewrite and counts
+	// toward the next threshold, even while this compaction is still queued.
+	jl.appends.Store(0)
 	m.jmu.Lock()
 	m.journal.requestCompact(snapshot)
 	m.jmu.Unlock()

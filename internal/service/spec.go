@@ -167,60 +167,91 @@ func (s JobSpec) Normalized() (JobSpec, error) {
 			return n, err
 		}
 		n.CustomWorkloads = defs
+		// The definitions' synthesized profiles are validated by building
+		// them, which derives no data and synthesizes no built-in.
+		if _, err := custom.Build(defs, n.Suite); err != nil {
+			return n, err
+		}
 	}
 
 	if len(n.Workloads) == 0 {
 		n.Workloads = nil
 	} else {
-		names := make([]string, len(n.Workloads))
-		for i, w := range n.Workloads {
-			names[i] = strings.TrimSpace(w)
+		// The selection (empty/duplicate/unknown names) is validated by name
+		// alone, so Normalized — run on every Submit/ID and every bdcoord
+		// unit sub-spec — synthesizes nothing.
+		names, err := n.WorkloadNames()
+		if err != nil {
+			return n, err
 		}
 		n.Workloads = names
-	}
-	switch {
-	case n.Workloads != nil:
-		// Validate the selection (empty/duplicate/unknown names) and any
-		// custom definitions' synthesized profiles against the suite the
-		// spec will actually build.
-		if _, err := n.ResolveSuite(); err != nil {
-			return n, err
-		}
-	case n.CustomWorkloads != nil:
-		// No selection to resolve: only the definitions' synthesized
-		// profiles need validating, which does not require synthesizing
-		// the 32 built-ins (Normalized runs on every Submit/ID and every
-		// bdcoord unit sub-spec, so this path stays cheap).
-		if _, err := custom.Build(n.CustomWorkloads, n.Suite); err != nil {
-			return n, err
-		}
 	}
 	return n, nil
 }
 
-// ResolveSuite synthesizes the workload list the spec describes: the 32
-// built-ins plus any custom definitions' workloads (appended in
-// definition order — per-cell seeds are functions of workload names, so
-// the extension never perturbs built-in cells). An empty selection means
-// the whole extended suite; otherwise the named workloads are picked in
-// the given order via the shared selection helper (unknown names error
-// with the list of valid ones).
-func (s JobSpec) ResolveSuite() ([]workloads.Workload, error) {
-	suite, err := workloads.Suite(s.Suite)
-	if err != nil {
-		return nil, err
-	}
+// WorkloadNames returns the canonical, validated names of the workloads
+// the spec describes, synthesizing none of them: the 32 built-ins plus
+// any custom definitions' workloads (appended in definition order). An
+// empty selection means all of them; otherwise the named workloads are
+// picked in the given order by the shared selection check (unknown names
+// error with the list of valid ones).
+func (s JobSpec) WorkloadNames() ([]string, error) {
+	names := workloads.BuiltinNames()
 	if len(s.CustomWorkloads) > 0 {
-		cw, err := custom.Build(s.CustomWorkloads, s.Suite)
+		defs, err := custom.NormalizeAll(s.CustomWorkloads)
 		if err != nil {
 			return nil, err
 		}
-		suite = append(suite, cw...)
+		for _, d := range defs {
+			names = append(names, d.WorkloadNames()...)
+		}
 	}
 	if len(s.Workloads) == 0 {
-		return suite, nil
+		return names, nil
 	}
-	return workloads.Select(suite, s.Workloads)
+	return workloads.CheckSelection(names, s.Workloads)
+}
+
+// ResolveSuite synthesizes the workloads WorkloadNames lists, in that
+// order. A selection synthesizes only its own entries: each built-in alone
+// through workloads.Builtin, custom ones from their definitions. Per-cell
+// seeds and per-algorithm data are functions of workload names, so
+// neither the selection nor the custom extension perturbs a built-in's
+// bits.
+func (s JobSpec) ResolveSuite() ([]workloads.Workload, error) {
+	var extra []workloads.Workload
+	if len(s.CustomWorkloads) > 0 {
+		var err error
+		if extra, err = custom.Build(s.CustomWorkloads, s.Suite); err != nil {
+			return nil, err
+		}
+	}
+	if len(s.Workloads) == 0 {
+		// Everything: Suite derives each algorithm's data once for both
+		// of its engines.
+		suite, err := workloads.Suite(s.Suite)
+		if err != nil {
+			return nil, err
+		}
+		return append(suite, extra...), nil
+	}
+	names, err := s.WorkloadNames()
+	if err != nil {
+		return nil, err
+	}
+	suite := make([]workloads.Workload, len(names))
+	for i, name := range names {
+		w, err := workloads.ByName(extra, name)
+		if err != nil {
+			// Not a custom workload, so WorkloadNames found it among the
+			// built-ins.
+			if w, err = workloads.Builtin(s.Suite, name); err != nil {
+				return nil, err
+			}
+		}
+		suite[i] = w
+	}
+	return suite, nil
 }
 
 // ID returns the deterministic, content-addressed job identifier: the

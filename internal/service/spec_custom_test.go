@@ -1,11 +1,13 @@
 package service
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/bigdata/custom"
+	"repro/internal/bigdata/workloads"
 	"repro/internal/trace"
 )
 
@@ -110,6 +112,18 @@ func TestCustomSpecResolveSuiteAppendsAfterBuiltins(t *testing.T) {
 	}
 	if suite[32].Name != "H-TestScan" || suite[33].Name != "S-TestScan" {
 		t.Errorf("custom workloads not appended in order: %s, %s", suite[32].Name, suite[33].Name)
+	}
+
+	// A selection mixing custom and built-in names keeps the caller's
+	// order, each entry equal to its place in the extended suite.
+	spec.Workloads = []string{"S-TestScan", "H-Sort", "H-TestScan"}
+	picked, err := spec.ResolveSuite()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []workloads.Workload{suite[33], suite[0], suite[32]}
+	if !reflect.DeepEqual(picked, want) {
+		t.Errorf("mixed selection resolved to %v, want [S-TestScan H-Sort H-TestScan]", workloads.Names(picked))
 	}
 }
 

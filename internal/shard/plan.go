@@ -100,13 +100,9 @@ func Plan(spec service.JobSpec, parts int) ([]Shard, error) {
 	if workers < 1 {
 		return nil, fmt.Errorf("shard: need ≥1 plan part, got %d", workers)
 	}
-	suite, err := spec.ResolveSuite()
+	names, err := spec.WorkloadNames()
 	if err != nil {
 		return nil, err
-	}
-	names := make([]string, len(suite))
-	for i, w := range suite {
-		names[i] = w.Name
 	}
 	nodes := spec.Cluster.SlaveNodes
 	if nodes < 1 {

@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"runtime"
 	"testing"
 
 	"repro/internal/bigdata/cluster"
@@ -234,5 +235,56 @@ func TestShardSpecIsCharacterizeOnly(t *testing.T) {
 	}
 	if norm.Cluster.Seed != spec.Cluster.Seed {
 		t.Error("sub-spec seed drifted")
+	}
+}
+
+// allocBytesPerRun is testing.AllocsPerRun counting bytes rather than
+// allocations: synthesizing a built-in makes few allocations but large
+// ones (its generated dataset), so bytes are what tell a synthesized
+// workload from a named one.
+func allocBytesPerRun(runs int, f func()) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f() // warm up
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return (after.TotalAlloc - before.TotalAlloc) / uint64(runs)
+}
+
+// The coordinator normalizes and plans every job by name and synthesizes
+// only the workloads it selects: naming all 32 built-ins must cost less
+// than synthesizing one, and resolving two must cost less than one
+// data-heavy built-in. The whole suite allocates about six times that.
+func TestResolutionSynthesizesOnlySelectedWorkloads(t *testing.T) {
+	one := allocBytesPerRun(5, func() {
+		if _, err := workloads.Builtin(workloads.DefaultConfig(), "H-WordCount"); err != nil {
+			t.Fatal(err)
+		}
+	})
+	all, err := tinySpec(workloads.BuiltinNames()...).Normalized()
+	if err != nil {
+		t.Fatal(err)
+	}
+	pair := tinySpec("H-Sort", "S-Grep")
+	for _, c := range []struct {
+		name string
+		f    func() error
+	}{
+		{"Normalized(32 built-ins)", func() error { _, err := all.Normalized(); return err }},
+		{"Plan(32 built-ins)", func() error { _, err := Plan(all, 8); return err }},
+		{"ResolveSuite(H-Sort, S-Grep)", func() error { _, err := pair.ResolveSuite(); return err }},
+	} {
+		got := allocBytesPerRun(5, func() {
+			if err := c.f(); err != nil {
+				t.Fatal(err)
+			}
+		})
+		t.Logf("%s: %d B, Builtin(H-WordCount): %d B", c.name, got, one)
+		if got >= one {
+			t.Errorf("%s allocates %d B, not less than synthesizing H-WordCount (%d B)", c.name, got, one)
+		}
 	}
 }
