@@ -201,6 +201,7 @@ func TestHTTPConvenienceFieldsAndValidation(t *testing.T) {
 		"bad linkage":      `{"linkage":"ward"}`,
 		"spec+convenience": fmt.Sprintf(`{"nodes":3,"spec":%s}`, mustJSON(t, tinySpec())),
 		"bad runs":         `{"runs":-1}`,
+		"48-byte lines":    fmt.Sprintf(`{"spec":%s}`, mustJSON(t, oddLineSpec())),
 	} {
 		if _, code := postJob(t, srv, body); code != http.StatusBadRequest {
 			t.Errorf("%s: code %d, want 400", name, code)

@@ -11,6 +11,7 @@ import (
 	"repro/internal/cluster/kmeans"
 	"repro/internal/core"
 	"repro/internal/perf"
+	"repro/internal/sim/cache"
 	"repro/internal/sim/machine"
 )
 
@@ -191,6 +192,23 @@ func TestNormalizeRejectsBadSpecs(t *testing.T) {
 	if _, err := badK.Normalized(); err == nil {
 		t.Error("inverted K range accepted")
 	}
+
+	if _, err := oddLineSpec().Normalized(); err == nil || !strings.Contains(err.Error(), "power of two") {
+		t.Errorf("48-byte cache lines: err %v, want a power-of-two rejection", err)
+	}
+}
+
+// oddLineSpec is tinySpec with 48-byte lines at every cache level: each
+// geometry divides evenly, but a line that is not a power of two bytes
+// has no address boundary to model.
+func oddLineSpec() JobSpec {
+	s := tinySpec()
+	m := &s.Cluster.Machine
+	for _, c := range []*cache.Config{&m.L1I, &m.L1D, &m.L2, &m.L3} {
+		c.LineB = 48
+		c.SizeB = 48 * c.Ways * 16
+	}
+	return s
 }
 
 // TestSubmitComputesThenHitsCache is the acceptance-criteria test:

@@ -4,7 +4,10 @@
 // and a 12 MB shared L3 per socket.
 package cache
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // State is a MESI coherence state.
 type State uint8
@@ -32,13 +35,6 @@ func (s State) String() string {
 	}
 }
 
-// Line is one cache line's tag state.
-type Line struct {
-	Tag   uint64
-	State State
-	lru   uint64 // larger = more recently used
-}
-
 // Config describes a cache's geometry.
 type Config struct {
 	Name  string
@@ -51,6 +47,11 @@ type Config struct {
 func (c Config) Validate() error {
 	if c.SizeB <= 0 || c.Ways <= 0 || c.LineB <= 0 {
 		return fmt.Errorf("cache %q: non-positive geometry %+v", c.Name, c)
+	}
+	if c.LineB&(c.LineB-1) != 0 {
+		// Addresses map to lines by their low bits: a line that is not a
+		// power of two bytes has no such boundary.
+		return fmt.Errorf("cache %q: line size %d is not a power of two", c.Name, c.LineB)
 	}
 	lines := c.SizeB / c.LineB
 	if lines*c.LineB != c.SizeB {
@@ -70,16 +71,45 @@ type Stats struct {
 	Invalidations   uint64
 }
 
-// Cache is a single set-associative cache level.
+// Cache is a single set-associative cache level in a packed layout. Each
+// line is one word holding its tag and MESI state, and its LRU stamp sits
+// in a parallel array that only hits and fills touch. Each set keeps an
+// occupancy record, so a probe reads only the ways that may be valid and
+// Reset clears only the records.
 type Cache struct {
-	cfg      Config
-	sets     [][]Line
+	cfg    Config
+	ways   int
+	words  []uint64    // per line: tag<<stateBits | state
+	stamps []uint64    // per line: LRU stamp, larger = more recently used
+	occ    []occupancy // per set
+	// hi holds the tag bits the word has no room for. Only geometries
+	// with fewer than four bytes per way (line size × sets < 4) have
+	// such bits, so it is nil everywhere else.
+	hi []uint8
+
 	nsets    uint64
-	setMask  uint64 // nsets-1 when nsets is a power of two, else 0
+	setShift uint // log2(nsets) when nsets is a power of two
+	modulo   bool // nsets is not a power of two
 	lineBits uint
 	clock    uint64
 	stats    Stats
 }
+
+// occupancy is a set's fill record. A fill takes the first invalid way,
+// so ways fill in order: the ways at or past filled have not been filled
+// since Reset and are invalid. holes counts the invalid ways below filled
+// (invalidated, or filled Invalid), so a fill into a set without holes
+// scans for none.
+type occupancy struct {
+	filled, holes uint32
+}
+
+// The low stateBits of a line word hold its State; the rest hold the tag,
+// which is the block number divided by the set count.
+const (
+	stateBits = 2
+	stateMask = 1<<stateBits - 1
+)
 
 // New builds a cache from cfg. It panics on invalid geometry, since
 // configurations are compile-time constants in this repository.
@@ -89,23 +119,22 @@ func New(cfg Config) *Cache {
 	}
 	lines := cfg.SizeB / cfg.LineB
 	nsets := lines / cfg.Ways
-	sets := make([][]Line, nsets)
-	backing := make([]Line, lines)
-	for i := range sets {
-		sets[i] = backing[i*cfg.Ways : (i+1)*cfg.Ways]
-	}
-	lb := uint(0)
-	for 1<<lb < cfg.LineB {
-		lb++
-	}
 	c := &Cache{
 		cfg:      cfg,
-		sets:     sets,
+		ways:     cfg.Ways,
+		words:    make([]uint64, lines),
+		stamps:   make([]uint64, lines),
+		occ:      make([]occupancy, nsets),
 		nsets:    uint64(nsets),
-		lineBits: lb,
+		lineBits: uint(bits.TrailingZeros(uint(cfg.LineB))),
 	}
 	if nsets&(nsets-1) == 0 {
-		c.setMask = uint64(nsets - 1)
+		c.setShift = uint(bits.TrailingZeros(uint(nsets)))
+	} else {
+		c.modulo = true
+	}
+	if cfg.LineB*nsets < 1<<stateBits {
+		c.hi = make([]uint8, lines)
 	}
 	return c
 }
@@ -116,13 +145,11 @@ func (c *Cache) Config() Config { return c.cfg }
 // Reset returns the cache to its post-New state: all lines invalid, the
 // LRU clock rewound and the counters zeroed. A reset cache behaves
 // identically to a freshly constructed one, which lets simulation workers
-// reuse a cache across runs instead of reallocating it.
+// reuse a cache across runs instead of reallocating it. Only the
+// occupancy records are cleared: line words past a fill mark are never
+// read.
 func (c *Cache) Reset() {
-	for _, set := range c.sets {
-		for i := range set {
-			set[i] = Line{}
-		}
-	}
+	clear(c.occ)
 	c.clock = 0
 	c.stats = Stats{}
 }
@@ -131,30 +158,49 @@ func (c *Cache) Reset() {
 func (c *Cache) Stats() Stats { return c.stats }
 
 // Sets returns the number of sets (for tests).
-func (c *Cache) Sets() int { return len(c.sets) }
+func (c *Cache) Sets() int { return int(c.nsets) }
 
-func (c *Cache) index(addr uint64) (set uint64, tag uint64) {
+// index splits addr into its set, the tag shifted into line-word
+// position, and the tag bits above the word (nonzero only for hi caches).
+// Power-of-two set counts (every L1 and L2) take the mask fast path;
+// the paper's 12 MB L3 has 12288 sets and indexes by modulo.
+func (c *Cache) index(addr uint64) (set int, key uint64, hi uint8) {
 	blk := addr >> c.lineBits
-	// Modulo set indexing: the paper's 12 MB L3 has 12288 sets, which is
-	// not a power of two. The full block address is kept as the tag,
-	// which is simple and unambiguous. Power-of-two set counts (every L1
-	// and L2) take the mask fast path — index is on the hot path of each
-	// simulated memory access.
-	if c.setMask != 0 {
-		return blk & c.setMask, blk
+	var tag uint64
+	if c.modulo {
+		tag, set = blk/c.nsets, int(blk%c.nsets)
+	} else {
+		tag, set = blk>>c.setShift, int(blk&(c.nsets-1))
 	}
-	return blk % c.nsets, blk
+	return set, tag << stateBits, uint8(tag >> (64 - stateBits))
+}
+
+// find returns the flat index of the valid line of set whose tag is key,
+// or -1. Only the ways below the set's fill mark are read.
+func (c *Cache) find(set int, key uint64, hi uint8) int {
+	base := set * c.ways
+	for i, w := range c.words[base : base+int(c.occ[set].filled)] {
+		// w^key is the line's state exactly when the tags match, and a
+		// state of 1–3 is a valid line.
+		if (w^key)-1 < stateMask && (c.hi == nil || c.hi[base+i] == hi) {
+			return base + i
+		}
+	}
+	return -1
+}
+
+// Slot returns the flat index (set × ways + way) of addr's resident line,
+// or -1 if addr is not resident. A line keeps its slot until it is
+// evicted or invalidated, so callers can index per-line side tables by it.
+func (c *Cache) Slot(addr uint64) int {
+	return c.find(c.index(addr))
 }
 
 // Lookup probes for addr without modifying replacement state or counters.
 // It returns the line's state (Invalid if absent).
 func (c *Cache) Lookup(addr uint64) State {
-	set, tag := c.index(addr)
-	for i := range c.sets[set] {
-		l := &c.sets[set][i]
-		if l.State != Invalid && l.Tag == tag {
-			return l.State
-		}
+	if i := c.find(c.index(addr)); i >= 0 {
+		return State(c.words[i] & stateMask)
 	}
 	return Invalid
 }
@@ -164,21 +210,18 @@ func (c *Cache) Lookup(addr uint64) State {
 // returned. Otherwise hit=false and the caller is responsible for filling
 // via Fill after consulting the next level.
 func (c *Cache) Access(addr uint64, write bool) (hit bool) {
-	set, tag := c.index(addr)
 	c.clock++
-	for i := range c.sets[set] {
-		l := &c.sets[set][i]
-		if l.State != Invalid && l.Tag == tag {
-			l.lru = c.clock
-			if write {
-				l.State = Modified
-			}
-			c.stats.Hits++
-			return true
-		}
+	i := c.find(c.index(addr))
+	if i < 0 {
+		c.stats.Misses++
+		return false
 	}
-	c.stats.Misses++
-	return false
+	c.stamps[i] = c.clock
+	if write {
+		c.words[i] |= uint64(Modified)
+	}
+	c.stats.Hits++
+	return true
 }
 
 // Evicted describes a line displaced by Fill.
@@ -192,82 +235,116 @@ type Evicted struct {
 // set is full. The evicted line (if any) is returned so the caller can
 // propagate write-backs and maintain inclusion.
 func (c *Cache) Fill(addr uint64, st State) Evicted {
-	set, tag := c.index(addr)
+	set, key, hi := c.index(addr)
 	c.clock++
-	// Prefer an invalid way.
-	victim := -1
-	var oldest uint64 = ^uint64(0)
-	for i := range c.sets[set] {
-		l := &c.sets[set][i]
-		if l.State == Invalid {
-			victim = i
-			break
-		}
-		if l.lru < oldest {
-			oldest = l.lru
-			victim = i
-		}
-	}
-	l := &c.sets[set][victim]
+	v, old := c.victim(set)
 	var ev Evicted
-	if l.State != Invalid {
-		ev = Evicted{Addr: l.Tag << c.lineBits, State: l.State, Valid: true}
+	if prev := State(old & stateMask); prev != Invalid {
+		ev = Evicted{Addr: c.lineAddr(set, v, old), State: prev, Valid: true}
 		c.stats.Evictions++
-		if l.State == Modified {
+		if prev == Modified {
 			c.stats.DirtyWritebacks++
 		}
 	}
-	l.Tag = tag
-	l.State = st
-	l.lru = c.clock
+	c.words[v] = key | uint64(st)
+	c.stamps[v] = c.clock
+	if c.hi != nil {
+		c.hi[v] = hi
+	}
+	if st == Invalid {
+		c.occ[set].holes++
+	}
 	return ev
+}
+
+// victim picks the line a fill of set replaces and returns its flat index
+// and current word: the first invalid way, else the first way with the
+// smallest LRU stamp. Without holes the first invalid way is the one at
+// the fill mark.
+func (c *Cache) victim(set int) (int, uint64) {
+	base := set * c.ways
+	o := &c.occ[set]
+	n := int(o.filled)
+	if o.holes > 0 {
+		o.holes--
+		for i, w := range c.words[base : base+n] {
+			if w&stateMask == uint64(Invalid) {
+				return base + i, w
+			}
+		}
+	}
+	if n < c.ways {
+		o.filled++
+		return base + n, 0
+	}
+	// Find the smallest stamp without a data-dependent branch, then the
+	// first way that holds it.
+	stamps := c.stamps[base : base+c.ways]
+	oldest := stamps[0]
+	for _, s := range stamps[1:] {
+		oldest = min(oldest, s)
+	}
+	v := 0
+	for stamps[v] != oldest {
+		v++
+	}
+	return base + v, c.words[base+v]
+}
+
+// lineAddr rebuilds the byte address of the line in slot i of set from
+// its word.
+func (c *Cache) lineAddr(set, i int, w uint64) uint64 {
+	tag := w >> stateBits
+	if c.hi != nil {
+		tag |= uint64(c.hi[i]) << (64 - stateBits)
+	}
+	var blk uint64
+	if c.modulo {
+		blk = tag*c.nsets + uint64(set)
+	} else {
+		blk = tag<<c.setShift | uint64(set)
+	}
+	return blk << c.lineBits
 }
 
 // Invalidate removes addr if present, returning its prior state. Used by
 // snoops (RFO from another core) and inclusion enforcement.
 func (c *Cache) Invalidate(addr uint64) State {
-	set, tag := c.index(addr)
-	for i := range c.sets[set] {
-		l := &c.sets[set][i]
-		if l.State != Invalid && l.Tag == tag {
-			st := l.State
-			l.State = Invalid
-			c.stats.Invalidations++
-			return st
-		}
+	set, key, hi := c.index(addr)
+	i := c.find(set, key, hi)
+	if i < 0 {
+		return Invalid
 	}
-	return Invalid
+	st := State(c.words[i] & stateMask)
+	c.words[i] &^= stateMask
+	c.occ[set].holes++
+	c.stats.Invalidations++
+	return st
 }
 
 // Downgrade moves addr to Shared if present in E or M state (snoop read
 // hit), returning the prior state.
 func (c *Cache) Downgrade(addr uint64) State {
-	set, tag := c.index(addr)
-	for i := range c.sets[set] {
-		l := &c.sets[set][i]
-		if l.State != Invalid && l.Tag == tag {
-			st := l.State
-			if st == Exclusive || st == Modified {
-				l.State = Shared
-			}
-			return st
-		}
+	i := c.find(c.index(addr))
+	if i < 0 {
+		return Invalid
 	}
-	return Invalid
+	st := State(c.words[i] & stateMask)
+	if st == Exclusive || st == Modified {
+		c.words[i] = c.words[i]&^stateMask | uint64(Shared)
+	}
+	return st
 }
 
 // MarkDirty sets addr's line to Modified if present (write-back received
 // from an inner level under inclusion), returning whether it was present.
 func (c *Cache) MarkDirty(addr uint64) bool {
-	set, tag := c.index(addr)
-	for i := range c.sets[set] {
-		l := &c.sets[set][i]
-		if l.State != Invalid && l.Tag == tag {
-			l.State = Modified
-			return true
-		}
+	i := c.find(c.index(addr))
+	if i < 0 {
+		return false
 	}
-	return false
+	c.words[i] |= uint64(Modified)
+	return true
 }
 
 // LineBytes returns the line size.

@@ -17,15 +17,24 @@ func TestConfigValidate(t *testing.T) {
 		{Name: "zero", SizeB: 0, Ways: 1, LineB: 64},
 		{Name: "notmult", SizeB: 100, Ways: 1, LineB: 64},
 		{Name: "ways", SizeB: 512, Ways: 3, LineB: 64},
+		// Evenly divisible, but a 48-byte line has no address boundary.
+		{Name: "line48", SizeB: 48 * 8 * 64, Ways: 8, LineB: 48},
 	}
 	for _, c := range bad {
 		if err := c.Validate(); err == nil {
 			t.Errorf("config %+v unexpectedly valid", c)
 		}
 	}
-	good := Config{Name: "ok", SizeB: 32 * 1024, Ways: 8, LineB: 64}
-	if err := good.Validate(); err != nil {
-		t.Errorf("config %+v invalid: %v", good, err)
+	good := []Config{
+		{Name: "ok", SizeB: 32 * 1024, Ways: 8, LineB: 64},
+		{Name: "modulo48", SizeB: 12 * 48 * 64, Ways: 48, LineB: 64},
+		{Name: "byte", SizeB: 4, Ways: 4, LineB: 1},
+		{Name: "half-word", SizeB: 6, Ways: 3, LineB: 2},
+	}
+	for _, c := range good {
+		if err := c.Validate(); err != nil {
+			t.Errorf("config %+v invalid: %v", c, err)
+		}
 	}
 }
 

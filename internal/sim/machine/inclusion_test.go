@@ -10,8 +10,10 @@ import (
 
 // TestQuickL3Inclusion verifies the inclusive-hierarchy invariant after
 // arbitrary multicore runs: every block present in a core's private L2
-// must also be present in its socket's L3, and the socket directory must
-// exactly reflect L2 presence.
+// must also be present in its socket's L3, each L3 slot's holder mask must
+// be exactly the set of the socket's cores whose L2 holds the slot's
+// block, and slots without a valid line must carry no holder bits. The
+// machine is checked fresh and again after a Reset and a second run.
 func TestQuickL3Inclusion(t *testing.T) {
 	cfg := Westmere()
 	cfg.Sockets = 2
@@ -21,12 +23,7 @@ func TestQuickL3Inclusion(t *testing.T) {
 	cfg.L2.SizeB = 2 << 10
 	cfg.L3.SizeB = 8 << 10 // tiny L3 to force back-invalidations
 
-	f := func(seed uint64) bool {
-		m, err := New(cfg)
-		if err != nil {
-			return false
-		}
-		r := rng.New(seed)
+	run := func(m *Machine, r *rng.RNG) bool {
 		sources := make([]Source, 4)
 		for c := 0; c < 4; c++ {
 			ins := make([]Instr, 600)
@@ -46,37 +43,63 @@ func TestQuickL3Inclusion(t *testing.T) {
 			}
 			sources[c] = &SliceSource{Instrs: ins}
 		}
-		if _, err := m.Run(sources, 600, 2); err != nil {
-			return false
-		}
+		_, err := m.Run(sources, 600, 2)
+		return err == nil
+	}
 
-		// Check inclusion and directory consistency over the address
-		// range used.
-		for blk := uint64(0); blk < 1<<15; blk += 64 {
-			for _, c := range m.cores {
-				st := c.l2.Lookup(blk)
-				s := m.sockets[c.sock]
-				if st != cache.Invalid {
-					if s.l3.Lookup(blk) == cache.Invalid {
-						t.Logf("block %#x in core %d L2 (%v) but not in socket %d L3", blk, c.id, st, c.sock)
+	// consistent checks inclusion and the directory over the address
+	// range the runs use, which holds every block they touch.
+	consistent := func(m *Machine) bool {
+		for _, s := range m.sockets {
+			resident := make([]bool, len(s.dir))
+			for blk := uint64(0); blk < 1<<15; blk += 64 {
+				slot := s.l3.Slot(blk)
+				var holders uint16
+				for _, c := range m.cores {
+					st := c.l2.Lookup(blk)
+					if st != cache.Invalid && c.sock == s.id {
+						holders |= 1 << uint(c.id)
+					}
+					// L1D inclusion within the private hierarchy.
+					if c.l1d.Lookup(blk) != cache.Invalid && st == cache.Invalid {
+						t.Logf("block %#x in core %d L1D but not L2", blk, c.id)
 						return false
 					}
-					if s.dir[blk]&(1<<uint(c.id)) == 0 {
-						t.Logf("block %#x in core %d L2 but missing from directory", blk, c.id)
+				}
+				if slot < 0 {
+					if holders != 0 {
+						t.Logf("block %#x held by cores %#b but not in socket %d L3", blk, holders, s.id)
 						return false
 					}
-				} else if s.dir[blk]&(1<<uint(c.id)) != 0 {
-					t.Logf("directory claims core %d holds %#x but its L2 does not", c.id, blk)
+					continue
+				}
+				resident[slot] = true
+				if s.dir[slot] != holders {
+					t.Logf("socket %d slot %d (block %#x): directory %#b, L2 holders %#b", s.id, slot, blk, s.dir[slot], holders)
 					return false
 				}
-				// L1D inclusion within the private hierarchy.
-				if c.l1d.Lookup(blk) != cache.Invalid && st == cache.Invalid {
-					t.Logf("block %#x in core %d L1D but not L2", blk, c.id)
+			}
+			for slot, mask := range s.dir {
+				if !resident[slot] && mask != 0 {
+					t.Logf("socket %d slot %d holds no line but has holder bits %#b", s.id, slot, mask)
 					return false
 				}
 			}
 		}
 		return true
+	}
+
+	f := func(seed uint64) bool {
+		m, err := New(cfg)
+		if err != nil {
+			return false
+		}
+		r := rng.New(seed)
+		if !run(m, r) || !consistent(m) {
+			return false
+		}
+		m.Reset()
+		return run(m, r) && consistent(m)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 10}); err != nil {
 		t.Error(err)

@@ -28,13 +28,15 @@ type Machine struct {
 	snapDirty []uint64
 }
 
-// socket groups cores around a shared, inclusive L3. dir tracks, for each
-// block present in the socket's private caches, the bitmask of global core
-// IDs holding it (the core-valid bits of the real L3's directory).
+// socket groups cores around a shared, inclusive L3. dir holds, for each
+// L3 slot, the bitmask of global core IDs whose private caches hold the
+// slot's block (the core-valid bits of the real L3's directory). The L3 is
+// inclusive and every level shares one line size, so every privately held
+// block has an L3 slot; l3Fill zeroes a slot's mask when it reuses it.
 type socket struct {
 	id  int
 	l3  *cache.Cache
-	dir map[uint64]uint16
+	dir []uint16
 }
 
 // core is one out-of-order core plus its private hierarchy and the
@@ -65,13 +67,20 @@ type core struct {
 	branchesExecuted float64
 
 	// Outstanding long-latency misses (completion times) for MLP and
-	// MSHR pressure; pendingFill maps blocks to completion for LFB hits.
+	// MSHR pressure; pending holds recent long-latency fills, at most one
+	// per block, for line-fill-buffer hits.
 	outstanding        []float64
-	pendingFill        map[uint64]float64
+	pending            []pendingFill
 	lastLoadCompletion float64
 
 	mlpWeighted float64
 	mlpCycles   float64
+}
+
+// pendingFill is a long-latency fill of blk that completes at cycle done.
+type pendingFill struct {
+	blk  uint64
+	done float64
 }
 
 // New builds a node from cfg.
@@ -84,19 +93,18 @@ func New(cfg Config) (*Machine, error) {
 		m.sockets = append(m.sockets, &socket{
 			id:  s,
 			l3:  cache.New(cfg.L3),
-			dir: make(map[uint64]uint16),
+			dir: make([]uint16, cfg.L3.SizeB/cfg.L3.LineB),
 		})
 	}
 	for c := 0; c < cfg.Cores(); c++ {
 		m.cores = append(m.cores, &core{
-			id:          c,
-			sock:        c / cfg.CoresPerSocket,
-			l1i:         cache.New(cfg.L1I),
-			l1d:         cache.New(cfg.L1D),
-			l2:          cache.New(cfg.L2),
-			tlbs:        tlb.New(cfg.ITLB, cfg.DTLB, cfg.STLB, cfg.TLBWalkCycles),
-			bp:          branch.New(cfg.BranchHistoryBits),
-			pendingFill: make(map[uint64]float64),
+			id:   c,
+			sock: c / cfg.CoresPerSocket,
+			l1i:  cache.New(cfg.L1I),
+			l1d:  cache.New(cfg.L1D),
+			l2:   cache.New(cfg.L2),
+			tlbs: tlb.New(cfg.ITLB, cfg.DTLB, cfg.STLB, cfg.TLBWalkCycles),
+			bp:   branch.New(cfg.BranchHistoryBits),
 		})
 	}
 	m.snapCore = make([]event.Counts, len(m.cores))
@@ -132,7 +140,7 @@ func (m *Machine) Reset() {
 		c.uopsExecuted = 0
 		c.branchesExecuted = 0
 		c.outstanding = c.outstanding[:0]
-		clear(c.pendingFill)
+		c.pending = c.pending[:0]
 		c.lastLoadCompletion = 0
 		c.mlpWeighted = 0
 		c.mlpCycles = 0
@@ -193,9 +201,9 @@ const (
 	srcMemory
 )
 
-// fetchBlock resolves a block that missed the private L2: it consults the
-// socket directory (snooping sibling cores), the local L3, the remote
-// socket, and finally memory; fills the line into L3/L2/L1 of the
+// fetchBlock resolves a block that missed the private L2: it probes the
+// local L3 and snoops the sibling cores its directory names, then the
+// remote socket, and finally memory; fills the line into L3/L2/L1 of the
 // requester; and returns the source and latency. rfo requests invalidate
 // all other copies; code requests fill the L1I instead of the L1D.
 func (m *Machine) fetchBlock(c *core, blk uint64, rfo, code bool) (fetchSource, uint64) {
@@ -205,37 +213,29 @@ func (m *Machine) fetchBlock(c *core, blk uint64, rfo, code bool) (fetchSource, 
 	src := srcMemory
 	latency := m.cfg.MemLatency
 
-	// Snoop sibling cores in the owning socket.
-	holders := own.dir[blk] &^ myBit
-	bestState := cache.Invalid
-	for h := holders; h != 0; h &= h - 1 {
-		st := m.cores[bits.TrailingZeros16(h)].l2.Lookup(blk)
-		if st > bestState {
-			bestState = st
-		}
-	}
-
+	// Under inclusion only a block in the L3 can have sibling holders.
 	l3Hit := own.l3.Access(blk, false)
+	slot := -1
+	bestState := cache.Invalid
+	if l3Hit {
+		c.ev.Inc(event.L3Hit, 1)
+		slot = own.l3.Slot(blk)
+		bestState = m.bestHolder(own.dir[slot]&^myBit, blk)
+	} else {
+		c.ev.Inc(event.L3Miss, 1)
+	}
 	switch {
-	case bestState == cache.Modified:
-		c.ev.Inc(event.SnoopHitM, 1)
-		src, latency = srcSibling, m.cfg.SiblingLatency
-	case bestState == cache.Exclusive:
-		c.ev.Inc(event.SnoopHitE, 1)
+	case bestState == cache.Modified || bestState == cache.Exclusive:
 		src, latency = srcSibling, m.cfg.SiblingLatency
 	case bestState == cache.Shared:
-		c.ev.Inc(event.SnoopHit, 1)
 		src, latency = srcL3Shared, m.cfg.L3Latency
 	case l3Hit:
 		src, latency = srcL3Unshared, m.cfg.L3Latency
 	}
-
-	if src == srcSibling || src == srcL3Shared {
+	if bestState != cache.Invalid {
+		c.snoopHit(bestState)
 		// Downgrade or invalidate the sibling copies.
-		m.adjustHolders(own, blk, myBit, rfo)
-	}
-	if l3Hit {
-		c.ev.Inc(event.L3Hit, 1)
+		m.adjustHolders(own, slot, blk, myBit, rfo)
 	}
 
 	if src == srcMemory {
@@ -244,26 +244,12 @@ func (m *Machine) fetchBlock(c *core, blk uint64, rfo, code bool) (fetchSource, 
 			if rs == own {
 				continue
 			}
-			rBest := cache.Invalid
-			for h := rs.dir[blk]; h != 0; h &= h - 1 {
-				st := m.cores[bits.TrailingZeros16(h)].l2.Lookup(blk)
-				if st > rBest {
-					rBest = st
-				}
-			}
-			rL3 := rs.l3.Lookup(blk) != cache.Invalid
-			if rBest == cache.Invalid && !rL3 {
+			rslot := rs.l3.Slot(blk)
+			if rslot < 0 {
 				continue
 			}
-			switch rBest {
-			case cache.Modified:
-				c.ev.Inc(event.SnoopHitM, 1)
-			case cache.Exclusive:
-				c.ev.Inc(event.SnoopHitE, 1)
-			default:
-				c.ev.Inc(event.SnoopHit, 1)
-			}
-			m.adjustHolders(rs, blk, 0, rfo)
+			c.snoopHit(m.bestHolder(rs.dir[rslot], blk))
+			m.adjustHolders(rs, rslot, blk, 0, rfo)
 			if rfo {
 				rs.l3.Invalidate(blk)
 			} else {
@@ -274,17 +260,6 @@ func (m *Machine) fetchBlock(c *core, blk uint64, rfo, code bool) (fetchSource, 
 		}
 	}
 
-	if src == srcMemory {
-		c.ev.Inc(event.L3Miss, 1)
-	} else if !l3Hit && src != srcRemote {
-		// Served by a sibling while L3 missed — cannot happen under
-		// inclusion, but count the L3 miss if it did.
-		c.ev.Inc(event.L3Miss, 1)
-	}
-	if src == srcRemote && !l3Hit {
-		c.ev.Inc(event.L3Miss, 1)
-	}
-
 	// An RFO must invalidate every remaining copy machine-wide, even when
 	// the data was served locally: a line read earlier across sockets is
 	// resident in both L3s (and possibly remote private caches).
@@ -293,38 +268,23 @@ func (m *Machine) fetchBlock(c *core, blk uint64, rfo, code bool) (fetchSource, 
 			if rs == own {
 				continue
 			}
-			rBest := cache.Invalid
-			for h := rs.dir[blk]; h != 0; h &= h - 1 {
-				if st := m.cores[bits.TrailingZeros16(h)].l2.Lookup(blk); st > rBest {
-					rBest = st
-				}
-			}
-			rL3 := rs.l3.Lookup(blk) != cache.Invalid
-			if rBest == cache.Invalid && !rL3 {
+			rslot := rs.l3.Slot(blk)
+			if rslot < 0 {
 				continue
 			}
 			// Invalidation snoop response (unless this socket already
 			// responded as the data source above).
 			if src != srcRemote {
-				switch rBest {
-				case cache.Modified:
-					c.ev.Inc(event.SnoopHitM, 1)
-				case cache.Exclusive:
-					c.ev.Inc(event.SnoopHitE, 1)
-				default:
-					c.ev.Inc(event.SnoopHit, 1)
-				}
+				c.snoopHit(m.bestHolder(rs.dir[rslot], blk))
 			}
-			m.adjustHolders(rs, blk, 0, true)
+			m.adjustHolders(rs, rslot, blk, 0, true)
 			rs.l3.Invalidate(blk)
 		}
 	}
 
 	// Install into the local L3 (inclusive) if absent.
 	if !l3Hit {
-		m.l3Fill(own, blk, rfo)
-	} else if rfo {
-		// Upgrade in place: other sockets already invalidated above.
+		slot = m.l3Fill(own, blk, rfo)
 	}
 
 	// Fill the private hierarchy.
@@ -334,77 +294,95 @@ func (m *Machine) fetchBlock(c *core, blk uint64, rfo, code bool) (fetchSource, 
 	} else if src == srcSibling || src == srcL3Shared || src == srcRemote {
 		st = cache.Shared
 	}
-	m.l2Fill(c, blk, st)
+	m.l2Fill(c, slot, blk, st)
 	if code {
-		m.l1Fill(c, c.l1i, blk, st)
+		c.l1i.Fill(blk, st)
 	} else {
-		m.l1Fill(c, c.l1d, blk, st)
+		c.l1d.Fill(blk, st)
 	}
 	return src, latency
 }
 
-// adjustHolders downgrades (read) or invalidates (RFO) every private copy
-// of blk in socket s other than keepBit, maintaining the directory.
-func (m *Machine) adjustHolders(s *socket, blk uint64, keepBit uint16, rfo bool) {
-	holders := s.dir[blk] &^ keepBit
-	if holders == 0 {
-		return
-	}
+// bestHolder returns the strongest state in which the cores of holders
+// keep blk in their L2s (Invalid if none does).
+func (m *Machine) bestHolder(holders uint16, blk uint64) cache.State {
+	best := cache.Invalid
 	for h := holders; h != 0; h &= h - 1 {
-		cid := bits.TrailingZeros16(h)
-		oc := m.cores[cid]
+		if st := m.cores[bits.TrailingZeros16(h)].l2.Lookup(blk); st > best {
+			best = st
+		}
+	}
+	return best
+}
+
+// snoopHit counts one snoop response by the best state the responding
+// caches held: HITM, HITE, or a plain HIT for shared or L3-only copies.
+func (c *core) snoopHit(best cache.State) {
+	switch best {
+	case cache.Modified:
+		c.ev.Inc(event.SnoopHitM, 1)
+	case cache.Exclusive:
+		c.ev.Inc(event.SnoopHitE, 1)
+	default:
+		c.ev.Inc(event.SnoopHit, 1)
+	}
+}
+
+// adjustHolders downgrades (read) or invalidates (RFO) every private copy
+// of blk, the block in L3 slot slot of socket s, other than keepBit's,
+// maintaining the directory.
+func (m *Machine) adjustHolders(s *socket, slot int, blk uint64, keepBit uint16, rfo bool) {
+	holders := s.dir[slot] &^ keepBit
+	for h := holders; h != 0; h &= h - 1 {
+		oc := m.cores[bits.TrailingZeros16(h)]
 		if rfo {
 			oc.l2.Invalidate(blk)
 			oc.l1d.Invalidate(blk)
 			oc.l1i.Invalidate(blk)
-			s.dir[blk] &^= uint16(1) << uint(cid)
 		} else {
 			oc.l2.Downgrade(blk)
 			oc.l1d.Downgrade(blk)
 		}
 	}
-	if s.dir[blk] == 0 {
-		delete(s.dir, blk)
+	if rfo {
+		s.dir[slot] &^= holders
 	}
 }
 
-// l3Fill installs blk in the socket's L3, enforcing inclusion on eviction:
-// any private copies of the victim are invalidated.
-func (m *Machine) l3Fill(s *socket, blk uint64, rfo bool) {
+// l3Fill installs blk in the socket's L3 and returns its slot, enforcing
+// inclusion on eviction: the private copies of the victim are invalidated
+// and the slot's holder mask starts empty for its new block.
+func (m *Machine) l3Fill(s *socket, blk uint64, rfo bool) int {
 	st := cache.Exclusive
 	if rfo {
 		st = cache.Modified
 	}
 	ev := s.l3.Fill(blk, st)
-	if !ev.Valid {
-		return
-	}
-	if holders, ok := s.dir[ev.Addr]; ok {
-		for h := holders; h != 0; h &= h - 1 {
+	slot := s.l3.Slot(blk)
+	if ev.Valid {
+		for h := s.dir[slot]; h != 0; h &= h - 1 {
 			oc := m.cores[bits.TrailingZeros16(h)]
 			oc.l2.Invalidate(ev.Addr)
 			oc.l1d.Invalidate(ev.Addr)
 			oc.l1i.Invalidate(ev.Addr)
 		}
-		delete(s.dir, ev.Addr)
 	}
+	s.dir[slot] = 0
+	return slot
 }
 
-// l2Fill installs blk in the core's private L2, maintaining the directory
-// and handling the victim (write-back of dirty data, back-invalidation of
-// the L1s).
-func (m *Machine) l2Fill(c *core, blk uint64, st cache.State) {
+// l2Fill installs blk, which sits in L3 slot slot, in the core's private
+// L2, maintaining the directory and handling the victim (write-back of
+// dirty data, back-invalidation of the L1s).
+func (m *Machine) l2Fill(c *core, slot int, blk uint64, st cache.State) {
 	ev := c.l2.Fill(blk, st)
 	s := m.sockets[c.sock]
-	s.dir[blk] |= 1 << uint(c.id)
+	bit := uint16(1) << uint(c.id)
+	s.dir[slot] |= bit
 	if !ev.Valid {
 		return
 	}
-	bit := uint16(1) << uint(c.id)
-	s.dir[ev.Addr] &^= bit
-	if s.dir[ev.Addr] == 0 {
-		delete(s.dir, ev.Addr)
-	}
+	s.dir[s.l3.Slot(ev.Addr)] &^= bit // inclusive: the victim is in the L3
 	c.l1d.Invalidate(ev.Addr)
 	c.l1i.Invalidate(ev.Addr)
 	if ev.State == cache.Modified {
@@ -413,10 +391,25 @@ func (m *Machine) l2Fill(c *core, blk uint64, st cache.State) {
 	}
 }
 
-// l1Fill installs blk in an L1, ignoring the victim (the L2 is inclusive,
-// so no state is lost).
-func (m *Machine) l1Fill(c *core, l1 *cache.Cache, blk uint64, st cache.State) {
-	l1.Fill(blk, st)
+// inFlight reports whether a fill of blk is still in flight, and when it
+// completes. Completed fills met on the way are dropped: the clock only
+// moves forward, so they can never be in flight again, and the list
+// stays about as short as the misses outstanding.
+func (c *core) inFlight(blk uint64) (done float64, ok bool) {
+	for i := 0; i < len(c.pending); {
+		p := c.pending[i]
+		if p.done <= c.cycles {
+			last := len(c.pending) - 1
+			c.pending[i] = c.pending[last]
+			c.pending = c.pending[:last]
+			continue
+		}
+		if p.blk == blk {
+			return p.done, true
+		}
+		i++
+	}
+	return 0, false
 }
 
 // instructionFetch runs the frontend for one instruction: ITLB, L1I, and
@@ -434,7 +427,7 @@ func (m *Machine) instructionFetch(c *core, in *Instr) {
 	blk := m.block(in.PC)
 	if c.l2.Access(blk, false) {
 		c.ev.Inc(event.L2Hit, 1)
-		m.l1Fill(c, c.l1i, blk, c.l2.Lookup(blk))
+		c.l1i.Fill(blk, c.l2.Lookup(blk))
 		c.stall(&c.fetchStall, float64(m.cfg.L2Latency))
 		return
 	}
@@ -461,15 +454,12 @@ func (m *Machine) dataAccess(c *core, in *Instr) {
 	// A fill still in flight for this block means the access is absorbed
 	// by the line fill buffer, even though the model installs lines
 	// eagerly: architecturally the data has not arrived yet.
-	if done, ok := c.pendingFill[blk]; ok {
-		if done > c.cycles {
-			if !write {
-				c.ev.Inc(event.LoadHitLFB, 1)
-				c.lastLoadCompletion = done
-			}
-			return
+	if done, ok := c.inFlight(blk); ok {
+		if !write {
+			c.ev.Inc(event.LoadHitLFB, 1)
+			c.lastLoadCompletion = done
 		}
-		delete(c.pendingFill, blk)
+		return
 	}
 
 	if c.l1d.Access(in.Addr, write) {
@@ -491,20 +481,16 @@ func (m *Machine) dataAccess(c *core, in *Instr) {
 	var latency uint64
 	if c.l2.Access(blk, write) {
 		c.ev.Inc(event.L2Hit, 1)
-		st := c.l2.Lookup(blk)
-		if write && st != cache.Modified {
-			// Lookup after a write Access returns Modified already; the
-			// Shared→Modified upgrade path is handled inside Access via
-			// state promotion, but other copies must still be dropped.
-			st = cache.Modified
-		}
+		// A write Access has already made the L2 line Modified; other
+		// copies must still be dropped.
+		st := cache.Modified
 		if write {
 			m.upgradeToModified(c, blk)
-		}
-		m.l1Fill(c, c.l1d, blk, st)
-		if !write {
+		} else {
+			st = c.l2.Lookup(blk)
 			c.ev.Inc(event.LoadHitL2, 1)
 		}
+		c.l1d.Fill(blk, st)
 		latency = m.cfg.L2Latency
 	} else {
 		c.ev.Inc(event.L2Miss, 1)
@@ -549,14 +535,16 @@ func (m *Machine) dataAccess(c *core, in *Instr) {
 		}
 		done := c.cycles + float64(latency)
 		c.outstanding = append(c.outstanding, done)
-		c.pendingFill[blk] = done
+		c.pending = append(c.pending, pendingFill{blk, done})
 		c.lastLoadCompletion = done
-		if len(c.pendingFill) > 4*m.cfg.MSHRs {
-			for b, t := range c.pendingFill {
-				if t <= c.cycles {
-					delete(c.pendingFill, b)
+		if len(c.pending) > 4*m.cfg.MSHRs {
+			kept := c.pending[:0]
+			for _, p := range c.pending {
+				if p.done > c.cycles {
+					kept = append(kept, p)
 				}
 			}
+			c.pending = kept
 		}
 	} else {
 		c.lastLoadCompletion = c.cycles + float64(latency)
@@ -565,28 +553,20 @@ func (m *Machine) dataAccess(c *core, in *Instr) {
 
 // upgradeToModified invalidates all other copies of blk (both sockets).
 func (m *Machine) upgradeToModified(c *core, blk uint64) {
-	myBit := uint16(1) << uint(c.id)
 	for _, s := range m.sockets {
+		slot := s.l3.Slot(blk)
+		if slot < 0 {
+			continue // under inclusion, no copy anywhere in this socket
+		}
 		keep := uint16(0)
 		if s.id == c.sock {
-			keep = myBit
+			keep = uint16(1) << uint(c.id)
 		}
 		// Snoop responses from invalidation: report the best holder.
-		best := cache.Invalid
-		for h := s.dir[blk] &^ keep; h != 0; h &= h - 1 {
-			if st := m.cores[bits.TrailingZeros16(h)].l2.Lookup(blk); st > best {
-				best = st
-			}
+		if best := m.bestHolder(s.dir[slot]&^keep, blk); best != cache.Invalid {
+			c.snoopHit(best)
 		}
-		switch best {
-		case cache.Modified:
-			c.ev.Inc(event.SnoopHitM, 1)
-		case cache.Exclusive:
-			c.ev.Inc(event.SnoopHitE, 1)
-		case cache.Shared:
-			c.ev.Inc(event.SnoopHit, 1)
-		}
-		m.adjustHolders(s, blk, keep, true)
+		m.adjustHolders(s, slot, blk, keep, true)
 		if s.id != c.sock {
 			s.l3.Invalidate(blk)
 		} else {
