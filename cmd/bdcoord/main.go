@@ -34,6 +34,8 @@
 //	        [-status-worker-timeout 2s]
 //	        [-trace-buffer 2048] [-pprof-addr localhost:6061]
 //
+// The flags shared with bdservd, the startup (bind -addr first, then
+// replay the journal) and the shutdown order live in internal/daemon.
 // GET /metrics serves the Prometheus text exposition covering both the
 // job-manager layer (queue, cache, journal, per-stage timing) and the
 // shard layer (per-worker units, breakers, probes, leases) from one
@@ -52,171 +54,82 @@ package main
 
 import (
 	"context"
-	"encoding/json"
-	"errors"
 	"flag"
 	"fmt"
 	"log/slog"
 	"net/http"
-	"os"
-	"os/signal"
-	"path/filepath"
 	"strings"
-	"syscall"
 	"time"
+	"unicode"
 
-	"repro/internal/obs"
+	"repro/internal/daemon"
 	"repro/internal/service"
 	"repro/internal/service/client"
 	"repro/internal/shard"
 )
 
-func main() {
-	if err := run(); err != nil {
-		fmt.Fprintln(os.Stderr, "bdcoord:", err)
-		os.Exit(1)
-	}
-}
+func main() { daemon.Main("bdcoord", run) }
 
-func run() error {
+func run(ctx context.Context) error {
+	f := daemon.RegisterFlags(flag.CommandLine, ":8360", "bdcoord-data")
 	var (
-		addr    = flag.String("addr", ":8360", "listen address")
-		workers = flag.String("workers", "", "comma-separated bdservd worker base URLs seeding the fleet (optional: workers may instead join at runtime via POST /v1/workers)")
-		dataDir = flag.String("data-dir", "bdcoord-data", "on-disk result store + journal + cell cache ('' = memory only, no crash recovery)")
-		queue   = flag.Int("queue", 64, "max queued jobs")
-		entries = flag.Int("cache-entries", 256, "in-memory LRU result entries")
-		maxJobs = flag.Int("max-jobs", 1024, "max retained job records (oldest terminal evicted)")
-		par     = flag.Int("parallelism", 0, "coordinator-side analysis parallelism (0 = GOMAXPROCS)")
-		conc    = flag.Int("concurrent-jobs", 1, "concurrently coordinated jobs")
-		stall   = flag.Duration("stall-timeout", 5*time.Minute, "per-unit worker inactivity bound before re-queue")
-		probe   = flag.Duration("probe-interval", 15*time.Second, "worker /healthz probe period (negative disables; open breakers then re-admit via half-open dispatch trials)")
-		brk     = flag.Int("breaker-threshold", 3, "consecutive failures (units + probes) that open a worker's circuit breaker")
-		upw     = flag.Int("units-per-worker", 4, "target work units planned per worker (work-stealing granularity)")
-		cellDir = flag.String("cell-cache", "auto",
-			"shared cell-level result cache dir ('auto' = <data-dir>/cells, '' = disabled): fully cached units are assembled coordinator-side and never dispatched")
-		cellEntries = flag.Int("cell-cache-entries", 0,
-			"max on-disk cell cache entries (0 = default)")
-		cellMaxAge = flag.Duration("cell-cache-max-age", 0,
-			"evict cell-cache entries older than this (mtime sweep; 0 = no age bound)")
-		drain = flag.Duration("drain-timeout", 30*time.Second, "on SIGTERM/SIGINT: how long to let in-flight jobs finish before cutting them short (they re-adopt on restart)")
-
-		logLevel  = flag.String("log-level", "info", "log level: debug, info, warn, error")
-		logFormat = flag.String("log-format", "text", "log format: text, json")
-		statsIvl  = flag.Duration("stats-interval", time.Minute,
-			"period of the one-line INFO fleet summary (0 disables)")
-		traceBuf = flag.Int("trace-buffer", 2048,
-			"per-job flight-recorder span capacity (0 disables tracing)")
-		statusTick = flag.Duration("status-tick", 5*time.Second,
-			"sampling tick of the /v1/status time-series window")
-		statusWindow = flag.Duration("status-window", 10*time.Minute,
-			"trailing extent of the /v1/status time-series window")
+		workers       = flag.String("workers", "", "comma-separated bdservd worker base URLs seeding the fleet (optional: workers may instead join at runtime via POST /v1/workers)")
+		conc          = flag.Int("concurrent-jobs", 1, "concurrently coordinated jobs")
+		stall         = flag.Duration("stall-timeout", 5*time.Minute, "per-unit worker inactivity bound before re-queue")
+		probe         = flag.Duration("probe-interval", 15*time.Second, "worker /healthz probe period (negative disables; open breakers then re-admit via half-open dispatch trials)")
+		brk           = flag.Int("breaker-threshold", 3, "consecutive failures (units + probes) that open a worker's circuit breaker")
+		upw           = flag.Int("units-per-worker", 4, "target work units planned per worker (work-stealing granularity)")
 		statusTimeout = flag.Duration("status-worker-timeout", 2*time.Second,
 			"per-worker timeout of the /v1/status fleet fan-out")
-		pprofAddr = flag.String("pprof-addr", "",
-			"listen address for net/http/pprof (e.g. localhost:6061; empty = disabled; bind to localhost unless you mean to expose profiles)")
 	)
 	flag.Parse()
-	logger, err := obs.NewLogger(os.Stderr, *logLevel, *logFormat)
-	if err != nil {
-		return err
+	if *conc < 1 || *brk < 1 || *upw < 1 {
+		return fmt.Errorf("-concurrent-jobs, -breaker-threshold and -units-per-worker must be ≥1")
 	}
-	slog.SetDefault(logger)
-	if *queue < 1 || *entries < 1 || *maxJobs < 1 || *conc < 1 || *par < 0 {
-		return fmt.Errorf("-queue, -cache-entries, -max-jobs and -concurrent-jobs must be ≥1 and -parallelism ≥0")
-	}
-	if *brk < 1 || *upw < 1 {
-		return fmt.Errorf("-breaker-threshold and -units-per-worker must be ≥1")
-	}
-	var urls []string
-	for _, u := range strings.Split(*workers, ",") {
-		if u = strings.TrimSpace(u); u != "" {
-			urls = append(urls, strings.TrimRight(u, "/"))
-		}
-	}
-	if len(urls) == 0 {
-		logger.Info("no -workers seed; waiting for runtime registrations (bdservd -register)")
-	}
+	// shard.New trims and validates each seeded URL.
+	urls := strings.FieldsFunc(*workers, func(r rune) bool { return r == ',' || unicode.IsSpace(r) })
 
-	// Surface obviously dead workers at startup — advisory only: workers
-	// may come and go, and per-shard failover handles them at job time.
-	for _, u := range urls {
-		ctx, stop := context.WithTimeout(context.Background(), 2*time.Second)
-		if err := client.New(u).Health(ctx); err != nil {
-			logger.Warn("seeded worker not healthy at startup", "worker", u, "error", err)
-		}
-		stop()
-	}
-
-	journal := ""
-	if *dataDir != "" {
-		journal = filepath.Join(*dataDir, "journal.ndjson")
-	}
-	cellCacheDir := *cellDir
-	if cellCacheDir == "auto" {
-		cellCacheDir = ""
-		if *dataDir != "" {
-			cellCacheDir = filepath.Join(*dataDir, "cells")
-		}
-	}
-	if journal != "" && cellCacheDir == "" {
-		logger.Warn("cell cache disabled: jobs re-adopted after a restart re-run every unit")
-	}
 	// One registry spans both layers: the manager's queue/cache/journal
 	// metrics and the executor's fleet metrics render on the same
 	// /metrics endpoint.
-	reg := obs.NewRegistry()
-	obs.RegisterProcessMetrics(reg)
-	sampler := obs.NewSampler(reg, *statusTick, *statusWindow,
-		append(service.StatusSeriesDefs(), shard.FleetSeriesDefs()...))
+	d, err := daemon.Bind("bdcoord", f, shard.FleetSeriesDefs()...)
+	if err != nil {
+		return err
+	}
+	defer d.Close()
+	if len(urls) == 0 {
+		d.Log.Info("no -workers seed; waiting for runtime registrations (bdservd -register)")
+	}
+	// Surface obviously dead workers at startup — advisory only: workers
+	// may come and go, and per-shard failover handles them at job time.
+	for _, u := range urls {
+		hctx, stop := context.WithTimeout(ctx, 2*time.Second)
+		if err := client.New(u).Health(hctx); err != nil {
+			d.Log.Warn("seeded worker not healthy at startup", "worker", u, "error", err)
+		}
+		stop()
+	}
+	if f.DataDir != "" && d.Cells == nil {
+		d.Log.Warn("cell cache disabled: jobs re-adopted after a restart re-run every unit")
+	}
 	exec, err := shard.New(shard.Config{
 		Workers:          urls,
-		Parallelism:      *par,
+		Parallelism:      f.Parallelism,
 		StallTimeout:     *stall,
 		ProbeInterval:    *probe,
 		BreakerThreshold: *brk,
 		UnitsPerWorker:   *upw,
-		CellCacheDir:     cellCacheDir,
-		CellCacheEntries: *cellEntries,
-		CellCacheMaxAge:  *cellMaxAge,
-		Registry:         reg,
-		Logger:           logger,
+		Cells:            d.Cells,
+		Registry:         d.Registry,
+		Logger:           d.Log,
 	})
 	if err != nil {
 		return err
 	}
 	defer exec.Close()
-	// Flag semantics (0 = off) map to the config's (negative = off).
-	traceSpans := *traceBuf
-	if traceSpans == 0 {
-		traceSpans = -1
-	}
-	mgr, err := service.New(service.Config{
-		DataDir:      *dataDir,
-		Workers:      *conc,
-		QueueDepth:   *queue,
-		CacheEntries: *entries,
-		MaxJobs:      *maxJobs,
-		JournalPath:  journal,
-		Execute:      exec.Execute,
-		TraceBuffer:  traceSpans,
-		TraceService: "bdcoord",
-		Registry:     reg,
-		Sampler:      sampler,
-		Logger:       logger,
-	})
+	mgr, err := d.NewManager(service.Config{Workers: *conc, Execute: exec.Execute})
 	if err != nil {
 		return err
-	}
-	defer mgr.Close()
-	stopSampler := sampler.Start()
-	defer stopSampler()
-
-	if *pprofAddr != "" {
-		stopPprof, err := obs.StartPprof(*pprofAddr, logger)
-		if err != nil {
-			return err
-		}
-		defer stopPprof()
 	}
 
 	// The coordinator's API is the stock jobs API plus /v1/workers: GET
@@ -225,77 +138,49 @@ func run() error {
 	mux := http.NewServeMux()
 	mux.Handle("/", service.NewHandler(mgr))
 	// /v1/status here overrides the inner handler's route (the more
-	// specific pattern wins): the coordinator serves the same manager
-	// snapshot with two additions — its cell cache lives in the shard
-	// executor, not the manager (Execute is overridden), and the fleet
-	// view appends every registered worker's coordinator-side record plus
-	// the worker's own self-reported snapshot (bounded concurrency,
+	// specific pattern wins): the manager's snapshot plus a fleet view
+	// with every registered worker's coordinator-side record and the
+	// worker's own self-reported snapshot (bounded concurrency,
 	// per-worker timeout, failures isolated per row).
 	mux.HandleFunc("GET /v1/status", func(w http.ResponseWriter, r *http.Request) {
-		snap := mgr.Status()
-		if cs, ok := exec.CellCacheStats(); ok {
-			snap.CellCache = &cs
-		}
-		fleet := exec.FleetStatus(r.Context(), *statusTimeout)
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		enc.Encode(struct {
+		service.WriteJSON(w, http.StatusOK, struct {
 			service.StatusSnapshot
 			Fleet []shard.WorkerFleetStatus `json:"fleet"`
-		}{snap, fleet})
+		}{mgr.Status(), exec.FleetStatus(r.Context(), *statusTimeout)})
 	})
 	mux.HandleFunc("GET /v1/workers", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		enc.Encode(exec.WorkerStatuses())
+		service.WriteJSON(w, http.StatusOK, exec.WorkerStatuses())
 	})
 	mux.HandleFunc("POST /v1/workers", func(w http.ResponseWriter, r *http.Request) {
-		dec := json.NewDecoder(r.Body)
-		dec.DisallowUnknownFields()
 		var reg client.WorkerRegistration
-		if err := dec.Decode(&reg); err != nil {
-			httpError(w, http.StatusBadRequest, fmt.Errorf("decoding registration: %w", err))
+		if !service.DecodeJSON(w, r, "registration", &reg) {
 			return
 		}
 		st, err := exec.Register(reg.URL, time.Duration(reg.TTLSeconds*float64(time.Second)))
 		if err != nil {
-			httpError(w, http.StatusBadRequest, err)
+			service.WriteError(w, http.StatusBadRequest, err)
 			return
 		}
-		w.Header().Set("Content-Type", "application/json")
-		json.NewEncoder(w).Encode(st)
+		service.WriteJSON(w, http.StatusOK, st)
 	})
 	mux.HandleFunc("DELETE /v1/workers", func(w http.ResponseWriter, r *http.Request) {
 		u := r.URL.Query().Get("url")
 		if u == "" {
-			httpError(w, http.StatusBadRequest, fmt.Errorf("missing url query parameter"))
+			service.WriteError(w, http.StatusBadRequest, fmt.Errorf("missing url query parameter"))
 			return
 		}
 		if !exec.Deregister(u) {
-			httpError(w, http.StatusNotFound, fmt.Errorf("worker %q is not a fleet member", u))
+			service.WriteError(w, http.StatusNotFound, fmt.Errorf("worker %q is not a fleet member", u))
 			return
 		}
-		w.Header().Set("Content-Type", "application/json")
-		json.NewEncoder(w).Encode(map[string]string{"status": "deregistered", "url": u})
+		service.WriteJSON(w, http.StatusOK, map[string]string{"status": "deregistered", "url": u})
 	})
 
-	srv := &http.Server{
-		Addr:              *addr,
-		Handler:           obs.LogRequests(mux, logger, reg),
-		ReadHeaderTimeout: 10 * time.Second,
-	}
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-
-	errCh := make(chan error, 1)
-	go func() { errCh <- srv.ListenAndServe() }()
-	logger.Info("bdcoord listening", "addr", *addr, "seeded_workers", len(urls), "workers", strings.Join(urls, ", "))
-
-	stopStats := obs.StartStatsTicker(logger, *statsIvl, func() []slog.Attr {
-		st := mgr.Stats()
+	// Jobs still running when the drain times out are cut short without
+	// a terminal journal record, so the next incarnation re-adopts them
+	// and (thanks to the cell cache) dispatches only the columns not yet
+	// stored.
+	return d.Serve(ctx, mux, daemon.Hooks{Stats: func() []slog.Attr {
 		ws := exec.WorkerStatuses()
 		unitsDone, open := 0, 0
 		for _, w := range ws {
@@ -304,49 +189,9 @@ func run() error {
 				open++
 			}
 		}
-		attrs := []slog.Attr{
-			slog.Int("queued", st.Queued), slog.Int("running", st.Running),
-			slog.Int("done", st.Done), slog.Int("failed", st.Failed),
-			slog.Int("queue_depth", st.QueueDepth),
-			slog.Uint64("cache_hits", st.Cache.Hits), slog.Uint64("cache_misses", st.Cache.Misses),
+		return append([]slog.Attr{
 			slog.Int("fleet_workers", len(ws)), slog.Int("breakers_not_closed", open),
 			slog.Int("fleet_units_done", unitsDone),
-		}
-		if h, ok := reg.ReadHistogram("bd_worker_unit_duration_seconds"); ok && h.Count > 0 {
-			q := h.Quantiles(0.50, 0.95, 0.99)
-			attrs = append(attrs,
-				slog.Float64("unit_p50_s", q[0]),
-				slog.Float64("unit_p95_s", q[1]),
-				slog.Float64("unit_p99_s", q[2]))
-		}
-		return attrs
-	})
-	defer stopStats()
-
-	select {
-	case err := <-errCh:
-		return err
-	case <-ctx.Done():
-	}
-	// Graceful shutdown: stop accepting connections, let in-flight jobs
-	// drain within -drain-timeout, then Close — which cuts any stragglers
-	// short WITHOUT journaling a terminal record, so the next incarnation
-	// re-adopts them and (thanks to the cell cache) dispatches only the
-	// columns not yet stored.
-	logger.Info("bdcoord shutting down", "drain_timeout", *drain)
-	shutCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	if err := srv.Shutdown(shutCtx); err != nil && !errors.Is(err, context.DeadlineExceeded) {
-		return err
-	}
-	if !mgr.Drain(*drain) {
-		logger.Warn("drain timeout: cutting in-flight jobs short (they will be re-adopted on restart)")
-	}
-	return nil
-}
-
-func httpError(w http.ResponseWriter, code int, err error) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	json.NewEncoder(w).Encode(map[string]string{"error": err.Error()})
+		}, daemon.Quantiles(d.Registry, "bd_worker_unit_duration_seconds", "unit")...)
+	}})
 }

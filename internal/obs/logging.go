@@ -1,13 +1,11 @@
 package obs
 
 import (
-	"context"
 	"fmt"
 	"io"
 	"log/slog"
 	"net/http"
 	"strings"
-	"sync"
 	"time"
 )
 
@@ -171,30 +169,4 @@ func LogRequests(next http.Handler, logger *slog.Logger, reg *Registry) http.Han
 		}
 		logger.LogAttrs(r.Context(), level, "http request", attrs...)
 	})
-}
-
-// StartStatsTicker runs a goroutine that logs one INFO "stats" line
-// every interval, with collect supplying the line's attributes — the
-// periodic fleet summary an operator tails instead of polling JSON
-// endpoints. It returns an idempotent stop function; interval <= 0
-// disables the ticker (stop is still valid).
-func StartStatsTicker(logger *slog.Logger, interval time.Duration, collect func() []slog.Attr) (stop func()) {
-	if interval <= 0 || logger == nil {
-		return func() {}
-	}
-	done := make(chan struct{})
-	var once sync.Once
-	go func() {
-		t := time.NewTicker(interval)
-		defer t.Stop()
-		for {
-			select {
-			case <-done:
-				return
-			case <-t.C:
-				logger.LogAttrs(context.Background(), slog.LevelInfo, "stats", collect()...)
-			}
-		}
-	}()
-	return func() { once.Do(func() { close(done) }) }
 }

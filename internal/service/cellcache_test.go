@@ -5,6 +5,8 @@ import (
 	"strconv"
 	"testing"
 	"time"
+
+	"repro/internal/cellcache"
 )
 
 // runDone submits spec to m, waits for it to finish done and returns its
@@ -54,7 +56,11 @@ func probeCounts(t *testing.T, m *Manager, id string) (hits, misses int) {
 // bytes a manager without a cache produces. The per-job probe counts in
 // the trace and the store counters in Status agree.
 func TestManagerCellCacheOverlap(t *testing.T) {
-	m := newTestManager(t, Config{Parallelism: 2, CellCacheDir: t.TempDir()})
+	cells, err := cellcache.Open(t.TempDir(), 0, 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := newTestManager(t, Config{Parallelism: 2, Cells: cells})
 	specA, specB := tinySpec(), tinySpec()
 	specA.Workloads = []string{"H-Sort", "S-Sort"}
 	specB.Workloads = []string{"H-Sort", "H-Grep"}

@@ -140,7 +140,7 @@ func NewHandler(m *Manager) http.Handler {
 	mux := http.NewServeMux()
 	mux.Handle("GET /metrics", m.reg.Handler())
 	mux.HandleFunc("GET /v1/status", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, m.Status())
+		WriteJSON(w, http.StatusOK, m.Status())
 	})
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
 		// A journal that has lost a record degrades the daemon: running
@@ -149,27 +149,24 @@ func NewHandler(m *Manager) http.Handler {
 		// also takes a disk-failing shard worker out of its coordinator's
 		// rotation — probes fail, the breaker opens.
 		if ok, detail := m.JournalHealth(); !ok {
-			writeJSON(w, http.StatusServiceUnavailable, map[string]string{
+			WriteJSON(w, http.StatusServiceUnavailable, map[string]string{
 				"status": "degraded", "journal": detail,
 			})
 			return
 		}
-		writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+		WriteJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 	})
 	mux.HandleFunc("GET /v1/cache/stats", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, m.CacheStats())
+		WriteJSON(w, http.StatusOK, m.CacheStats())
 	})
 	mux.HandleFunc("POST /v1/jobs", func(w http.ResponseWriter, r *http.Request) {
-		dec := json.NewDecoder(r.Body)
-		dec.DisallowUnknownFields()
 		var req JobRequest
-		if err := dec.Decode(&req); err != nil {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
+		if !DecodeJSON(w, r, "request", &req) {
 			return
 		}
 		spec, err := req.ToSpec()
 		if err != nil {
-			writeError(w, http.StatusBadRequest, err)
+			WriteError(w, http.StatusBadRequest, err)
 			return
 		}
 		// X-BD-Trace (when a coordinator set one) joins this job's spans
@@ -177,30 +174,30 @@ func NewHandler(m *Manager) http.Handler {
 		st, err := m.SubmitTraced(spec, r.Header.Get(obs.TraceHeader))
 		switch {
 		case errors.Is(err, ErrQueueFull), errors.Is(err, ErrDraining):
-			writeError(w, http.StatusServiceUnavailable, err)
+			WriteError(w, http.StatusServiceUnavailable, err)
 		case err != nil:
-			writeError(w, http.StatusBadRequest, err)
+			WriteError(w, http.StatusBadRequest, err)
 		case st.State.terminal():
-			writeJSON(w, http.StatusOK, st)
+			WriteJSON(w, http.StatusOK, st)
 		default:
-			writeJSON(w, http.StatusAccepted, st)
+			WriteJSON(w, http.StatusAccepted, st)
 		}
 	})
 	mux.HandleFunc("GET /v1/jobs", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, m.List())
+		WriteJSON(w, http.StatusOK, m.List())
 	})
 	mux.HandleFunc("GET /v1/jobs/{id}", func(w http.ResponseWriter, r *http.Request) {
 		st, ok := m.Get(r.PathValue("id"))
 		if !ok {
-			writeError(w, http.StatusNotFound, fmt.Errorf("unknown job %q", r.PathValue("id")))
+			WriteError(w, http.StatusNotFound, fmt.Errorf("unknown job %q", r.PathValue("id")))
 			return
 		}
-		writeJSON(w, http.StatusOK, st)
+		WriteJSON(w, http.StatusOK, st)
 	})
 	mux.HandleFunc("GET /v1/jobs/{id}/result", func(w http.ResponseWriter, r *http.Request) {
 		data, ok := m.Result(r.PathValue("id"))
 		if !ok {
-			writeError(w, http.StatusNotFound, fmt.Errorf("no result for job %q", r.PathValue("id")))
+			WriteError(w, http.StatusNotFound, fmt.Errorf("no result for job %q", r.PathValue("id")))
 			return
 		}
 		w.Header().Set("Content-Type", "application/json")
@@ -208,34 +205,34 @@ func NewHandler(m *Manager) http.Handler {
 	})
 	mux.HandleFunc("DELETE /v1/jobs/{id}", func(w http.ResponseWriter, r *http.Request) {
 		if !m.Cancel(r.PathValue("id")) {
-			writeError(w, http.StatusNotFound, fmt.Errorf("unknown job %q", r.PathValue("id")))
+			WriteError(w, http.StatusNotFound, fmt.Errorf("unknown job %q", r.PathValue("id")))
 			return
 		}
 		st, _ := m.Get(r.PathValue("id"))
-		writeJSON(w, http.StatusOK, st)
+		WriteJSON(w, http.StatusOK, st)
 	})
 	mux.HandleFunc("GET /v1/jobs/{id}/trace", func(w http.ResponseWriter, r *http.Request) {
 		export, ok := m.Trace(r.PathValue("id"))
 		if !ok {
-			writeError(w, http.StatusNotFound, fmt.Errorf("no trace for job %q (unknown, evicted, or tracing disabled)", r.PathValue("id")))
+			WriteError(w, http.StatusNotFound, fmt.Errorf("no trace for job %q (unknown, evicted, or tracing disabled)", r.PathValue("id")))
 			return
 		}
 		if r.URL.Query().Get("format") == "chrome" {
 			data, err := obs.ChromeTrace(export)
 			if err != nil {
-				writeError(w, http.StatusInternalServerError, err)
+				WriteError(w, http.StatusInternalServerError, err)
 				return
 			}
 			w.Header().Set("Content-Type", "application/json")
 			w.Write(data)
 			return
 		}
-		writeJSON(w, http.StatusOK, export)
+		WriteJSON(w, http.StatusOK, export)
 	})
 	mux.HandleFunc("GET /v1/jobs/{id}/events", func(w http.ResponseWriter, r *http.Request) {
 		j, ok := m.job(r.PathValue("id"))
 		if !ok {
-			writeError(w, http.StatusNotFound, fmt.Errorf("unknown job %q", r.PathValue("id")))
+			WriteError(w, http.StatusNotFound, fmt.Errorf("unknown job %q", r.PathValue("id")))
 			return
 		}
 		w.Header().Set("Content-Type", "application/x-ndjson")
@@ -267,7 +264,8 @@ func NewHandler(m *Manager) http.Handler {
 	return mux
 }
 
-func writeJSON(w http.ResponseWriter, code int, v any) {
+// WriteJSON writes v as the indented JSON body of a code response.
+func WriteJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
 	enc := json.NewEncoder(w)
@@ -275,6 +273,27 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	enc.Encode(v)
 }
 
-func writeError(w http.ResponseWriter, code int, err error) {
-	writeJSON(w, code, map[string]string{"error": err.Error()})
+// WriteError writes err as a {"error": ...} JSON body of a code response.
+func WriteError(w http.ResponseWriter, code int, err error) {
+	WriteJSON(w, code, map[string]string{"error": err.Error()})
+}
+
+// DecodeJSON decodes r's body — a what, named in the error — into v,
+// rejecting unknown fields. On failure it writes the error response and
+// returns false: 413 when the body ran past the daemon's size cap
+// (http.MaxBytesHandler), 400 for anything else.
+func DecodeJSON(w http.ResponseWriter, r *http.Request, what string, v any) bool {
+	dec := json.NewDecoder(r.Body)
+	dec.DisallowUnknownFields()
+	err := dec.Decode(v)
+	if err == nil {
+		return true
+	}
+	code := http.StatusBadRequest
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		code = http.StatusRequestEntityTooLarge
+	}
+	WriteError(w, code, fmt.Errorf("decoding %s: %w", what, err))
+	return false
 }

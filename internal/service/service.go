@@ -212,23 +212,15 @@ type Config struct {
 	// (Mode == ModeObservations) — the worker role in a sharded
 	// deployment, where analysis runs coordinator-side.
 	CharacterizeOnly bool
-	// CellCacheDir, when set, enables the worker-local cell cache: a
-	// content-addressed store of characterization-grid columns (one
-	// workload on one absolute node, all runs — see internal/cellcache)
-	// consulted inside the measurement grid, so overlapping suites
-	// recompute only the columns they do not share. Purely an
-	// accelerator: cached and recomputed results are byte-identical.
-	// Empty disables it. Ignored when Execute is overridden (a
-	// coordinator caches cells in its shard executor instead).
-	CellCacheDir string
-	// CellCacheEntries bounds the cell cache's on-disk entry count
-	// (0 = cellcache.DefaultMaxEntries).
-	CellCacheEntries int
-	// CellCacheMaxAge, when positive, adds an age bound to the cell
-	// cache: entries whose mtime is older are garbage-collected by the
-	// eviction sweep (bdservd -cell-cache-max-age). 0 keeps entries until
-	// the entry-count bound evicts them.
-	CellCacheMaxAge time.Duration
+	// Cells, when set, is the daemon's cell cache: a content-addressed
+	// store of characterization-grid columns (one workload on one
+	// absolute node, all runs — see internal/cellcache). The in-process
+	// executor consults it inside the measurement grid, so overlapping
+	// suites recompute only the columns they do not share; Status reports
+	// its counters either way (a coordinator's executor probes the same
+	// store). Purely an accelerator: cached and recomputed results are
+	// byte-identical. Nil disables it.
+	Cells *cellcache.Store
 	// TraceBuffer bounds each job's span ring in the tracing flight
 	// recorder (-trace-buffer): 0 uses the default (2048 spans per job),
 	// negative disables tracing entirely. Tracing is observational only —
@@ -267,7 +259,6 @@ var ErrDraining = errors.New("service: draining for shutdown")
 type Manager struct {
 	cfg    Config
 	cache  *resultCache
-	cells  *cellcache.Store // nil when the cell cache is disabled
 	reg    *obs.Registry
 	mx     *svcMetrics
 	log    *slog.Logger
@@ -308,6 +299,9 @@ func New(cfg Config) (*Manager, error) {
 	if cfg.MaxJobs < 1 {
 		cfg.MaxJobs = 4096
 	}
+	if cfg.TraceService == "" {
+		cfg.TraceService = "service"
+	}
 	reg := cfg.Registry
 	if reg == nil {
 		reg = obs.NewRegistry()
@@ -321,18 +315,10 @@ func New(cfg Config) (*Manager, error) {
 	if err != nil {
 		return nil, err
 	}
-	var cells *cellcache.Store
-	if cfg.CellCacheDir != "" && cfg.Execute == nil {
-		cells, err = cellcache.Open(cfg.CellCacheDir, cfg.CellCacheEntries, cfg.CellCacheMaxAge, cellcache.NewMetrics(reg))
-		if err != nil {
-			return nil, err
-		}
-	}
 	root, stop := context.WithCancel(context.Background())
 	m := &Manager{
 		cfg:       cfg,
 		cache:     cache,
-		cells:     cells,
 		reg:       reg,
 		mx:        mx,
 		log:       logger,
@@ -348,11 +334,7 @@ func New(cfg Config) (*Manager, error) {
 		if buf == 0 {
 			buf = 2048
 		}
-		svc := cfg.TraceService
-		if svc == "" {
-			svc = "service"
-		}
-		m.tracer = obs.NewFlightRecorder(svc, cfg.MaxJobs, buf)
+		m.tracer = obs.NewFlightRecorder(cfg.TraceService, cfg.MaxJobs, buf)
 		// Every completed span is journaled, so the traces of re-adopted
 		// jobs survive a coordinator crash along with their unit progress.
 		m.tracer.Sink = func(jobID string, sp obs.Span) {
@@ -1170,8 +1152,8 @@ func (m *Manager) executeLocal(ctx context.Context, spec JobSpec, progress core.
 	ccfg := spec.Cluster
 	ccfg.Parallelism = m.cfg.Parallelism
 
-	if m.cells != nil {
-		probe := &countingCellCache{cc: m.cells}
+	if m.cfg.Cells != nil {
+		probe := &countingCellCache{cc: m.cfg.Cells}
 		ctx = cluster.ContextWithCellCache(ctx, probe)
 		if tc := obs.TraceFromContext(ctx); tc != nil {
 			// The probes interleave with the grid's startup, so the span

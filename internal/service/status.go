@@ -104,13 +104,9 @@ const maxActiveJobs = 64
 // couple of seconds.
 func (m *Manager) Status() StatusSnapshot {
 	now := time.Now()
-	svc := m.cfg.TraceService
-	if svc == "" {
-		svc = "service"
-	}
 	st := m.Stats()
 	snap := StatusSnapshot{
-		Service:       svc,
+		Service:       m.cfg.TraceService,
 		PID:           os.Getpid(),
 		GoVersion:     runtime.Version(),
 		Goroutines:    runtime.NumGoroutine(),
@@ -148,8 +144,8 @@ func (m *Manager) Status() StatusSnapshot {
 			break
 		}
 	}
-	if m.cells != nil {
-		cs := m.cells.Stats()
+	if m.cfg.Cells != nil {
+		cs := m.cfg.Cells.Stats()
 		snap.CellCache = &cs
 	}
 	if m.cfg.Sampler != nil {

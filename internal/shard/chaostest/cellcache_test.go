@@ -17,6 +17,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/cellcache"
 	"repro/internal/obs"
 	"repro/internal/service"
 	"repro/internal/shard"
@@ -59,7 +60,11 @@ func runCellCached(t *testing.T, spec service.JobSpec, workers []string, cellDir
 	t.Helper()
 	reg := obs.NewRegistry()
 	cfg := chaosExecConfig(workers, upw)
-	cfg.CellCacheDir = cellDir
+	cells, err := cellcache.Open(cellDir, 0, 0, cellcache.NewMetrics(reg))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Cells = cells
 	cfg.Registry = reg
 	exec, err := shard.New(cfg)
 	if err != nil {

@@ -17,6 +17,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/cellcache"
 	"repro/internal/obs"
 	"repro/internal/service"
 	"repro/internal/shard"
@@ -78,7 +79,11 @@ func runWithCoordinatorCrash(t *testing.T, spec service.JobSpec, proxies []*Prox
 	}
 	mkExec := func(reg *obs.Registry) *shard.Executor {
 		cfg := chaosExecConfig(urls, upw)
-		cfg.CellCacheDir = cellDir
+		cells, err := cellcache.Open(cellDir, 0, 0, cellcache.NewMetrics(reg))
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg.Cells = cells
 		cfg.Registry = reg
 		exec, err := shard.New(cfg)
 		if err != nil {

@@ -84,25 +84,18 @@ type Config struct {
 	// first registration — without hanging forever on a dead fleet.
 	DownGrace time.Duration
 
-	// CellCacheDir, when set, gives the coordinator a shared cell-level
-	// result cache: one workload×node column (all runs) per entry, keyed
-	// by the cell's content address (see cluster.CellKey). It is probed
-	// before dispatch — a unit whose every column is cached is assembled
+	// Cells, when set, is the coordinator's shared cell-level result
+	// cache: one workload×node column (all runs) per entry, keyed by the
+	// cell's content address (see cluster.CellKey). It is probed before
+	// dispatch — a unit whose every column is cached is assembled
 	// coordinator-side and never leaves the coordinator — and written
 	// through after every unit completes, so overlapping suites submitted
 	// over time pay only for the cells they add. It is also the
 	// coordinator's only crash recovery: a job re-adopted after a restart
 	// is planned afresh and its probe finds every column stored before the
-	// crash, whatever the new tiling. Empty disables it (a re-adopted job
+	// crash, whatever the new tiling. Nil disables it (a re-adopted job
 	// then re-runs every unit).
-	CellCacheDir string
-	// CellCacheEntries bounds the cell cache's on-disk entry count
-	// (0 = the cellcache package default).
-	CellCacheEntries int
-	// CellCacheMaxAge, when positive, garbage-collects cell-cache entries
-	// whose mtime is older (bdcoord -cell-cache-max-age). 0 keeps entries
-	// until the entry-count bound evicts them.
-	CellCacheMaxAge time.Duration
+	Cells *cellcache.Store
 
 	// Registry receives the executor's fleet metrics (per-worker unit
 	// counters, breaker transitions, probe outcomes, lease events, merge
@@ -129,11 +122,10 @@ const dispatchPoll = 10 * time.Millisecond
 // joins and leaves within one dispatch poll tick. Close stops the
 // background health prober.
 type Executor struct {
-	cfg   Config
-	reg   *registry
-	cells *cellcache.Store // nil when CellCacheDir is unset
-	mx    *shardMetrics
-	log   *slog.Logger
+	cfg Config
+	reg *registry
+	mx  *shardMetrics
+	log *slog.Logger
 
 	stop context.CancelFunc
 	wg   sync.WaitGroup
@@ -201,13 +193,6 @@ func New(cfg Config) (*Executor, error) {
 		if err := e.reg.seed(base); err != nil {
 			return nil, err
 		}
-	}
-	if cfg.CellCacheDir != "" {
-		cells, err := cellcache.Open(cfg.CellCacheDir, cfg.CellCacheEntries, cfg.CellCacheMaxAge, cellcache.NewMetrics(mreg))
-		if err != nil {
-			return nil, err
-		}
-		e.cells = cells
 	}
 	pctx, stop := context.WithCancel(context.Background())
 	e.stop = stop
@@ -513,7 +498,7 @@ func (e *Executor) Execute(ctx context.Context, spec service.JobSpec, progress c
 	preDone := make([]bool, len(units))
 	var missKeys [][]string
 	cachedUnits := 0
-	if e.cells != nil {
+	if e.cfg.Cells != nil {
 		probeSpan := tc.StartSpan("cellcache-probe")
 		nmetrics := len(perf.MetricNames())
 		missKeys = make([][]string, len(units))
@@ -531,7 +516,7 @@ func (e *Executor) Execute(ctx context.Context, spec service.JobSpec, progress c
 						complete = false
 						continue
 					}
-					if v, ok := e.cells.GetCell(unit.Workloads[wi], key, runs, nmetrics); ok {
+					if v, ok := e.cfg.Cells.GetCell(unit.Workloads[wi], key, runs, nmetrics); ok {
 						vecs[ci] = v
 						hits++
 					} else {
@@ -805,7 +790,7 @@ func (e *Executor) storeUnitCells(run *jobRun, u int, om *core.ObservationMatrix
 			for r := 0; r < runs; r++ {
 				vecs[r] = om.Cells[wi][r][nd]
 			}
-			e.cells.PutCell(unit.Workloads[wi], key, vecs)
+			e.cfg.Cells.PutCell(unit.Workloads[wi], key, vecs)
 		}
 	}
 }

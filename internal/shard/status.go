@@ -5,7 +5,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/cellcache"
 	"repro/internal/obs"
 	"repro/internal/service"
 )
@@ -65,16 +64,6 @@ func (e *Executor) FleetStatus(ctx context.Context, perWorkerTimeout time.Durati
 	}
 	wg.Wait()
 	return out
-}
-
-// CellCacheStats snapshots the coordinator-shared cell cache (ok=false
-// when it is disabled). The coordinator's cells live here, not in the
-// service.Manager, so bdcoord injects this into its /v1/status response.
-func (e *Executor) CellCacheStats() (cellcache.Stats, bool) {
-	if e.cells == nil {
-		return cellcache.Stats{}, false
-	}
-	return e.cells.Stats(), true
 }
 
 // FleetSeriesDefs is the coordinator-side addition to the status
