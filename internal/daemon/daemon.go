@@ -215,7 +215,8 @@ func (d *Daemon) Serve(ctx context.Context, h http.Handler, hooks Hooks) error {
 	errCh := make(chan error, 1)
 	go func() { errCh <- srv.Serve(d.ln) }()
 	d.Log.Info(d.Name+" listening", "addr", d.ln.Addr().String(), "data_dir", d.flags.DataDir)
-	defer d.sampler.Start()()
+	stopSampler := d.sampler.Start()
+	defer stopSampler()
 	var tick <-chan time.Time
 	if d.flags.StatsInterval > 0 {
 		t := time.NewTicker(d.flags.StatsInterval)

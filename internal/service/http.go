@@ -278,10 +278,10 @@ func WriteError(w http.ResponseWriter, code int, err error) {
 	WriteJSON(w, code, map[string]string{"error": err.Error()})
 }
 
-// DecodeJSON decodes r's body — a what, named in the error — into v,
-// rejecting unknown fields. On failure it writes the error response and
-// returns false: 413 when the body ran past the daemon's size cap
-// (http.MaxBytesHandler), 400 for anything else.
+// DecodeJSON decodes r's JSON body into v, rejecting unknown fields;
+// what names the body in the error. On failure it writes the error
+// response and returns false: 413 when the body ran past the daemon's
+// size cap (http.MaxBytesHandler), 400 for anything else.
 func DecodeJSON(w http.ResponseWriter, r *http.Request, what string, v any) bool {
 	dec := json.NewDecoder(r.Body)
 	dec.DisallowUnknownFields()
