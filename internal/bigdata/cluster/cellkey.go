@@ -112,3 +112,65 @@ func CellCacheFrom(ctx context.Context) (CellCache, bool) {
 	cc, ok := ctx.Value(cellCacheKey{}).(CellCache)
 	return cc, ok && cc != nil
 }
+
+// ProbeColumns looks every workload×node column of the grid under cfg up
+// in cc. It returns the grid's cells indexed [workload][run][node] with
+// each hit column filled and every other cell nil, the keys of the
+// missed columns (keys[wi][node], "" where the column hit or its key
+// could not be derived), and the number of hit columns. cfg.NodeOffset
+// makes the keys absolute, so a unit of a sharded job probes the same
+// entries as the full grid. A nil cc probes nothing: every cell is nil
+// and keys is nil.
+func ProbeColumns(cc CellCache, suite []workloads.Workload, cfg Config) (cells [][][][]float64, keys [][]string, hits int) {
+	cells = make([][][][]float64, len(suite))
+	for wi := range suite {
+		cells[wi] = make([][][]float64, cfg.Runs)
+		for run := range cells[wi] {
+			cells[wi][run] = make([][]float64, cfg.SlaveNodes)
+		}
+	}
+	if cc == nil {
+		return cells, nil, 0
+	}
+	nmetrics := len(perf.MetricNames())
+	keys = make([][]string, len(suite))
+	for wi, w := range suite {
+		keys[wi] = make([]string, cfg.SlaveNodes)
+		for node := 0; node < cfg.SlaveNodes; node++ {
+			key, err := CellKey(w, cfg, node)
+			if err != nil {
+				continue // computed, never stored: the cache only skips work
+			}
+			vecs, ok := cc.GetCell(w.Name, key, cfg.Runs, nmetrics)
+			if !ok {
+				keys[wi][node] = key
+				continue
+			}
+			hits++
+			for run := range vecs {
+				cells[wi][run][node] = vecs[run]
+			}
+		}
+	}
+	return cells, keys, hits
+}
+
+// StoreColumns writes the columns ProbeColumns missed back to cc, each
+// under its key, taking the vectors from cells ([workload][run][node],
+// now complete). Call it only once the grid has validated: a partially
+// failed campaign must not seed the cache. Columns that hit are already
+// stored and are not rewritten.
+func StoreColumns(cc CellCache, suite []workloads.Workload, keys [][]string, cells [][][][]float64) {
+	for wi, row := range keys {
+		for node, key := range row {
+			if key == "" {
+				continue
+			}
+			vecs := make([][]float64, len(cells[wi]))
+			for run := range vecs {
+				vecs[run] = cells[wi][run][node]
+			}
+			cc.PutCell(suite[wi].Name, key, vecs)
+		}
+	}
+}

@@ -2,11 +2,15 @@ package cluster
 
 import (
 	"context"
+	"os"
+	"path/filepath"
 	"reflect"
 	"sync"
 	"testing"
 
 	"repro/internal/bigdata/workloads"
+	"repro/internal/cellcache"
+	"repro/internal/perf"
 )
 
 // memCellCache is a map-backed CellCache for tests: shape-checked like
@@ -238,5 +242,106 @@ func TestCharacterizeCellsCached(t *testing.T) {
 	}
 	if !reflect.DeepEqual(mutCells, plainMut) {
 		t.Fatal("partially cached run differs from uncached run")
+	}
+}
+
+// TestProbeAndStoreColumns pins the shared column probe the grid and the
+// coordinator both use: with a partial hit only the hit columns are
+// filled and keys come back only for the misses; a wrong-shape entry is
+// a miss and is deleted; StoreColumns writes exactly the missed columns,
+// after which a re-probe hits everywhere. A NodeOffset makes the keys
+// absolute.
+func TestProbeAndStoreColumns(t *testing.T) {
+	suite := testSuite(t, 2)
+	cfg := tinyGridConfig()
+	cfg.NodeOffset = 3
+	dir := t.TempDir()
+	store, err := cellcache.Open(dir, 0, 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nm := perf.NumMetrics
+	column := func(fill float64, runs int) [][]float64 {
+		vecs := make([][]float64, runs)
+		for r := range vecs {
+			vecs[r] = make([]float64, nm)
+			for i := range vecs[r] {
+				vecs[r][i] = fill + float64(r)
+			}
+		}
+		return vecs
+	}
+	key := func(wi, node int) string {
+		k, err := CellKey(suite[wi], cfg, node)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return k
+	}
+	// (workload 0, node 1) is cached; (workload 1, node 0) holds one run
+	// where the grid has two.
+	store.PutCell(suite[0].Name, key(0, 1), column(10, cfg.Runs))
+	store.PutCell(suite[1].Name, key(1, 0), column(20, 1))
+
+	cells, keys, hits := ProbeColumns(store, suite, cfg)
+	if hits != 1 {
+		t.Fatalf("hits = %d, want 1", hits)
+	}
+	for wi := range suite {
+		for node := 0; node < cfg.SlaveNodes; node++ {
+			hit := wi == 0 && node == 1
+			for run := 0; run < cfg.Runs; run++ {
+				if filled := cells[wi][run][node] != nil; filled != hit {
+					t.Fatalf("cell [%d][%d][%d] filled = %v, want %v", wi, run, node, filled, hit)
+				}
+			}
+			want := key(wi, node)
+			if hit {
+				want = ""
+			}
+			if keys[wi][node] != want {
+				t.Fatalf("keys[%d][%d] = %q, want %q", wi, node, keys[wi][node], want)
+			}
+		}
+	}
+	if !reflect.DeepEqual(cells[0][1][1], column(10, cfg.Runs)[1]) {
+		t.Fatal("hit column served the wrong vectors")
+	}
+	if _, err := os.Stat(filepath.Join(dir, key(1, 0)+".json")); !os.IsNotExist(err) {
+		t.Fatalf("wrong-shape entry not deleted: %v", err)
+	}
+
+	// Fill the misses as a worker would, then write them back.
+	for wi := range suite {
+		for node := 0; node < cfg.SlaveNodes; node++ {
+			if keys[wi][node] == "" {
+				continue
+			}
+			col := column(float64(100*wi+node), cfg.Runs)
+			for run := range col {
+				cells[wi][run][node] = col[run]
+			}
+		}
+	}
+	StoreColumns(store, suite, keys, cells)
+	if n := store.Len(); n != len(suite)*cfg.SlaveNodes {
+		t.Fatalf("store holds %d columns, want %d", n, len(suite)*cfg.SlaveNodes)
+	}
+	again, keys2, hits2 := ProbeColumns(store, suite, cfg)
+	if hits2 != len(suite)*cfg.SlaveNodes || !reflect.DeepEqual(again, cells) {
+		t.Fatalf("re-probe hit %d columns (want %d) or served different cells", hits2, len(suite)*cfg.SlaveNodes)
+	}
+	for wi := range keys2 {
+		for node, k := range keys2[wi] {
+			if k != "" {
+				t.Fatalf("re-probe returned a miss key for [%d][%d]", wi, node)
+			}
+		}
+	}
+
+	// Without a cache the probe fills nothing and reports no keys.
+	empty, nokeys, nohits := ProbeColumns(nil, suite, cfg)
+	if nohits != 0 || nokeys != nil || len(empty) != len(suite) || empty[0][0][0] != nil {
+		t.Fatal("nil cache probe filled cells or reported keys")
 	}
 }

@@ -54,7 +54,7 @@ type Config struct {
 	// Seed drives all stochastic components.
 	Seed uint64
 	// ExecutionJitter is the relative σ of node/run-level behavioural
-	// variation (JIT, GC, OS noise). 0 disables it; the default is 5 %,
+	// variation (JIT, GC, OS noise). 0 disables it; the default is 6 %,
 	// in line with run-to-run variation on real JVM clusters.
 	ExecutionJitter float64
 	// Parallelism bounds concurrent node simulations (0 = GOMAXPROCS).
@@ -251,63 +251,23 @@ func CharacterizeCellsCtx(ctx context.Context, suite []workloads.Workload, cfg C
 		return nil, fmt.Errorf("cluster: empty suite")
 	}
 
-	type task struct{ wi, run, node int }
+	type task struct{ wi, run, node, ti int } // ti: flat task index
 	ntasks := len(suite) * cfg.Runs * cfg.SlaveNodes
 
 	// cells[wi][run][node] is one grid cell's metric vector; each task
-	// writes its own cell, so no locking is needed.
-	cells := make([][][][]float64, len(suite))
-	for wi := range suite {
-		cells[wi] = make([][][]float64, cfg.Runs)
-		for run := 0; run < cfg.Runs; run++ {
-			cells[wi][run] = make([][]float64, cfg.SlaveNodes)
-		}
-	}
-
-	// Cell-cache probe, column by column. A column whose key cannot be
-	// derived (colKeys entry left empty) is computed and not stored —
-	// the cache can only ever skip work, never change bytes.
+	// writes its own cell, so no locking is needed. The cell-cache probe
+	// fills the cached columns, and only the cells it left nil are queued.
 	cc, _ := CellCacheFrom(ctx)
-	var colKeys [][]string
-	var colCached [][]bool
-	cachedCells := 0
-	if cc != nil {
-		nmetrics := len(perf.MetricNames())
-		colKeys = make([][]string, len(suite))
-		colCached = make([][]bool, len(suite))
-		for wi, w := range suite {
-			colKeys[wi] = make([]string, cfg.SlaveNodes)
-			colCached[wi] = make([]bool, cfg.SlaveNodes)
-			for node := 0; node < cfg.SlaveNodes; node++ {
-				key, err := CellKey(w, cfg, node)
-				if err != nil {
-					continue
-				}
-				colKeys[wi][node] = key
-				vecs, ok := cc.GetCell(w.Name, key, cfg.Runs, nmetrics)
-				if !ok {
-					continue
-				}
-				colCached[wi][node] = true
-				cachedCells += cfg.Runs
-				for run := 0; run < cfg.Runs; run++ {
-					cells[wi][run][node] = vecs[run]
-				}
-			}
-		}
-	}
+	cells, keys, hits := ProbeColumns(cc, suite, cfg)
+	cachedCells := hits * cfg.Runs
 
-	type flatTask struct {
-		task
-		ti int // flat task index
-	}
-	tasks := make(chan flatTask, ntasks)
+	tasks := make(chan task, ntasks)
 	ti, queued := 0, 0
 	for wi := range suite {
 		for run := 0; run < cfg.Runs; run++ {
 			for node := 0; node < cfg.SlaveNodes; node++ {
-				if colCached == nil || !colCached[wi][node] {
-					tasks <- flatTask{task{wi, run, node}, ti}
+				if cells[wi][run][node] == nil {
+					tasks <- task{wi, run, node, ti}
 					queued++
 				}
 				ti++
@@ -379,20 +339,7 @@ func CharacterizeCellsCtx(ctx context.Context, suite []workloads.Workload, cfg C
 	}
 	// Store the freshly computed columns. Only after the whole grid
 	// validated: a partially failed campaign must not seed the cache.
-	if cc != nil {
-		for wi := range suite {
-			for node := 0; node < cfg.SlaveNodes; node++ {
-				if colCached[wi][node] || colKeys[wi][node] == "" {
-					continue
-				}
-				vecs := make([][]float64, cfg.Runs)
-				for run := 0; run < cfg.Runs; run++ {
-					vecs[run] = cells[wi][run][node]
-				}
-				cc.PutCell(suite[wi].Name, colKeys[wi][node], vecs)
-			}
-		}
-	}
+	StoreColumns(cc, suite, keys, cells)
 	return cells, nil
 }
 

@@ -1,21 +1,20 @@
-// Package cellcache is the content-addressed cell store behind the
-// cell-level result cache: one JSON file per workload×node *column* of
-// the characterization grid (the per-run metric vectors of one workload
-// on one absolute node), keyed by the full SHA-256 of the column's
-// canonical cell-key spec (see cluster.CellKey).
+// Package cellcache is the daemons' one content-addressed disk store:
+// one file per key, written atomically and fsynced (fsio), validated on
+// read (an entry the caller's check rejects is deleted and counted, so a
+// corrupt file only ever costs a recompute), and bounded by an mtime
+// sweep over entry count and, optionally, age.
 //
-// Two deployments share this store. A bdservd worker keeps one under its
-// -data-dir and consults it inside the measurement grid, so overlapping
-// suites recompute only the columns they do not share. A bdcoord
-// coordinator keeps a second, shared one fed by every finished unit, so
-// a fully-cached unit is assembled coordinator-side and never dispatched
-// at all.
-//
-// The determinism contract of the grid extends to the cache: a cached
-// column is exactly the vectors a recomputation would produce, so cached
-// and recomputed results are byte-identical. Entries that fail to parse
-// or have the wrong shape are deleted on read and counted as corruption —
-// a corrupt file can only ever cost a recompute, never serve bad cells.
+// A daemon keeps up to two stores of this type. Its result tier keeps
+// canonical job results under <data-dir>/results, keyed by job ID (32
+// hex digits). Its cell cache keeps one workload×node *column* of the
+// characterization grid (the per-run metric vectors of one workload on
+// one absolute node) per entry, keyed by the full SHA-256 of the
+// column's canonical cell-key spec (64 hex digits, see cluster.CellKey);
+// GetCell and PutCell are that column format on top of Get and Put. A
+// bdservd worker consults its cell cache inside the measurement grid; a
+// bdcoord coordinator's is fed by every finished unit, so a fully-cached
+// unit is assembled coordinator-side and never dispatched. A cached
+// column is exactly the vectors a recomputation would produce.
 //
 // Lookups carry the workload name purely for attribution: the
 // bd_cellcache_requests_total{workload,result} family and the
@@ -31,6 +30,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 	"sync"
 	"time"
 
@@ -84,9 +84,10 @@ func NewMetrics(reg *obs.Registry) *Metrics {
 	}
 }
 
-// Store is an on-disk cell cache. All methods are safe for concurrent
-// use; reads and writes go straight to the filesystem (the grid hot path
-// holds no store-wide lock), only the eviction sweep serializes.
+// Store is an on-disk content-addressed store. All methods are safe for
+// concurrent use; reads and writes go straight to the filesystem (the
+// grid hot path holds no store-wide lock), only the eviction sweep
+// serializes.
 type Store struct {
 	dir    string
 	max    int
@@ -97,15 +98,15 @@ type Store struct {
 	sinceS int
 }
 
-// Open creates (if needed) and opens a cell store rooted at dir, bounded
-// to maxEntries files (<=0 uses DefaultMaxEntries). maxAge > 0 adds an
-// age bound: entries whose file mtime is older are garbage-collected by
-// the same sweep that enforces the entry count (and once immediately at
-// open, so a restart reclaims a long-idle cache without waiting for
-// writes). mx may be nil, in which case counters land on a private
-// registry nothing renders; when it carries a live registry, Open also
-// registers the bd_cellcache_entries / bd_cellcache_disk_bytes
-// gauge-funcs over this store.
+// Open creates (if needed) and opens a store rooted at dir, bounded to
+// maxEntries files (<=0 uses DefaultMaxEntries). maxAge > 0 adds an age
+// bound: entries whose file mtime is older are garbage-collected by the
+// same sweep that enforces the entry count. Open sweeps once itself, so a
+// restart reclaims a store past either bound without waiting for writes.
+// mx may be nil, in which case counters land on a private registry
+// nothing renders; when it carries a live registry, Open also registers
+// the bd_cellcache_entries / bd_cellcache_disk_bytes gauge-funcs over
+// this store.
 func Open(dir string, maxEntries int, maxAge time.Duration, mx *Metrics) (*Store, error) {
 	if dir == "" {
 		return nil, fmt.Errorf("cellcache: empty directory")
@@ -131,18 +132,18 @@ func Open(dir string, maxEntries int, maxAge time.Duration, mx *Metrics) (*Store
 			"Bytes the cell cache currently occupies on disk.",
 			func() float64 { return float64(s.DiskBytes()) })
 	}
-	if maxAge > 0 {
-		s.sweep()
-	}
+	s.sweep()
 	return s, nil
 }
 
-// validKey reports whether key has the exact shape of a cell key — 64
-// lowercase hex digits, the full SHA-256 of the canonical cell-key spec.
-// Keys become file names, so anything else must never reach the
-// filesystem.
-func validKey(key string) bool {
-	if len(key) != 64 {
+// ValidKey reports whether key has the exact shape of a store key: 32 or
+// 64 lowercase hex digits — a job ID (the truncated spec SHA-256) or a
+// cell key (the full SHA-256 of the canonical cell-key spec). Keys become
+// file names and may arrive from URL paths, so anything else — in
+// particular separators or dot segments smuggled in via percent-encoding
+// — must never reach the filesystem.
+func ValidKey(key string) bool {
+	if len(key) != 32 && len(key) != 64 {
 		return false
 	}
 	for i := 0; i < len(key); i++ {
@@ -158,6 +159,43 @@ func (s *Store) path(key string) string {
 	return filepath.Join(s.dir, key+".json")
 }
 
+// Get returns the bytes stored under key, or ok=false on a miss. valid
+// vets the bytes before they are served: an entry it rejects — torn by a
+// pre-fsync crash, rotted, or tampered with — is deleted, counted as
+// corrupt and reported as a miss, so it costs a recompute instead of
+// serving a confidently-hashed wrong answer.
+func (s *Store) Get(key string, valid func([]byte) bool) ([]byte, bool) {
+	if !ValidKey(key) {
+		return nil, false
+	}
+	data, err := os.ReadFile(s.path(key))
+	if err != nil {
+		return nil, false
+	}
+	if !valid(data) {
+		os.Remove(s.path(key))
+		s.mx.Corrupt.Inc()
+		return nil, false
+	}
+	return data, true
+}
+
+// Put stores data under key. The write is atomic and fsynced (fsio), so
+// no torn entry can ever be read back, and its error is returned: a
+// caller that must not advertise an entry whose bytes are not on disk —
+// the result tier — has to know.
+func (s *Store) Put(key string, data []byte) error {
+	if !ValidKey(key) {
+		return fmt.Errorf("cellcache: invalid key %q", key)
+	}
+	if err := fsio.WriteFileSync(s.path(key), data, 0o644); err != nil {
+		return err
+	}
+	s.mx.Stores.Inc()
+	s.maybeSweep()
+	return nil
+}
+
 // workloadLabel bounds the attribution label: lookups that arrive
 // without a workload name (none should) collapse into one series.
 func workloadLabel(workload string) string {
@@ -169,78 +207,54 @@ func workloadLabel(workload string) string {
 
 // GetCell returns the cached per-run metric vectors for one column, or
 // ok=false on a miss. The entry is validated — JSON parse plus the exact
-// runs×metrics shape — *before* it is served: a truncated or corrupted
-// file is deleted and counted, then reported as a miss, so it costs a
-// recompute instead of poisoning a confidently-hashed result. workload
-// is attribution only (per-workload hit/miss counters); it never affects
+// runs×metrics shape — *before* it is served, so a truncated or
+// wrong-shape file is deleted and counted by Get. workload is
+// attribution only (per-workload hit/miss counters); it never affects
 // what is served.
 func (s *Store) GetCell(workload, key string, runs, metrics int) ([][]float64, bool) {
-	if !validKey(key) {
-		return nil, false
-	}
-	data, err := os.ReadFile(s.path(key))
-	if err != nil {
-		s.miss(workload)
-		return nil, false
-	}
 	var vecs [][]float64
-	if err := json.Unmarshal(data, &vecs); err != nil {
-		s.corrupt(workload, key)
-		return nil, false
+	_, ok := s.Get(key, func(data []byte) bool {
+		return json.Unmarshal(data, &vecs) == nil && shaped(vecs, runs, metrics)
+	})
+	result := "hit"
+	if ok {
+		s.mx.Hits.Inc()
+	} else {
+		vecs, result = nil, "miss"
+		s.mx.Misses.Inc()
 	}
+	s.mx.Requests.With(workloadLabel(workload), result).Inc()
+	return vecs, ok
+}
+
+// shaped reports whether vecs is exactly runs vectors of metrics values.
+func shaped(vecs [][]float64, runs, metrics int) bool {
 	if len(vecs) != runs {
-		s.corrupt(workload, key)
-		return nil, false
+		return false
 	}
 	for _, v := range vecs {
 		if len(v) != metrics {
-			s.corrupt(workload, key)
-			return nil, false
+			return false
 		}
 	}
-	s.mx.Hits.Inc()
-	s.mx.Requests.With(workloadLabel(workload), "hit").Inc()
-	return vecs, true
-}
-
-func (s *Store) miss(workload string) {
-	s.mx.Misses.Inc()
-	s.mx.Requests.With(workloadLabel(workload), "miss").Inc()
-}
-
-func (s *Store) corrupt(workload, key string) {
-	os.Remove(s.path(key))
-	s.mx.Corrupt.Inc()
-	s.miss(workload)
+	return true
 }
 
 // PutCell stores one column's per-run metric vectors. Failures are
-// deliberately swallowed: the cache is an accelerator, and a column that
-// fails to persist only costs a future recompute. The write is atomic
-// and fsynced (fsio), so no torn entry can ever be read back. workload
-// is attribution only.
+// deliberately swallowed: the cell cache is an accelerator, and a column
+// that fails to persist only costs a future recompute. workload is
+// attribution only.
 func (s *Store) PutCell(workload, key string, vecs [][]float64) {
-	if !validKey(key) || len(vecs) == 0 {
+	if len(vecs) == 0 {
 		return
 	}
-	data, err := json.Marshal(vecs)
-	if err != nil {
-		return
+	if data, err := json.Marshal(vecs); err == nil {
+		s.Put(key, data)
 	}
-	if err := fsio.WriteFileSync(s.path(key), data, 0o644); err != nil {
-		return
-	}
-	s.mx.Stores.Inc()
-	s.maybeSweep()
 }
 
 // maybeSweep enforces the max-entries (and max-age) bound every
-// sweepEvery stores: list the directory and delete the oldest (by mtime)
-// entries beyond capacity, plus any entry older than the age bound.
-// Recently used entries survive — GetCell does not bump mtime, so this
-// is write-recency eviction: the working set of the most recent
-// campaigns stays resident, which is exactly the overlap the cache is
-// for.
+// sweepEvery stores.
 func (s *Store) maybeSweep() {
 	s.mu.Lock()
 	s.sinceS++
@@ -253,28 +267,46 @@ func (s *Store) maybeSweep() {
 	s.sweep()
 }
 
-func (s *Store) sweep() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+// file is one of the store's own files in a directory listing.
+type file struct {
+	name      string
+	mod, size int64
+	entry     bool // a <key>.json entry, not a write's leftover temp file
+}
+
+// files lists the store's own files: <key>.json entries and the
+// <key>.json.tmp* files an interrupted fsio write leaves behind. Anything
+// else sharing the directory — a journal, an operator's notes — is never
+// counted, sized or deleted.
+func (s *Store) files() []file {
 	ents, err := os.ReadDir(s.dir)
 	if err != nil {
-		return
+		return nil
 	}
-	type entry struct {
-		name string
-		mod  int64
-	}
-	files := make([]entry, 0, len(ents))
+	out := make([]file, 0, len(ents))
 	for _, e := range ents {
+		key, rest, ok := strings.Cut(e.Name(), ".json")
+		if !ok || !ValidKey(key) || (rest != "" && !strings.HasPrefix(rest, ".tmp")) || !e.Type().IsRegular() {
+			continue
+		}
 		info, err := e.Info()
 		if err != nil {
 			continue
 		}
-		files = append(files, entry{e.Name(), info.ModTime().UnixNano()})
+		out = append(out, file{e.Name(), info.ModTime().UnixNano(), info.Size(), rest == ""})
 	}
+	return out
+}
+
+// sweep deletes the oldest (by mtime) files beyond capacity, plus any
+// file older than the age bound. Get does not bump mtime, so this is
+// write-recency eviction: the working set of the most recent campaigns
+// stays resident, which is exactly the overlap the store is for.
+func (s *Store) sweep() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	files := s.files()
 	sort.Slice(files, func(i, j int) bool { return files[i].mod < files[j].mod })
-	// Oldest-first: everything beyond capacity goes, and with an age
-	// bound configured so does everything written before the cutoff.
 	var cutoff int64
 	if s.maxAge > 0 {
 		cutoff = time.Now().Add(-s.maxAge).UnixNano()
@@ -294,24 +326,21 @@ func (s *Store) sweep() {
 // Len counts the store's current entries (a directory listing — for
 // tests and render-time gauges, not hot paths).
 func (s *Store) Len() int {
-	ents, err := os.ReadDir(s.dir)
-	if err != nil {
-		return 0
+	n := 0
+	for _, f := range s.files() {
+		if f.entry {
+			n++
+		}
 	}
-	return len(ents)
+	return n
 }
 
-// DiskBytes sums the store's current on-disk size (render-time only).
+// DiskBytes sums the on-disk size of the store's own files (render-time
+// only).
 func (s *Store) DiskBytes() int64 {
-	ents, err := os.ReadDir(s.dir)
-	if err != nil {
-		return 0
-	}
 	var total int64
-	for _, e := range ents {
-		if info, err := e.Info(); err == nil {
-			total += info.Size()
-		}
+	for _, f := range s.files() {
+		total += f.size
 	}
 	return total
 }

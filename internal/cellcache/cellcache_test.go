@@ -1,11 +1,13 @@
 package cellcache
 
 import (
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -229,5 +231,141 @@ func TestMaxAgeSweep(t *testing.T) {
 	}
 	if n := s2.Len(); n != 0 {
 		t.Fatalf("reopen with max-age left %d entries, want 0", n)
+	}
+}
+
+// TestSweepSparesForeignFiles pins that the store touches only its own
+// files: <key>.json entries and fsio's <key>.json.tmp* leftovers. A
+// journal or an operator's notes sharing the directory survive both the
+// max-age sweep at Open and a capacity sweep, and Len does not count
+// them.
+func TestSweepSparesForeignFiles(t *testing.T) {
+	dir := t.TempDir()
+	old := time.Now().Add(-2 * time.Hour)
+	foreign := []string{"journal.ndjson", "notes.txt", key(9) + ".json.bak", "results"}
+	for _, name := range foreign[:3] {
+		p := filepath.Join(dir, name)
+		if err := os.WriteFile(p, []byte("keep me\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.Chtimes(p, old, old); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := os.Mkdir(filepath.Join(dir, foreign[3]), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	// A stale entry and a stale write leftover are the store's own: the
+	// age sweep at Open reclaims both.
+	for _, name := range []string{key(1) + ".json", key(2) + ".json.tmp123"} {
+		p := filepath.Join(dir, name)
+		if err := os.WriteFile(p, []byte("[[1]]"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.Chtimes(p, old, old); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	mx := NewMetrics(obs.NewRegistry())
+	s, err := Open(dir, 2, time.Hour, mx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := mx.Evicted.Value(); got != 2 {
+		t.Fatalf("age sweep at Open evicted %d files, want 2 (the stale entry and leftover)", got)
+	}
+	for i := 0; i < sweepEvery; i++ {
+		s.PutCell("w", key(100+i), [][]float64{{float64(i)}})
+	}
+	if n := s.Len(); n != 2 {
+		t.Fatalf("Len after the capacity sweep = %d, want 2 (foreign files counted?)", n)
+	}
+	for _, name := range foreign {
+		if _, err := os.Stat(filepath.Join(dir, name)); err != nil {
+			t.Errorf("foreign %s did not survive the sweeps: %v", name, err)
+		}
+	}
+	var own int64
+	for i := 0; i < sweepEvery; i++ {
+		if info, err := os.Stat(s.path(key(100 + i))); err == nil {
+			own += info.Size()
+		}
+	}
+	if got := s.DiskBytes(); got != own {
+		t.Fatalf("DiskBytes = %d, want %d (the two resident entries only)", got, own)
+	}
+}
+
+// TestByteLevelGetPut covers the byte-level API the result tier uses:
+// job-ID keys (32 hex digits) round-trip, Put reports write failures,
+// and an entry the caller's check rejects is deleted and counted.
+func TestByteLevelGetPut(t *testing.T) {
+	mx := NewMetrics(obs.NewRegistry())
+	dir := t.TempDir()
+	s, err := Open(dir, 0, 0, mx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	id := strings.Repeat("ab", 16)
+	if err := s.Put(id, []byte(`{"x":1}`)); err != nil {
+		t.Fatal(err)
+	}
+	if got, ok := s.Get(id, json.Valid); !ok || string(got) != `{"x":1}` {
+		t.Fatalf("Get = %q,%v", got, ok)
+	}
+	if err := s.Put("../"+id[3:], []byte(`{}`)); err == nil {
+		t.Fatal("Put accepted an invalid key")
+	}
+	if _, ok := s.Get(id, func([]byte) bool { return false }); ok {
+		t.Fatal("rejected entry served")
+	}
+	if _, err := os.Stat(s.path(id)); !os.IsNotExist(err) {
+		t.Fatal("rejected entry not deleted")
+	}
+	if mx.Corrupt.Value() != 1 {
+		t.Fatalf("corrupt = %d, want 1", mx.Corrupt.Value())
+	}
+	s.dir = filepath.Join(dir, "missing")
+	if err := s.Put(id, []byte(`{}`)); err == nil {
+		t.Fatal("Put into a missing directory reported no error")
+	}
+}
+
+// TestConcurrentGetPutSweep runs lookups and stores from several
+// goroutines against a small store, so capacity sweeps run beside Get
+// and Put (run it under -race). Every hit must be a whole column, and a
+// final sweep brings the store back to its bound.
+func TestConcurrentGetPutSweep(t *testing.T) {
+	mx := NewMetrics(obs.NewRegistry())
+	s, err := Open(t.TempDir(), 8, 0, mx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const goroutines, perG = 4, 2 * sweepEvery
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < perG; i++ {
+				k := key(i % 24)
+				s.PutCell("w", k, [][]float64{{float64(i % 24), 1}})
+				if vecs, ok := s.GetCell("w", key((i+g)%24), 1, 2); ok && vecs[0][1] != 1 {
+					t.Errorf("torn column %v", vecs)
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	if mx.Corrupt.Value() != 0 {
+		t.Fatalf("concurrent use read %d corrupt entries", mx.Corrupt.Value())
+	}
+	if mx.Evicted.Value() == 0 {
+		t.Fatal("no sweep ran during the concurrent stores")
+	}
+	s.sweep()
+	if n := s.Len(); n > 8 {
+		t.Fatalf("store holds %d entries after a sweep, want <= 8", n)
 	}
 }

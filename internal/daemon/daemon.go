@@ -54,7 +54,7 @@ type Flags struct {
 func RegisterFlags(fs *flag.FlagSet, addr, dataDir string) *Flags {
 	f := &Flags{}
 	fs.StringVar(&f.Addr, "addr", addr, "listen address")
-	fs.StringVar(&f.DataDir, "data-dir", dataDir, "on-disk result store, job journal (<data-dir>/journal.ndjson) and cell cache ('' = memory only, no restart recovery)")
+	fs.StringVar(&f.DataDir, "data-dir", dataDir, "on-disk result store (<data-dir>/results), job journal (<data-dir>/journal.ndjson) and cell cache ('' = memory only, no restart recovery)")
 	fs.IntVar(&f.Queue, "queue", 64, "max queued jobs")
 	fs.IntVar(&f.CacheEntries, "cache-entries", 256, "in-memory LRU result entries")
 	fs.IntVar(&f.MaxJobs, "max-jobs", 1024, "max retained job records (oldest terminal evicted)")
@@ -75,7 +75,8 @@ func RegisterFlags(fs *flag.FlagSet, addr, dataDir string) *Flags {
 
 // dataPath is <data-dir>/name, or "" (disabled) without a data dir: the
 // journal is <data-dir>/journal.ndjson, the "auto" cell cache
-// <data-dir>/cells.
+// <data-dir>/cells (the manager itself keeps results in
+// <data-dir>/results).
 func (f *Flags) dataPath(name string) string {
 	if f.DataDir == "" {
 		return ""

@@ -6,11 +6,10 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
-	"os"
 	"path/filepath"
 	"sync"
 
-	"repro/internal/fsio"
+	"repro/internal/cellcache"
 	"repro/internal/obs"
 )
 
@@ -23,7 +22,7 @@ type CacheStats struct {
 	MemoryHits uint64 `json:"memory_hits"` // hits served by the LRU tier
 	DiskHits   uint64 `json:"disk_hits"`   // hits promoted from the disk tier
 	Stores     uint64 `json:"stores"`      // results written
-	Evictions  uint64 `json:"evictions"`   // LRU entries displaced (disk copies remain)
+	Evictions  uint64 `json:"evictions"`   // LRU entries displaced (disk copies stay until swept)
 	Corrupt    uint64 `json:"corrupt"`     // disk entries deleted as unparseable
 }
 
@@ -36,38 +35,43 @@ type cacheEntry struct {
 }
 
 // resultCache is the content-addressed result store: an in-memory LRU
-// tier over an optional on-disk JSON tier (one file per job ID under
-// dir). Disk entries survive restarts and LRU eviction. Counters live
-// in cacheMetrics — obs counter storage — so the JSON stats endpoint
-// and /metrics read the same atomics.
+// tier over an optional disk tier, a cellcache.Store keyed by job ID.
+// Disk entries survive restarts and LRU eviction; the store bounds them
+// by write recency. Counters live in cacheMetrics — obs counter storage
+// — so the JSON stats endpoint and /metrics read the same atomics.
 type resultCache struct {
 	mu   sync.Mutex
 	max  int
-	dir  string     // "" = memory-only
-	ll   *list.List // front = most recently used
+	disk *cellcache.Store // nil = memory-only
+	ll   *list.List       // front = most recently used
 	byID map[string]*list.Element
 	mx   *cacheMetrics
 }
 
-func newResultCache(maxEntries int, dir string, mx *cacheMetrics) (*resultCache, error) {
+// newResultCache builds the result tier. dataDir, when set, roots its
+// disk half at <dataDir>/results: a store bounded to
+// cellcache.DefaultMaxEntries results, with no age bound.
+func newResultCache(maxEntries int, dataDir string, mx *cacheMetrics) (*resultCache, error) {
 	if maxEntries < 1 {
 		maxEntries = 1
-	}
-	if dir != "" {
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			return nil, fmt.Errorf("service: creating cache dir: %w", err)
-		}
 	}
 	if mx == nil {
 		mx = newCacheMetrics(obs.NewRegistry())
 	}
-	return &resultCache{
+	c := &resultCache{
 		max:  maxEntries,
-		dir:  dir,
 		ll:   list.New(),
 		byID: make(map[string]*list.Element),
 		mx:   mx,
-	}, nil
+	}
+	if dataDir != "" {
+		disk, err := cellcache.Open(filepath.Join(dataDir, "results"), cellcache.DefaultMaxEntries, 0, nil)
+		if err != nil {
+			return nil, fmt.Errorf("service: opening result store: %w", err)
+		}
+		c.disk = disk
+	}
+	return c, nil
 }
 
 func hashBytes(data []byte) string {
@@ -76,25 +80,10 @@ func hashBytes(data []byte) string {
 }
 
 // validID reports whether id has the exact shape of a job ID (32 lowercase
-// hex digits, the truncated spec SHA-256). The cache derives file names
-// from IDs that arrive from URL paths, so anything else — in particular
-// separators or dot segments smuggled in via percent-encoding — must never
-// reach the filesystem.
+// hex digits, the truncated spec SHA-256). IDs arrive from URL paths, so
+// anything else is refused before any tier is consulted.
 func validID(id string) bool {
-	if len(id) != 32 {
-		return false
-	}
-	for i := 0; i < len(id); i++ {
-		b := id[i]
-		if (b < '0' || b > '9') && (b < 'a' || b > 'f') {
-			return false
-		}
-	}
-	return true
-}
-
-func (c *resultCache) path(id string) string {
-	return filepath.Join(c.dir, id+".json")
+	return len(id) == 32 && cellcache.ValidKey(id)
 }
 
 // Get returns the cached result bytes and their hash for a job ID,
@@ -105,9 +94,10 @@ func (c *resultCache) path(id string) string {
 // serialize every concurrent cache probe — with a re-check on reacquire:
 // an entry a concurrent Put or promotion landed meanwhile wins (same
 // content either way; results are content-addressed by the job ID).
-// Disk bytes are validated as canonical JSON *before* promotion: a
-// truncated or corrupted file — hashing cleanly but serving garbage —
-// is deleted and counted instead of promoted.
+// Disk bytes are validated as JSON *before* promotion: a result is
+// canonical JSON by construction, so a truncated or corrupted file is
+// deleted by the store and counted here instead of promoted, and the
+// miss re-executes the job.
 func (c *resultCache) Get(id string) (data []byte, hash string, ok bool) {
 	if !validID(id) {
 		return nil, "", false
@@ -123,22 +113,16 @@ func (c *resultCache) Get(id string) (data []byte, hash string, ok bool) {
 	}
 	c.mu.Unlock()
 
-	if c.dir == "" {
-		c.mx.misses.Inc()
-		return nil, "", false
+	if c.disk != nil {
+		data, ok = c.disk.Get(id, func(b []byte) bool {
+			if json.Valid(b) {
+				return true
+			}
+			c.mx.corrupt.Inc()
+			return false
+		})
 	}
-	data, err := os.ReadFile(c.path(id))
-	if err != nil {
-		c.mx.misses.Inc()
-		return nil, "", false
-	}
-	if !json.Valid(data) {
-		// Torn write from a pre-fsync crash, bit rot, or tampering: a
-		// result is canonical JSON by construction, so anything else is
-		// corruption. Delete it so it can never be served, and let the
-		// miss re-execute the job.
-		os.Remove(c.path(id))
-		c.mx.corrupt.Inc()
+	if !ok {
 		c.mx.misses.Inc()
 		return nil, "", false
 	}
@@ -157,20 +141,19 @@ func (c *resultCache) Get(id string) (data []byte, hash string, ok bool) {
 	return data, hash, true
 }
 
-// Put stores a result under its job ID (write-through to disk when a data
-// directory is configured) and returns the result hash. The disk write
-// happens first, outside c.mu (fsio gives each writer a unique temp file,
-// so concurrent Puts of the same ID cannot interleave), and is fsynced
-// before the rename: a journaled "done" record must never outlive its
-// result bytes across a power loss. If the write fails, no tier holds the
-// entry, so a failed job can never be replayed as a cached success.
+// Put stores a result under its job ID (write-through to the disk store
+// when one is configured) and returns the result hash. The disk write
+// happens first, outside c.mu, and is fsynced before its rename: a
+// journaled "done" record must never outlive its result bytes across a
+// power loss. If the write fails, no tier holds the entry, so a failed
+// job can never be replayed as a cached success.
 func (c *resultCache) Put(id string, data []byte) (string, error) {
 	if !validID(id) {
 		return "", fmt.Errorf("service: invalid result cache ID %q", id)
 	}
 	hash := hashBytes(data)
-	if c.dir != "" {
-		if err := fsio.WriteFileSync(c.path(id), data, 0o644); err != nil {
+	if c.disk != nil {
+		if err := c.disk.Put(id, data); err != nil {
 			return hash, fmt.Errorf("service: writing result: %w", err)
 		}
 	}
@@ -205,11 +188,12 @@ func (c *resultCache) Entries() int {
 	return c.ll.Len()
 }
 
-// Stats returns a snapshot of the cache counters, read from the same
-// obs storage /metrics renders.
-func (c *resultCache) Stats() CacheStats {
+// Stats returns the tier's status — the one value both GET
+// /v1/cache/stats and /v1/status's result_cache serve — read from the
+// same obs storage /metrics renders.
+func (c *resultCache) Stats() CacheTierStatus {
 	mem, disk := c.mx.memHits.Value(), c.mx.diskHits.Value()
-	return CacheStats{
+	st := CacheTierStatus{CacheStats: CacheStats{
 		Entries:    c.Entries(),
 		MaxEntries: c.max,
 		Hits:       mem + disk,
@@ -219,5 +203,9 @@ func (c *resultCache) Stats() CacheStats {
 		Stores:     c.mx.stores.Value(),
 		Evictions:  c.mx.evictions.Value(),
 		Corrupt:    c.mx.corrupt.Value(),
+	}}
+	if lookups := st.Hits + st.Misses; lookups > 0 {
+		st.HitRatio = float64(st.Hits) / float64(lookups)
 	}
+	return st
 }

@@ -1,12 +1,16 @@
 package service
 
 import (
+	"fmt"
 	"net/http"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/cellcache"
+	"repro/internal/obs"
 )
 
 func TestValidID(t *testing.T) {
@@ -73,11 +77,15 @@ func TestResultRejectsPathTraversal(t *testing.T) {
 // tier holding the result: a job whose result could not be persisted must
 // not be replayable as a cached success.
 func TestPutDiskFailureRollsBack(t *testing.T) {
-	c, err := newResultCache(4, t.TempDir(), nil)
+	dir := t.TempDir()
+	c, err := newResultCache(4, dir, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.dir = filepath.Join(c.dir, "missing") // writes now fail (ENOENT)
+	// Writes now fail (ENOENT): the results directory is gone.
+	if err := os.RemoveAll(filepath.Join(dir, "results")); err != nil {
+		t.Fatal(err)
+	}
 
 	id := strings.Repeat("ab", 16)
 	if _, err := c.Put(id, []byte(`{"x":1}`)); err == nil {
@@ -135,5 +143,104 @@ func TestSubmitReexecutesWhenResultEvicted(t *testing.T) {
 	}
 	if _, ok := m.Result(st.ID); !ok {
 		t.Error("re-executed job has no servable result")
+	}
+}
+
+// TestResultStoreEvictsOldestPastBound: the disk half of the result tier
+// is bounded by cellcache.DefaultMaxEntries, by write recency. A store
+// past its bound loses its oldest result, and resubmitting that job
+// re-executes it to the same hash.
+func TestResultStoreEvictsOldestPastBound(t *testing.T) {
+	dir := t.TempDir()
+	m1 := newTestManager(t, Config{DataDir: dir, CacheEntries: 1, Parallelism: 2})
+	st, err := m1.Submit(tinySpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	fin := waitTerminal(t, m1, st.ID, 60*time.Second)
+	if fin.State != StateDone {
+		t.Fatalf("job finished %s: %s", fin.State, fin.Error)
+	}
+	m1.Close()
+
+	// Age the job's result, then fill the store to its bound with newer
+	// entries: one entry past the bound, and the job's is the oldest.
+	results := filepath.Join(dir, "results")
+	own := filepath.Join(results, st.ID+".json")
+	old := time.Now().Add(-time.Hour)
+	if err := os.Chtimes(own, old, old); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < cellcache.DefaultMaxEntries; i++ {
+		if err := os.WriteFile(filepath.Join(results, fmt.Sprintf("%032x.json", i)), []byte("{}"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	// Opening the store sweeps it back to its bound.
+	m2 := newTestManager(t, Config{DataDir: dir, CacheEntries: 1, Parallelism: 2})
+	if _, err := os.Stat(own); !os.IsNotExist(err) {
+		t.Fatalf("oldest result survived a store past its bound: %v", err)
+	}
+	if ents, _ := os.ReadDir(results); len(ents) != cellcache.DefaultMaxEntries {
+		t.Fatalf("store holds %d entries, want %d", len(ents), cellcache.DefaultMaxEntries)
+	}
+	st2, err := m2.Submit(tinySpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st2.CacheHit {
+		t.Fatal("evicted result replayed as a cache hit")
+	}
+	fin2 := waitTerminal(t, m2, st2.ID, 60*time.Second)
+	if fin2.State != StateDone || fin2.ResultHash != fin.ResultHash {
+		t.Fatalf("re-execution finished %s with hash %s, want done with %s", fin2.State, fin2.ResultHash, fin.ResultHash)
+	}
+	if _, err := os.Stat(own); err != nil {
+		t.Fatalf("re-executed result not stored: %v", err)
+	}
+}
+
+// TestCorruptResultDeletedAndCounted: a result file that is not JSON is
+// deleted on read, counted in bd_cache_corrupt_total and served as a
+// miss, so the job re-executes instead of replaying garbage.
+func TestCorruptResultDeletedAndCounted(t *testing.T) {
+	dir := t.TempDir()
+	reg := obs.NewRegistry()
+	m := newTestManager(t, Config{DataDir: dir, Parallelism: 2, Registry: reg})
+	norm, err := tinySpec().Normalized()
+	if err != nil {
+		t.Fatal(err)
+	}
+	id, err := norm.id()
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, "results", id+".json")
+	if err := os.WriteFile(path, []byte(`{"truncated":`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	if _, ok := m.Result(id); ok {
+		t.Fatal("corrupt result served")
+	}
+	if _, err := os.Stat(path); !os.IsNotExist(err) {
+		t.Fatalf("corrupt result not deleted: %v", err)
+	}
+	if v, ok := reg.ReadScalar("bd_cache_corrupt_total"); !ok || v != 1 {
+		t.Fatalf("bd_cache_corrupt_total = %v (found %v), want 1", v, ok)
+	}
+	if cs := m.CacheStats(); cs.Corrupt != 1 || cs.Misses != 1 || cs.Hits != 0 {
+		t.Fatalf("cache stats corrupt/misses/hits = %d/%d/%d, want 1/1/0", cs.Corrupt, cs.Misses, cs.Hits)
+	}
+	st, err := m.Submit(tinySpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.CacheHit {
+		t.Fatal("submission after corruption reported a cache hit")
+	}
+	if fin := waitTerminal(t, m, st.ID, 60*time.Second); fin.State != StateDone {
+		t.Fatalf("re-executed job finished %s: %s", fin.State, fin.Error)
 	}
 }

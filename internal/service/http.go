@@ -132,7 +132,7 @@ func (r *JobRequest) ToSpec() (JobSpec, error) {
 //	GET    /v1/jobs/{id}/events NDJSON progress stream (replay + live)
 //	GET    /v1/jobs/{id}/trace  trace export (?format=chrome for trace_event)
 //	DELETE /v1/jobs/{id}        cancel
-//	GET    /v1/cache/stats     result-cache counters
+//	GET    /v1/cache/stats     result-cache status (= /v1/status result_cache)
 //	GET    /v1/status          full operational snapshot (see StatusSnapshot)
 //	GET    /metrics            Prometheus text exposition
 //	GET    /healthz            liveness

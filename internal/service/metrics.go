@@ -8,7 +8,7 @@ import (
 // one — when Config.Registry is nil the instruments land on a private
 // registry nothing renders — so hot paths never branch on "metrics
 // enabled". Counter storage is shared with the JSON surfaces
-// (CacheStats, JobStatus): /metrics and /v1/cache/stats read the same
+// (CacheTierStatus, JobStatus): /metrics and /v1/cache/stats read the same
 // atomics and can never disagree.
 type svcMetrics struct {
 	jobsSubmitted *obs.CounterVec // outcome: queued | cache_hit | deduped
@@ -20,7 +20,7 @@ type svcMetrics struct {
 	journal       *journalMetrics
 }
 
-// cacheMetrics is the counter storage behind both CacheStats and the
+// cacheMetrics is the counter storage behind both CacheTierStatus and the
 // bd_cache_* families.
 type cacheMetrics struct {
 	requests  *obs.Counter // every lookup, any outcome — hit-ratio denominator
@@ -131,7 +131,7 @@ func (m *Manager) stateCount(s State) int {
 type StatsSnapshot struct {
 	Queued, Running, Done, Failed, Canceled int
 	QueueDepth                              int
-	Cache                                   CacheStats
+	Cache                                   CacheTierStatus
 }
 
 // Stats snapshots job counts by state, the queue depth and the cache

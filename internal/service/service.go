@@ -179,8 +179,9 @@ type ExecuteFunc func(ctx context.Context, spec JobSpec, progress core.Progress)
 
 // Config configures a Manager.
 type Config struct {
-	// DataDir is the on-disk result store; empty disables the disk tier
-	// (results then live only in the in-memory LRU).
+	// DataDir roots the on-disk result store at <DataDir>/results (one
+	// <job-id>.json per result, bounded by write recency); empty disables
+	// the disk tier (results then live only in the in-memory LRU).
 	DataDir string
 	// Workers bounds concurrently executing jobs (default 1; each job
 	// internally parallelizes its measurement grid).
@@ -842,8 +843,9 @@ func (m *Manager) List() []JobStatus {
 	return out
 }
 
-// CacheStats returns result-cache counters.
-func (m *Manager) CacheStats() CacheStats { return m.cache.Stats() }
+// CacheStats returns the result tier's status: the GET /v1/cache/stats
+// body, and /v1/status's result_cache.
+func (m *Manager) CacheStats() CacheTierStatus { return m.cache.Stats() }
 
 func (m *Manager) job(id string) (*job, bool) {
 	m.mu.Lock()

@@ -2,6 +2,8 @@ package service
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -296,6 +298,14 @@ func TestDiskCacheSurvivesRestart(t *testing.T) {
 	}
 	res1, _ := m1.Result(st.ID)
 	m1.Close()
+	// The result tier lives under <data-dir>/results; nothing is written
+	// at the old <data-dir>/<id>.json path.
+	if _, err := os.Stat(filepath.Join(dir, "results", st.ID+".json")); err != nil {
+		t.Fatalf("result not under <data-dir>/results: %v", err)
+	}
+	if _, err := os.Stat(filepath.Join(dir, st.ID+".json")); !os.IsNotExist(err) {
+		t.Fatalf("result written at the old <data-dir>/<id>.json path: %v", err)
+	}
 
 	// Fresh manager, same data dir: the submission must be served from
 	// the disk tier without any computation.

@@ -123,13 +123,9 @@ func (m *Manager) Status() StatusSnapshot {
 			Queued: st.Queued, Running: st.Running,
 			Done: st.Done, Failed: st.Failed, Canceled: st.Canceled,
 		},
-		ResultCache: CacheTierStatus{CacheStats: st.Cache},
+		ResultCache: st.Cache,
 		Journal:     m.journalStatus(),
 		Stages:      m.StageLatencies(),
-	}
-	hits := snap.ResultCache.MemoryHits + snap.ResultCache.DiskHits
-	if lookups := hits + snap.ResultCache.Misses; lookups > 0 {
-		snap.ResultCache.HitRatio = float64(hits) / float64(lookups)
 	}
 	for _, js := range m.List() {
 		if js.State.terminal() {

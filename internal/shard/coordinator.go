@@ -13,6 +13,7 @@ import (
 
 	"repro/internal/benchio"
 	"repro/internal/bigdata/cluster"
+	"repro/internal/bigdata/workloads"
 	"repro/internal/cellcache"
 	"repro/internal/core"
 	"repro/internal/obs"
@@ -428,11 +429,17 @@ type jobRun struct {
 	agg   *progressAgg
 	oms   []*core.ObservationMatrix
 	tc    *obs.TraceContext // nil when tracing is disabled
-	// missKeys holds the cell keys of each unit's columns that missed the
-	// cell cache at probe time (flattened wi*unit.Nodes+nd; "" where the
-	// column hit or its key could not be derived), so write-back stores
-	// only what the cache lacks; nil without a cell cache.
-	missKeys [][]string
+	suite []workloads.Workload
+	// missKeys holds, per unit, the cell keys of the columns that missed
+	// the cell cache at probe time (cluster.ProbeColumns), so write-back
+	// stores only what the cache lacks; nil entries without a cell cache
+	// and for units born done.
+	missKeys [][][]string
+}
+
+// unitSuite is the slice of the job's resolved suite a unit covers.
+func unitSuite(suite []workloads.Workload, unit Shard) []workloads.Workload {
+	return suite[unit.WorkloadOffset : unit.WorkloadOffset+len(unit.Workloads)]
 }
 
 // Execute implements service.ExecuteFunc: plan fine-grained units → run
@@ -496,57 +503,25 @@ func (e *Executor) Execute(ctx context.Context, spec service.JobSpec, progress c
 	// written through after a worker computes the unit and it validates.
 	oms := make([]*core.ObservationMatrix, len(units))
 	preDone := make([]bool, len(units))
-	var missKeys [][]string
+	missKeys := make([][][]string, len(units))
 	cachedUnits := 0
 	if e.cfg.Cells != nil {
 		probeSpan := tc.StartSpan("cellcache-probe")
-		nmetrics := len(perf.MetricNames())
-		missKeys = make([][]string, len(units))
 		hits, misses := 0, 0
 		for u, unit := range units {
-			ncols := len(unit.Workloads) * unit.Nodes
-			missKeys[u] = make([]string, ncols)
-			vecs := make([][][]float64, ncols)
-			complete := true
-			for wi := range unit.Workloads {
-				for nd := 0; nd < unit.Nodes; nd++ {
-					ci := wi*unit.Nodes + nd
-					key, kerr := cluster.CellKey(suite[unit.WorkloadOffset+wi], spec.Cluster, unit.NodeOffset+nd)
-					if kerr != nil {
-						complete = false
-						continue
-					}
-					if v, ok := e.cfg.Cells.GetCell(unit.Workloads[wi], key, runs, nmetrics); ok {
-						vecs[ci] = v
-						hits++
-					} else {
-						missKeys[u][ci] = key
-						misses++
-						complete = false
-					}
-				}
-			}
-			if !complete {
+			sub := unit.Spec(spec).Cluster
+			cells, keys, n := cluster.ProbeColumns(e.cfg.Cells, unitSuite(suite, unit), sub)
+			hits += n
+			if ncols := len(unit.Workloads) * unit.Nodes; n < ncols {
+				missKeys[u] = keys
+				misses += ncols - n
 				continue
-			}
-			// Re-assemble the unit's matrix from cached columns in the
-			// exact shape a worker would have returned.
-			cells := make([][][][]float64, len(unit.Workloads))
-			for wi := range cells {
-				cells[wi] = make([][][]float64, runs)
-				for r := range cells[wi] {
-					row := make([][]float64, unit.Nodes)
-					for nd := 0; nd < unit.Nodes; nd++ {
-						row[nd] = vecs[wi*unit.Nodes+nd][r]
-					}
-					cells[wi][r] = row
-				}
 			}
 			oms[u] = &core.ObservationMatrix{
 				Labels:     append([]string(nil), unit.Workloads...),
 				Metrics:    perf.MetricNames(),
 				Cells:      cells,
-				NodeOffset: spec.Cluster.NodeOffset + unit.NodeOffset,
+				NodeOffset: sub.NodeOffset,
 			}
 			preDone[u] = true
 			cachedUnits++
@@ -574,7 +549,7 @@ func (e *Executor) Execute(ctx context.Context, spec service.JobSpec, progress c
 	dctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	q := newUnitQueue(len(units), e.cfg.MaxUnitAttempts, preDone, cancel)
-	run := &jobRun{id: jobID, q: q, units: units, full: spec, agg: agg, oms: oms, tc: tc, missKeys: missKeys}
+	run := &jobRun{id: jobID, q: q, units: units, full: spec, agg: agg, oms: oms, tc: tc, suite: suite, missKeys: missKeys}
 	var wg sync.WaitGroup
 	active := make(map[*workerState]bool)
 	// fleet tracks membership for the trace: a join/leave instant per
@@ -732,7 +707,10 @@ func (e *Executor) dispatch(ctx context.Context, w *workerState, run *jobRun) {
 		om, err := e.runUnitOn(ctx, w, run, u, unitSpan.ID(), attempt, stolen)
 		if err == nil {
 			run.oms[u] = om
-			e.storeUnitCells(run, u, om)
+			// The unit validated: write its missed columns through to the
+			// shared cell cache. Each store is fsynced before its rename,
+			// which is what makes it a crash recovery point.
+			cluster.StoreColumns(e.cfg.Cells, unitSuite(run.suite, run.units[u]), run.missKeys[u], om.Cells)
 			w.recordSuccess()
 			e.mx.unitDuration.With(w.url).Observe(time.Since(attemptStart).Seconds())
 			run.agg.report(u, len(run.units[u].Workloads)*run.full.Cluster.Runs*run.units[u].Nodes)
@@ -763,35 +741,6 @@ func (e *Executor) dispatch(ctx context.Context, w *workerState, run *jobRun) {
 		// claim on the re-queued unit and keeps a fast-failing worker
 		// (connection refused) from spinning.
 		sleepCtx(ctx, dispatchPoll)
-	}
-}
-
-// storeUnitCells writes a validated unit's missed workload×node columns
-// through to the shared cell cache under the keys recorded at probe time;
-// columns that hit are already stored and are not rewritten. The matrix
-// has already passed validateUnitResult, so every column has the
-// canonical runs×metrics shape; stores are best-effort (cellcache
-// swallows write failures — the grid already holds the bytes). Each
-// store is fsynced before its rename, which is what makes it a crash
-// recovery point.
-func (e *Executor) storeUnitCells(run *jobRun, u int, om *core.ObservationMatrix) {
-	if run.missKeys == nil {
-		return
-	}
-	unit := run.units[u]
-	runs := run.full.Cluster.Runs
-	for wi := range unit.Workloads {
-		for nd := 0; nd < unit.Nodes; nd++ {
-			key := run.missKeys[u][wi*unit.Nodes+nd]
-			if key == "" {
-				continue
-			}
-			vecs := make([][]float64, runs)
-			for r := 0; r < runs; r++ {
-				vecs[r] = om.Cells[wi][r][nd]
-			}
-			e.cfg.Cells.PutCell(unit.Workloads[wi], key, vecs)
-		}
 	}
 }
 

@@ -161,7 +161,10 @@ func TestDispatchTrialReadmitsWithoutProber(t *testing.T) {
 	cfg := fastCoordConfig([]string{flappy.url, steady.url})
 	cfg.ProbeInterval = -1 // no prober: dispatch trials own re-admission
 	cfg.BreakerRetry = 200 * time.Millisecond
-	cfg.BreakerThreshold = 2
+	// One failure opens the breaker: the steady worker can finish the
+	// whole tiny job within the dead worker's 10 ms post-failure backoff,
+	// so a second failed unit is not guaranteed before the job settles.
+	cfg.BreakerThreshold = 1
 	exec, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
