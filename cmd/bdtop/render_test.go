@@ -53,9 +53,7 @@ func fixture() fleetStatus {
 				CreatedAt: t0.Add(-5 * time.Minute), StartedAt: &started,
 			}},
 			ResultCache: service.CacheTierStatus{
-				CacheStats: service.CacheStats{
-					Entries: 4, Hits: 10, Misses: 4, MemoryHits: 8, DiskHits: 2,
-				},
+				Entries: 4, Hits: 10, Misses: 4, MemoryHits: 8, DiskHits: 2,
 				HitRatio: 10.0 / 14.0,
 			},
 			CellCache: &cellcache.Stats{

@@ -180,6 +180,16 @@ func (s *Store) Get(key string, valid func([]byte) bool) ([]byte, bool) {
 	return data, true
 }
 
+// Has reports whether an entry for key is on disk, without reading or
+// validating it.
+func (s *Store) Has(key string) bool {
+	if !ValidKey(key) {
+		return false
+	}
+	_, err := os.Stat(s.path(key))
+	return err == nil
+}
+
 // Put stores data under key. The write is atomic and fsynced (fsio), so
 // no torn entry can ever be read back, and its error is returned: a
 // caller that must not advertise an entry whose bytes are not on disk —

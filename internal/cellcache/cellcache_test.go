@@ -314,13 +314,16 @@ func TestByteLevelGetPut(t *testing.T) {
 	if got, ok := s.Get(id, json.Valid); !ok || string(got) != `{"x":1}` {
 		t.Fatalf("Get = %q,%v", got, ok)
 	}
+	if !s.Has(id) || s.Has(strings.Repeat("cd", 16)) || s.Has("../"+id[3:]) {
+		t.Fatal("Has disagrees with the store's contents")
+	}
 	if err := s.Put("../"+id[3:], []byte(`{}`)); err == nil {
 		t.Fatal("Put accepted an invalid key")
 	}
 	if _, ok := s.Get(id, func([]byte) bool { return false }); ok {
 		t.Fatal("rejected entry served")
 	}
-	if _, err := os.Stat(s.path(id)); !os.IsNotExist(err) {
+	if _, err := os.Stat(s.path(id)); !os.IsNotExist(err) || s.Has(id) {
 		t.Fatal("rejected entry not deleted")
 	}
 	if mx.Corrupt.Value() != 1 {

@@ -13,17 +13,20 @@ import (
 	"repro/internal/obs"
 )
 
-// CacheStats is a point-in-time snapshot of result-cache effectiveness.
-type CacheStats struct {
-	Entries    int    `json:"entries"`     // in-memory LRU entries
-	MaxEntries int    `json:"max_entries"` // LRU capacity
-	Hits       uint64 `json:"hits"`        // Get calls that found a result
-	Misses     uint64 `json:"misses"`      // Get calls that found nothing
-	MemoryHits uint64 `json:"memory_hits"` // hits served by the LRU tier
-	DiskHits   uint64 `json:"disk_hits"`   // hits promoted from the disk tier
-	Stores     uint64 `json:"stores"`      // results written
-	Evictions  uint64 `json:"evictions"`   // LRU entries displaced (disk copies stay until swept)
-	Corrupt    uint64 `json:"corrupt"`     // disk entries deleted as unparseable
+// CacheTierStatus is a point-in-time snapshot of result-cache
+// effectiveness — GET /v1/cache/stats and /v1/status's result_cache.
+type CacheTierStatus struct {
+	Entries       int     `json:"entries"`        // in-memory LRU entries
+	MaxEntries    int     `json:"max_entries"`    // LRU capacity
+	Hits          uint64  `json:"hits"`           // Get calls that found a result
+	Misses        uint64  `json:"misses"`         // Get calls that found nothing
+	MemoryHits    uint64  `json:"memory_hits"`    // hits served by the LRU tier
+	DiskHits      uint64  `json:"disk_hits"`      // hits promoted from the disk tier
+	Stores        uint64  `json:"stores"`         // results written
+	Evictions     uint64  `json:"evictions"`      // LRU entries displaced (disk copies stay until swept)
+	Corrupt       uint64  `json:"corrupt"`        // disk entries deleted as unparseable
+	DiskEvictions uint64  `json:"disk_evictions"` // disk entries swept past the store's bound
+	HitRatio      float64 `json:"hit_ratio"`      // (memory+disk hits) / lookups
 }
 
 // cacheEntry is one cached result: the canonical JSON bytes plus their
@@ -65,7 +68,10 @@ func newResultCache(maxEntries int, dataDir string, mx *cacheMetrics) (*resultCa
 		mx:   mx,
 	}
 	if dataDir != "" {
-		disk, err := cellcache.Open(filepath.Join(dataDir, "results"), cellcache.DefaultMaxEntries, 0, nil)
+		// Only the store's sweep counter is rendered (bd_cache_*).
+		smx := cellcache.NewMetrics(obs.NewRegistry())
+		smx.Evicted = mx.diskEvictions
+		disk, err := cellcache.Open(filepath.Join(dataDir, "results"), cellcache.DefaultMaxEntries, 0, smx)
 		if err != nil {
 			return nil, fmt.Errorf("service: opening result store: %w", err)
 		}
@@ -193,17 +199,18 @@ func (c *resultCache) Entries() int {
 // same obs storage /metrics renders.
 func (c *resultCache) Stats() CacheTierStatus {
 	mem, disk := c.mx.memHits.Value(), c.mx.diskHits.Value()
-	st := CacheTierStatus{CacheStats: CacheStats{
-		Entries:    c.Entries(),
-		MaxEntries: c.max,
-		Hits:       mem + disk,
-		Misses:     c.mx.misses.Value(),
-		MemoryHits: mem,
-		DiskHits:   disk,
-		Stores:     c.mx.stores.Value(),
-		Evictions:  c.mx.evictions.Value(),
-		Corrupt:    c.mx.corrupt.Value(),
-	}}
+	st := CacheTierStatus{
+		Entries:       c.Entries(),
+		MaxEntries:    c.max,
+		Hits:          mem + disk,
+		Misses:        c.mx.misses.Value(),
+		MemoryHits:    mem,
+		DiskHits:      disk,
+		Stores:        c.mx.stores.Value(),
+		Evictions:     c.mx.evictions.Value(),
+		Corrupt:       c.mx.corrupt.Value(),
+		DiskEvictions: c.mx.diskEvictions.Value(),
+	}
 	if lookups := st.Hits + st.Misses; lookups > 0 {
 		st.HitRatio = float64(st.Hits) / float64(lookups)
 	}

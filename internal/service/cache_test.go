@@ -148,11 +148,13 @@ func TestSubmitReexecutesWhenResultEvicted(t *testing.T) {
 
 // TestResultStoreEvictsOldestPastBound: the disk half of the result tier
 // is bounded by cellcache.DefaultMaxEntries, by write recency. A store
-// past its bound loses its oldest result, and resubmitting that job
-// re-executes it to the same hash.
+// past its bound loses its oldest result (counted in
+// bd_cache_disk_evictions_total), journal replay does not resurrect that
+// job's done record, and resubmitting it re-executes to the same hash.
 func TestResultStoreEvictsOldestPastBound(t *testing.T) {
 	dir := t.TempDir()
-	m1 := newTestManager(t, Config{DataDir: dir, CacheEntries: 1, Parallelism: 2})
+	journal := filepath.Join(dir, "journal.ndjson")
+	m1 := newTestManager(t, Config{DataDir: dir, JournalPath: journal, CacheEntries: 1, Parallelism: 2})
 	st, err := m1.Submit(tinySpec())
 	if err != nil {
 		t.Fatal(err)
@@ -178,12 +180,27 @@ func TestResultStoreEvictsOldestPastBound(t *testing.T) {
 	}
 
 	// Opening the store sweeps it back to its bound.
-	m2 := newTestManager(t, Config{DataDir: dir, CacheEntries: 1, Parallelism: 2})
+	reg := obs.NewRegistry()
+	m2 := newTestManager(t, Config{DataDir: dir, JournalPath: journal, CacheEntries: 1, Parallelism: 2, Registry: reg})
 	if _, err := os.Stat(own); !os.IsNotExist(err) {
 		t.Fatalf("oldest result survived a store past its bound: %v", err)
 	}
 	if ents, _ := os.ReadDir(results); len(ents) != cellcache.DefaultMaxEntries {
 		t.Fatalf("store holds %d entries, want %d", len(ents), cellcache.DefaultMaxEntries)
+	}
+	if v, ok := reg.ReadScalar("bd_cache_disk_evictions_total"); !ok || v != 1 {
+		t.Fatalf("bd_cache_disk_evictions_total = %v (found %v), want 1", v, ok)
+	}
+	if cs := m2.CacheStats(); cs.DiskEvictions != 1 {
+		t.Fatalf("cache stats disk_evictions = %d, want 1", cs.DiskEvictions)
+	}
+	// The journal still holds the job's done record, but its result is
+	// gone: replay must not advertise a hash nobody can serve.
+	if st, ok := m2.Get(st.ID); ok {
+		t.Fatalf("replay restored a done record without its result: %+v", st)
+	}
+	if _, ok := m2.Result(st.ID); ok {
+		t.Fatal("evicted result served")
 	}
 	st2, err := m2.Submit(tinySpec())
 	if err != nil {
@@ -198,6 +215,61 @@ func TestResultStoreEvictsOldestPastBound(t *testing.T) {
 	}
 	if _, err := os.Stat(own); err != nil {
 		t.Fatalf("re-executed result not stored: %v", err)
+	}
+}
+
+// TestEvictedResultForgetsDoneRecord: when a done job's result leaves
+// every tier while its record is still kept — displaced from the LRU,
+// then swept from the bounded disk tier — GET result and GET status
+// agree: both report the job unknown, and a resubmission re-executes it
+// to the same hash.
+func TestEvictedResultForgetsDoneRecord(t *testing.T) {
+	dir := t.TempDir()
+	m := newTestManager(t, Config{DataDir: dir, CacheEntries: 1, Parallelism: 2})
+	specB := tinySpec()
+	specB.Suite.Seed, specB.Cluster.Seed = 23, 23
+	var first JobStatus
+	for i, spec := range []JobSpec{tinySpec(), specB} {
+		st, err := m.Submit(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fin := waitTerminal(t, m, st.ID, 60*time.Second)
+		if fin.State != StateDone {
+			t.Fatalf("job %d finished %s: %s", i, fin.State, fin.Error)
+		}
+		if i == 0 {
+			first = fin
+		}
+	}
+	// B displaced A from the 1-entry LRU; remove A's disk copy as the
+	// store's entry-bound sweep would.
+	if err := os.Remove(filepath.Join(dir, "results", first.ID+".json")); err != nil {
+		t.Fatal(err)
+	}
+	if st, ok := m.Get(first.ID); !ok || st.State != StateDone {
+		t.Fatalf("premise: job A should still be recorded done, got %+v (found %v)", st, ok)
+	}
+
+	if _, ok := m.Result(first.ID); ok {
+		t.Fatal("evicted result served")
+	}
+	if st, ok := m.Get(first.ID); ok {
+		t.Fatalf("status still reports %s with hash %s after its result 404ed", st.State, st.ResultHash)
+	}
+	st, err := m.Submit(tinySpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.CacheHit {
+		t.Fatal("resubmission after eviction reported a cache hit")
+	}
+	fin := waitTerminal(t, m, st.ID, 60*time.Second)
+	if fin.State != StateDone || fin.ResultHash != first.ResultHash {
+		t.Fatalf("re-execution finished %s with hash %s, want done with %s", fin.State, fin.ResultHash, first.ResultHash)
+	}
+	if _, ok := m.Result(st.ID); !ok {
+		t.Error("re-executed job has no servable result")
 	}
 }
 

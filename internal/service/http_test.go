@@ -137,7 +137,7 @@ func TestHTTPEndToEnd(t *testing.T) {
 		t.Fatalf("second POST: %+v, want done cache hit with hash %s", st2, cur.ResultHash)
 	}
 
-	var stats CacheStats
+	var stats CacheTierStatus
 	if code := getJSON(t, srv.URL+"/v1/cache/stats", &stats); code != http.StatusOK {
 		t.Fatalf("cache stats: code %d", code)
 	}

@@ -23,13 +23,14 @@ type svcMetrics struct {
 // cacheMetrics is the counter storage behind both CacheTierStatus and the
 // bd_cache_* families.
 type cacheMetrics struct {
-	requests  *obs.Counter // every lookup, any outcome — hit-ratio denominator
-	memHits   *obs.Counter
-	diskHits  *obs.Counter
-	misses    *obs.Counter
-	stores    *obs.Counter
-	evictions *obs.Counter
-	corrupt   *obs.Counter
+	requests      *obs.Counter // every lookup, any outcome — hit-ratio denominator
+	memHits       *obs.Counter
+	diskHits      *obs.Counter
+	misses        *obs.Counter
+	stores        *obs.Counter
+	evictions     *obs.Counter
+	corrupt       *obs.Counter
+	diskEvictions *obs.Counter // the result store's sweep counter
 }
 
 type journalMetrics struct {
@@ -54,6 +55,8 @@ func newCacheMetrics(reg *obs.Registry) *cacheMetrics {
 			"Entries displaced from the in-memory LRU tier (disk copies remain)."),
 		corrupt: reg.Counter("bd_cache_corrupt_total",
 			"Disk-tier entries deleted because their bytes failed JSON validation."),
+		diskEvictions: reg.Counter("bd_cache_disk_evictions_total",
+			"Results deleted from the disk tier by its entry-bound sweep (the job re-executes on resubmission)."),
 	}
 }
 

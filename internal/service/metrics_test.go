@@ -92,7 +92,7 @@ func TestMetricsReflectJobLifecycle(t *testing.T) {
 	if v := scrapeMetric(t, srv.URL, `bd_cache_hits_total\{tier="memory"\}`); v != 1 {
 		t.Errorf("cache_hits{memory} = %g, want 1", v)
 	}
-	var cs CacheStats
+	var cs CacheTierStatus
 	if code := getJSON(t, srv.URL+"/v1/cache/stats", &cs); code != http.StatusOK {
 		t.Fatalf("/v1/cache/stats = %d", code)
 	}

@@ -369,11 +369,12 @@ func New(cfg Config) (*Manager, error) {
 				m.log.Info("job re-adopted from journal", "job", r.id)
 				continue
 			}
-			if r.state == StateDone && cfg.DataDir == "" {
-				// Without a disk result tier the done job's bytes died
-				// with the previous process: materializing the record
-				// would advertise a hash nobody can serve. Drop it; a
-				// resubmission simply re-executes.
+			if r.state == StateDone && (m.cache.disk == nil || !m.cache.disk.Has(r.id)) {
+				// The done job's bytes died with the previous process
+				// (no disk tier) or were swept past the disk tier's
+				// bound: materializing the record would advertise a
+				// hash nobody can serve. Drop it; a resubmission simply
+				// re-executes.
 				continue
 			}
 			j := newJob(m.root, r.id, r.spec)
@@ -641,19 +642,13 @@ func (m *Manager) SubmitTraced(spec JobSpec, traceParent string) (JobStatus, err
 					m.mu.Unlock()
 					continue
 				}
-				// The result really was evicted from a memory-only
-				// cache: the record advertises a hash nobody can serve,
-				// so forget it and re-execute.
-				j.cancel()
-				delete(m.jobs, id)
-				m.dropFromOrder(id)
-				m.tracer.Remove(id)
+				// The result really was evicted from every tier: the
+				// record advertises a hash nobody can serve.
+				fallthrough
 			default:
-				// failed / canceled: forget the old record and resubmit.
-				j.cancel()
-				delete(m.jobs, id)
-				m.dropFromOrder(id)
-				m.tracer.Remove(id)
+				// Evicted, failed or canceled: forget the old record and
+				// resubmit.
+				m.forgetLocked(j)
 			}
 		}
 
@@ -738,11 +733,7 @@ func (m *Manager) evictLocked() {
 			terminal := j.state.terminal() && !j.shutdownCanceled
 			j.mu.Unlock()
 			if terminal {
-				j.cancel() // idempotent; ensures no child-context leak
-				delete(m.jobs, id)
-				m.dropFromOrder(id)
-				// The flight recorder's trace rides along with the record.
-				m.tracer.Remove(id)
+				m.forgetLocked(j)
 				evicted = true
 				break
 			}
@@ -758,6 +749,16 @@ func (m *Manager) evict() {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.evictLocked()
+}
+
+// forgetLocked drops a terminal job's record — its child context and
+// its flight-recorder trace with it — so its ID can be submitted afresh.
+// Callers hold m.mu.
+func (m *Manager) forgetLocked(j *job) {
+	j.cancel()
+	delete(m.jobs, j.id)
+	m.dropFromOrder(j.id)
+	m.tracer.Remove(j.id)
 }
 
 func (m *Manager) dropFromOrder(id string) {
@@ -781,9 +782,12 @@ func (m *Manager) Get(id string) (JobStatus, bool) {
 // held once, in the result cache — job records only carry the hash — so
 // long-lived daemons don't pin a second copy of every result. Unknown IDs
 // still consult the cache: results persisted by an earlier process are
-// servable before any submission.
+// servable before any submission. A done job whose result has been
+// evicted from every tier loses its record here, so its status agrees
+// with the 404 and a resubmission re-executes it.
 func (m *Manager) Result(id string) ([]byte, bool) {
-	if j, ok := m.job(id); ok {
+	j, known := m.job(id)
+	if known {
 		j.mu.Lock()
 		state := j.state
 		j.mu.Unlock()
@@ -795,6 +799,13 @@ func (m *Manager) Result(id string) ([]byte, bool) {
 	}
 	if data, _, ok := m.cache.Get(id); ok {
 		return data, true
+	}
+	if known {
+		m.mu.Lock()
+		if m.jobs[id] == j {
+			m.forgetLocked(j)
+		}
+		m.mu.Unlock()
 	}
 	return nil, false
 }

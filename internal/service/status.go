@@ -66,13 +66,6 @@ type ActiveJob struct {
 	StartedAt  *time.Time `json:"started_at,omitempty"`
 }
 
-// CacheTierStatus is the result cache's counters plus the derived hit
-// ratio ((memory+disk hits) / lookups).
-type CacheTierStatus struct {
-	CacheStats
-	HitRatio float64 `json:"hit_ratio"`
-}
-
 // JournalStatus is the job journal's health line.
 type JournalStatus struct {
 	Enabled     bool   `json:"enabled"`

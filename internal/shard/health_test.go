@@ -16,14 +16,15 @@ import (
 // gatedWorker fronts a real worker with a health toggle and a job-POST
 // counter: flipping healthy=false simulates a worker that died *between*
 // jobs (its /healthz fails) while still counting any unit the
-// coordinator wrongly sends it.
+// coordinator wrongly sends it. hold, when set, runs before a healthy
+// worker forwards a unit submission.
 type gatedWorker struct {
 	url      string
 	healthy  atomic.Bool
 	jobPosts atomic.Int64
 }
 
-func startGatedWorker(t *testing.T) *gatedWorker {
+func startGatedWorker(t *testing.T, hold func()) *gatedWorker {
 	t.Helper()
 	backend := startWorker(t, service.Config{Workers: 2, Parallelism: 2})
 	bu, err := url.Parse(backend.url)
@@ -47,6 +48,9 @@ func startGatedWorker(t *testing.T) *gatedWorker {
 			// A dead worker refuses work, not just probes.
 			http.Error(w, `{"error":"simulated dead worker"}`, http.StatusServiceUnavailable)
 			return
+		}
+		if hold != nil {
+			hold()
 		}
 		proxy.ServeHTTP(w, r)
 	})
@@ -87,7 +91,7 @@ func waitBreaker(t *testing.T, exec *Executor, wi int, want BreakerState, timeou
 // receives zero unit submissions while its breaker is open — and a
 // successful half-open probe re-admits it afterwards.
 func TestBreakerBlocksDeadWorkerBetweenJobs(t *testing.T) {
-	flappy := startGatedWorker(t)
+	flappy := startGatedWorker(t, nil)
 	steady := startWorker(t, service.Config{Workers: 2, Parallelism: 2})
 
 	cfg := fastCoordConfig([]string{flappy.url, steady.url})
@@ -155,16 +159,23 @@ func TestBreakerBlocksDeadWorkerBetweenJobs(t *testing.T) {
 // worker — via a half-open dispatch trial after the BreakerRetry
 // cooldown — instead of excluding it for the coordinator's lifetime.
 func TestDispatchTrialReadmitsWithoutProber(t *testing.T) {
-	flappy := startGatedWorker(t)
-	steady := startWorker(t, service.Config{Workers: 2, Parallelism: 2})
+	flappy := startGatedWorker(t, nil)
+	// While the flappy worker is down, the steady one holds each unit
+	// until the flappy one has refused two: otherwise it can finish the
+	// whole tiny job inside the flappy worker's post-failure backoff and
+	// the breaker never reaches its threshold.
+	steady := startGatedWorker(t, func() {
+		for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+			if flappy.healthy.Load() || flappy.jobPosts.Load() >= 2 {
+				return
+			}
+		}
+	})
 
 	cfg := fastCoordConfig([]string{flappy.url, steady.url})
 	cfg.ProbeInterval = -1 // no prober: dispatch trials own re-admission
 	cfg.BreakerRetry = 200 * time.Millisecond
-	// One failure opens the breaker: the steady worker can finish the
-	// whole tiny job within the dead worker's 10 ms post-failure backoff,
-	// so a second failed unit is not guaranteed before the job settles.
-	cfg.BreakerThreshold = 1
+	cfg.BreakerThreshold = 2
 	exec, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
