@@ -7,8 +7,9 @@
 // tail slow ones would stall on; units from failed or stalled workers
 // are re-queued. Per-worker circuit breakers — fed by unit outcomes and
 // a background /healthz prober (-probe-interval, -breaker-threshold) —
-// keep dead workers out of rotation between jobs, and half-open probes
-// re-admit them when they recover; /v1/workers exposes the live state.
+// keep dead workers out of rotation between jobs, and a successful
+// half-open probe is what re-admits one when it recovers; /v1/workers
+// exposes the live state.
 // Per-unit NDJSON progress is multiplexed into one merged event stream
 // and the unit observation matrices are deterministically re-assembled
 // before the statistical pipeline runs once, coordinator-side. The
@@ -31,7 +32,6 @@
 //	        [-cell-cache-max-age 0] [-drain-timeout 30s]
 //	        [-log-level info] [-log-format text] [-stats-interval 1m]
 //	        [-status-tick 5s] [-status-window 10m]
-//	        [-status-worker-timeout 2s]
 //	        [-trace-buffer 2048] [-pprof-addr localhost:6061]
 //
 // The flags shared with bdservd, the startup (bind -addr first, then
@@ -42,7 +42,8 @@
 // shared registry; see DESIGN.md §9. GET /v1/status serves the merged
 // operational snapshot — coordinator state, cell cache, time-series
 // window, and a fleet view with every worker's self-reported status —
-// rendered live by cmd/bdtop; see DESIGN.md §12.
+// rendered live by cmd/bdtop; see DESIGN.md §12. Each worker's status
+// fetch in that fan-out is bounded at 2s.
 //
 // The coordinator keeps its own content-addressed result cache, a
 // persistent job journal and a cell cache (all under -data-dir): repeated
@@ -70,21 +71,26 @@ import (
 
 func main() { daemon.Main("bdcoord", run) }
 
+// statusWorkerTimeout bounds each worker's status fetch in the
+// /v1/status fleet fan-out.
+const statusWorkerTimeout = 2 * time.Second
+
 func run(ctx context.Context) error {
 	f := daemon.RegisterFlags(flag.CommandLine, ":8360", "bdcoord-data")
 	var (
-		workers       = flag.String("workers", "", "comma-separated bdservd worker base URLs seeding the fleet (optional: workers may instead join at runtime via POST /v1/workers)")
-		conc          = flag.Int("concurrent-jobs", 1, "concurrently coordinated jobs")
-		stall         = flag.Duration("stall-timeout", 5*time.Minute, "per-unit worker inactivity bound before re-queue")
-		probe         = flag.Duration("probe-interval", 15*time.Second, "worker /healthz probe period (negative disables; open breakers then re-admit via half-open dispatch trials)")
-		brk           = flag.Int("breaker-threshold", 3, "consecutive failures (units + probes) that open a worker's circuit breaker")
-		upw           = flag.Int("units-per-worker", 4, "target work units planned per worker (work-stealing granularity)")
-		statusTimeout = flag.Duration("status-worker-timeout", 2*time.Second,
-			"per-worker timeout of the /v1/status fleet fan-out")
+		workers = flag.String("workers", "", "comma-separated bdservd worker base URLs seeding the fleet (optional: workers may instead join at runtime via POST /v1/workers)")
+		conc    = flag.Int("concurrent-jobs", 1, "concurrently coordinated jobs")
+		stall   = flag.Duration("stall-timeout", 5*time.Minute, "per-unit worker inactivity bound before re-queue")
+		probe   = flag.Duration("probe-interval", 15*time.Second, "worker /healthz probe period; a successful probe is what re-admits a worker whose breaker opened")
+		brk     = flag.Int("breaker-threshold", 3, "consecutive failures (units + probes) that open a worker's circuit breaker")
+		upw     = flag.Int("units-per-worker", 4, "target work units planned per worker (work-stealing granularity)")
 	)
 	flag.Parse()
 	if *conc < 1 || *brk < 1 || *upw < 1 {
 		return fmt.Errorf("-concurrent-jobs, -breaker-threshold and -units-per-worker must be ≥1")
+	}
+	if *probe <= 0 || *stall <= 0 {
+		return fmt.Errorf("-probe-interval and -stall-timeout must be > 0")
 	}
 	// shard.New trims and validates each seeded URL.
 	urls := strings.FieldsFunc(*workers, func(r rune) bool { return r == ',' || unicode.IsSpace(r) })
@@ -146,7 +152,7 @@ func run(ctx context.Context) error {
 		service.WriteJSON(w, http.StatusOK, struct {
 			service.StatusSnapshot
 			Fleet []shard.WorkerFleetStatus `json:"fleet"`
-		}{mgr.Status(), exec.FleetStatus(r.Context(), *statusTimeout)})
+		}{mgr.Status(), exec.FleetStatus(r.Context(), statusWorkerTimeout)})
 	})
 	mux.HandleFunc("GET /v1/workers", func(w http.ResponseWriter, r *http.Request) {
 		service.WriteJSON(w, http.StatusOK, exec.WorkerStatuses())

@@ -265,16 +265,17 @@ func (d *Daemon) Close() {
 	d.ln.Close()
 }
 
-// stats is the INFO stats line: the manager's counters and stage
-// latencies, then the role's attributes.
+// stats is the INFO stats line: job counts, queue depth and result
+// cache read from the manager's /v1/status snapshot, stage latencies,
+// then the role's attributes.
 func (d *Daemon) stats(hooks Hooks) []slog.Attr {
-	st := d.mgr.Stats()
+	st := d.mgr.Status()
 	attrs := []slog.Attr{
-		slog.Int("queued", st.Queued), slog.Int("running", st.Running),
-		slog.Int("done", st.Done), slog.Int("failed", st.Failed),
-		slog.Int("canceled", st.Canceled), slog.Int("queue_depth", st.QueueDepth),
-		slog.Uint64("cache_hits", st.Cache.Hits), slog.Uint64("cache_misses", st.Cache.Misses),
-		slog.Int("cache_entries", st.Cache.Entries),
+		slog.Int("queued", st.Jobs.Queued), slog.Int("running", st.Jobs.Running),
+		slog.Int("done", st.Jobs.Done), slog.Int("failed", st.Jobs.Failed),
+		slog.Int("canceled", st.Jobs.Canceled), slog.Int("queue_depth", st.Queue.Depth),
+		slog.Uint64("cache_hits", st.ResultCache.Hits), slog.Uint64("cache_misses", st.ResultCache.Misses),
+		slog.Int("cache_entries", st.ResultCache.Entries),
 	}
 	attrs = append(attrs, Quantiles(d.Registry, "bd_stage_duration_seconds", "stage")...)
 	if hooks.Stats != nil {

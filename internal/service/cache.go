@@ -147,6 +147,15 @@ func (c *resultCache) Get(id string) (data []byte, hash string, ok bool) {
 	return data, hash, true
 }
 
+// Has reports whether a tier holds id's result: the LRU, then the disk
+// store. It counts no request and leaves the LRU order alone.
+func (c *resultCache) Has(id string) bool {
+	c.mu.Lock()
+	_, ok := c.byID[id]
+	c.mu.Unlock()
+	return ok || (c.disk != nil && c.disk.Has(id))
+}
+
 // Put stores a result under its job ID (write-through to the disk store
 // when one is configured) and returns the result hash. The disk write
 // happens first, outside c.mu, and is fsynced before its rename: a

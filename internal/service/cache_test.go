@@ -221,14 +221,15 @@ func TestResultStoreEvictsOldestPastBound(t *testing.T) {
 // TestEvictedResultForgetsDoneRecord: when a done job's result leaves
 // every tier while its record is still kept — displaced from the LRU,
 // then swept from the bounded disk tier — GET result and GET status
-// agree: both report the job unknown, and a resubmission re-executes it
-// to the same hash.
+// agree: both report the job unknown, status does so before any result
+// fetch and without counting a cache request, and a resubmission
+// re-executes it to the same hash.
 func TestEvictedResultForgetsDoneRecord(t *testing.T) {
 	dir := t.TempDir()
 	m := newTestManager(t, Config{DataDir: dir, CacheEntries: 1, Parallelism: 2})
 	specB := tinySpec()
 	specB.Suite.Seed, specB.Cluster.Seed = 23, 23
-	var first JobStatus
+	var first, second JobStatus
 	for i, spec := range []JobSpec{tinySpec(), specB} {
 		st, err := m.Submit(spec)
 		if err != nil {
@@ -240,6 +241,8 @@ func TestEvictedResultForgetsDoneRecord(t *testing.T) {
 		}
 		if i == 0 {
 			first = fin
+		} else {
+			second = fin
 		}
 	}
 	// B displaced A from the 1-entry LRU; remove A's disk copy as the
@@ -247,15 +250,19 @@ func TestEvictedResultForgetsDoneRecord(t *testing.T) {
 	if err := os.Remove(filepath.Join(dir, "results", first.ID+".json")); err != nil {
 		t.Fatal(err)
 	}
-	if st, ok := m.Get(first.ID); !ok || st.State != StateDone {
-		t.Fatalf("premise: job A should still be recorded done, got %+v (found %v)", st, ok)
+	before := m.CacheStats()
+	if st, ok := m.Get(first.ID); ok {
+		t.Fatalf("status reports %s with hash %s after its result left every tier", st.State, st.ResultHash)
+	}
+	if st, ok := m.Get(second.ID); !ok || st.State != StateDone {
+		t.Fatalf("job B, whose result the LRU holds, reported %+v (found %v), want done", st, ok)
+	}
+	if after := m.CacheStats(); after != before {
+		t.Fatalf("status polls moved the cache counters: %+v -> %+v", before, after)
 	}
 
 	if _, ok := m.Result(first.ID); ok {
 		t.Fatal("evicted result served")
-	}
-	if st, ok := m.Get(first.ID); ok {
-		t.Fatalf("status still reports %s with hash %s after its result 404ed", st.State, st.ResultHash)
 	}
 	st, err := m.Submit(tinySpec())
 	if err != nil {

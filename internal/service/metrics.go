@@ -101,7 +101,7 @@ func (mx *svcMetrics) registerGauges(reg *obs.Registry, m *Manager) {
 		"Size of the executor pool.").Set(float64(m.cfg.Workers))
 	reg.GaugeFunc("bd_executor_busy",
 		"Jobs currently executing (executor utilization = busy / workers).",
-		func() float64 { return float64(m.stateCount(StateRunning)) })
+		func() float64 { return float64(m.jobCounts().Running) })
 	reg.GaugeFunc("bd_cache_entries",
 		"Entries currently held by the in-memory LRU tier.",
 		func() float64 { return float64(m.cache.Entries()) })
@@ -109,55 +109,25 @@ func (mx *svcMetrics) registerGauges(reg *obs.Registry, m *Manager) {
 		"Job records currently retained, by state.", "state")
 	for _, st := range []State{StateQueued, StateRunning, StateDone, StateFailed, StateCanceled} {
 		st := st
-		jobs.Register(func() float64 { return float64(m.stateCount(st)) }, string(st))
+		jobs.Register(func() float64 {
+			c := m.jobCounts()
+			return float64(*c.of(st))
+		}, string(st))
 	}
 }
 
-// stateCount scans the record map for jobs in state s — render-time
-// only, the map is bounded by MaxJobs.
-func (m *Manager) stateCount(s State) int {
+// jobCounts scans the record map once and counts jobs by state — the
+// one count behind Status, the bd_jobs and bd_executor_busy gauges and
+// the daemons' stats line. Render-time only; the map is bounded by
+// MaxJobs.
+func (m *Manager) jobCounts() JobsByState {
+	var c JobsByState
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	n := 0
 	for _, j := range m.jobs {
 		j.mu.Lock()
-		if j.state == s {
-			n++
-		}
+		*c.of(j.state)++
 		j.mu.Unlock()
 	}
-	return n
-}
-
-// StatsSnapshot is the manager's one-line fleet summary, logged
-// periodically by the daemons' stats ticker.
-type StatsSnapshot struct {
-	Queued, Running, Done, Failed, Canceled int
-	QueueDepth                              int
-	Cache                                   CacheTierStatus
-}
-
-// Stats snapshots job counts by state, the queue depth and the cache
-// counters.
-func (m *Manager) Stats() StatsSnapshot {
-	st := StatsSnapshot{QueueDepth: len(m.queue), Cache: m.cache.Stats()}
-	m.mu.Lock()
-	for _, j := range m.jobs {
-		j.mu.Lock()
-		switch j.state {
-		case StateQueued:
-			st.Queued++
-		case StateRunning:
-			st.Running++
-		case StateDone:
-			st.Done++
-		case StateFailed:
-			st.Failed++
-		case StateCanceled:
-			st.Canceled++
-		}
-		j.mu.Unlock()
-	}
-	m.mu.Unlock()
-	return st
+	return c
 }

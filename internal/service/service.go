@@ -369,7 +369,7 @@ func New(cfg Config) (*Manager, error) {
 				m.log.Info("job re-adopted from journal", "job", r.id)
 				continue
 			}
-			if r.state == StateDone && (m.cache.disk == nil || !m.cache.disk.Has(r.id)) {
+			if r.state == StateDone && !m.cache.Has(r.id) {
 				// The done job's bytes died with the previous process
 				// (no disk tier) or were swept past the disk tier's
 				// bound: materializing the record would advertise a
@@ -770,12 +770,21 @@ func (m *Manager) dropFromOrder(id string) {
 	}
 }
 
-// Get returns a job's status.
+// Get returns a job's status. A done job whose result has left every
+// tier is forgotten here, as Result forgets it, so status never
+// advertises a hash nobody can serve. The presence check counts no
+// cache request: polling status leaves bd_cache_* alone.
 func (m *Manager) Get(id string) (JobStatus, bool) {
-	if j, ok := m.job(id); ok {
-		return j.status(), true
+	j, ok := m.job(id)
+	if !ok {
+		return JobStatus{}, false
 	}
-	return JobStatus{}, false
+	st := j.status()
+	if st.State == StateDone && !m.cache.Has(id) {
+		m.forget(j)
+		return JobStatus{}, false
+	}
+	return st, true
 }
 
 // Result returns the canonical result JSON of a completed job. Bytes are
@@ -801,13 +810,18 @@ func (m *Manager) Result(id string) ([]byte, bool) {
 		return data, true
 	}
 	if known {
-		m.mu.Lock()
-		if m.jobs[id] == j {
-			m.forgetLocked(j)
-		}
-		m.mu.Unlock()
+		m.forget(j)
 	}
 	return nil, false
+}
+
+// forget drops j's record unless a newer record has replaced it.
+func (m *Manager) forget(j *job) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if m.jobs[j.id] == j {
+		m.forgetLocked(j)
+	}
 }
 
 // Cancel cancels a queued or running job. It reports whether the job

@@ -55,6 +55,22 @@ type JobsByState struct {
 	Canceled int `json:"canceled"`
 }
 
+// of returns the counter of state s.
+func (c *JobsByState) of(s State) *int {
+	switch s {
+	case StateQueued:
+		return &c.Queued
+	case StateRunning:
+		return &c.Running
+	case StateDone:
+		return &c.Done
+	case StateFailed:
+		return &c.Failed
+	default: // StateCanceled
+		return &c.Canceled
+	}
+}
+
 // ActiveJob is the status line of one non-terminal job.
 type ActiveJob struct {
 	ID         string     `json:"id"`
@@ -97,7 +113,7 @@ const maxActiveJobs = 64
 // couple of seconds.
 func (m *Manager) Status() StatusSnapshot {
 	now := time.Now()
-	st := m.Stats()
+	jobs := m.jobCounts()
 	snap := StatusSnapshot{
 		Service:       m.cfg.TraceService,
 		PID:           os.Getpid(),
@@ -107,16 +123,13 @@ func (m *Manager) Status() StatusSnapshot {
 		UptimeSeconds: now.Sub(m.startedAt).Seconds(),
 		Now:           now,
 		Queue: QueueStatus{
-			Depth:    st.QueueDepth,
+			Depth:    len(m.queue),
 			Capacity: cap(m.queue),
 			Workers:  m.cfg.Workers,
-			Busy:     st.Running,
+			Busy:     jobs.Running,
 		},
-		Jobs: JobsByState{
-			Queued: st.Queued, Running: st.Running,
-			Done: st.Done, Failed: st.Failed, Canceled: st.Canceled,
-		},
-		ResultCache: st.Cache,
+		Jobs:        jobs,
+		ResultCache: m.cache.Stats(),
 		Journal:     m.journalStatus(),
 		Stages:      m.StageLatencies(),
 	}

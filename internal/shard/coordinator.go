@@ -43,7 +43,7 @@ type Config struct {
 	// queued behind other jobs on a busy-but-healthy worker therefore
 	// waits indefinitely (the probes keep succeeding), while a worker
 	// that is connected but dead — SIGSTOP, network blackhole — is
-	// detected within one stall period. Default 5m; negative disables.
+	// detected within one stall period. Default 5m.
 	StallTimeout time.Duration
 	// Parallelism bounds the coordinator-side analysis stage (0 =
 	// GOMAXPROCS). It never affects results.
@@ -56,17 +56,11 @@ type Config struct {
 	// unit per workload×node column, so tiny grids yield fewer units.
 	UnitsPerWorker int
 	// ProbeInterval is the period of the background /healthz prober
-	// (default 15s; negative disables probing). A failing probe counts
-	// toward the breaker threshold exactly like a failed unit, so dead
-	// workers are discovered between jobs, not per unit per job. With
-	// probing disabled, open breakers are re-admitted through dispatch
-	// trials instead (see BreakerRetry) — never permanently.
+	// (default 15s). A failing probe counts toward the breaker threshold
+	// exactly like a failed unit, so dead workers are discovered between
+	// jobs, not per unit per job; a succeeding probe is the only way an
+	// open breaker closes, apart from an in-flight unit completing.
 	ProbeInterval time.Duration
-	// BreakerRetry only applies when probing is disabled: how long an
-	// open breaker waits before admitting one half-open *trial unit*
-	// (default 15s). Without it a breaker opened under a disabled prober
-	// could never close again.
-	BreakerRetry time.Duration
 	// ProbeTimeout bounds one health probe (default: ProbeInterval
 	// capped at 5s).
 	ProbeTimeout time.Duration
@@ -133,28 +127,22 @@ type Executor struct {
 }
 
 // New builds an executor, seeds the fleet from cfg.Workers and starts
-// the background health prober (unless ProbeInterval is negative).
+// the background health prober.
 func New(cfg Config) (*Executor, error) {
-	if cfg.StallTimeout == 0 {
+	if cfg.StallTimeout <= 0 {
 		cfg.StallTimeout = 5 * time.Minute
 	}
 	if cfg.UnitsPerWorker < 1 {
 		cfg.UnitsPerWorker = 4
 	}
-	if cfg.ProbeInterval == 0 {
+	if cfg.ProbeInterval <= 0 {
 		cfg.ProbeInterval = 15 * time.Second
 	}
 	if cfg.ProbeTimeout <= 0 {
-		cfg.ProbeTimeout = cfg.ProbeInterval
-		if cfg.ProbeTimeout > 5*time.Second || cfg.ProbeTimeout <= 0 {
-			cfg.ProbeTimeout = 5 * time.Second
-		}
+		cfg.ProbeTimeout = min(cfg.ProbeInterval, 5*time.Second)
 	}
 	if cfg.BreakerThreshold < 1 {
 		cfg.BreakerThreshold = 3
-	}
-	if cfg.BreakerRetry <= 0 {
-		cfg.BreakerRetry = 15 * time.Second
 	}
 	if cfg.MaxUnitAttempts < 1 {
 		n := len(cfg.Workers)
@@ -197,10 +185,8 @@ func New(cfg Config) (*Executor, error) {
 	}
 	pctx, stop := context.WithCancel(context.Background())
 	e.stop = stop
-	if cfg.ProbeInterval > 0 {
-		e.wg.Add(1)
-		go e.probeLoop(pctx)
-	}
+	e.wg.Add(1)
+	go e.probeLoop(pctx)
 	return e, nil
 }
 
@@ -670,8 +656,9 @@ func (e *Executor) dispatch(ctx context.Context, w *workerState, run *jobRun) {
 		if done, _ := q.settled(); done {
 			return
 		}
-		admitted, trial := e.admit(w)
-		if !admitted {
+		if !w.available() {
+			// Open or half-open: only the prober (or an in-flight unit
+			// completing) re-admits the worker.
 			q.stuckCheck(e.allUnavailable, e.cfg.DownGrace)
 			sleepCtx(ctx, dispatchPoll)
 			continue
@@ -682,11 +669,6 @@ func (e *Executor) dispatch(ctx context.Context, w *workerState, run *jobRun) {
 			// hold the remaining units (in flight, or re-queued units
 			// this worker failed that a fresh worker should retry), or
 			// the job is settling.
-			if trial {
-				// The half-open trial found no unit to prove itself on;
-				// re-open rather than wedging in half-open forever.
-				w.cancelTrial()
-			}
 			sleepCtx(ctx, dispatchPoll)
 			continue
 		}
@@ -744,25 +726,6 @@ func (e *Executor) dispatch(ctx context.Context, w *workerState, run *jobRun) {
 	}
 }
 
-// admit decides whether worker w may receive a unit right now. A closed
-// breaker always admits. An open breaker admits nothing while the
-// background prober owns re-admission; with probing disabled, an open
-// breaker past its BreakerRetry cooldown admits exactly one half-open
-// trial unit (trial=true) — its outcome closes or re-opens the breaker —
-// so disabling the prober never strands a recovered worker permanently.
-func (e *Executor) admit(w *workerState) (admitted, trial bool) {
-	if w.available() {
-		return true, false
-	}
-	if e.cfg.ProbeInterval > 0 {
-		return false, false
-	}
-	if w.tryDispatchTrial(e.cfg.BreakerRetry) {
-		return true, true
-	}
-	return false, false
-}
-
 func sleepCtx(ctx context.Context, d time.Duration) {
 	t := time.NewTimer(d)
 	defer t.Stop()
@@ -792,9 +755,6 @@ func (w *unitWatch) touch() { w.last.Store(time.Now().UnixNano()) }
 // while a dead-but-connected one is.
 func (e *Executor) runUnitOn(ctx context.Context, w *workerState, run *jobRun, u int, unitSpanID string, attempt int, stolen bool) (*core.ObservationMatrix, error) {
 	stall := e.cfg.StallTimeout
-	if stall <= 0 {
-		return e.attemptUnit(ctx, w.client, run, u, unitSpanID, attempt, stolen, &unitWatch{})
-	}
 	actx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	uw := &unitWatch{}

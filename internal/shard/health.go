@@ -88,8 +88,7 @@ type workerState struct {
 	gone     chan struct{}
 	goneOnce sync.Once
 
-	// mx/log are the coordinator's shared observability hooks; nil (in
-	// unit tests constructing bare workerStates) disables them.
+	// mx/log are the coordinator's shared observability hooks.
 	mx  *shardMetrics
 	log *slog.Logger
 
@@ -111,9 +110,9 @@ type workerState struct {
 	ttl           time.Duration // 0 = never expires
 }
 
-func newWorkerState(url string, c *client.Client, threshold int) *workerState {
+func newWorkerState(url string, c *client.Client, threshold int, mx *shardMetrics, log *slog.Logger) *workerState {
 	return &workerState{
-		url: url, client: c, threshold: threshold,
+		url: url, client: c, threshold: threshold, mx: mx, log: log,
 		state: BreakerClosed, gone: make(chan struct{}),
 	}
 }
@@ -148,12 +147,8 @@ func (w *workerState) transitionLocked(s BreakerState) {
 		from := w.state
 		w.state = s
 		w.lastTransition = time.Now()
-		if w.mx != nil {
-			w.mx.breakerTransitions.With(w.url, string(s)).Inc()
-		}
-		if w.log != nil {
-			w.log.Info("breaker transition", "worker", w.url, "from", from, "to", s, "consecutive_failures", w.consecFails, "last_error", w.lastErr)
-		}
+		w.mx.breakerTransitions.With(w.url, string(s)).Inc()
+		w.log.Info("breaker transition", "worker", w.url, "from", from, "to", s, "consecutive_failures", w.consecFails, "last_error", w.lastErr)
 	}
 }
 
@@ -181,9 +176,7 @@ func (w *workerState) recordSuccess() {
 	now := time.Now()
 	w.doneTimes = append(w.doneTimes, now)
 	w.trimDoneTimesLocked(now)
-	if w.mx != nil {
-		w.mx.unitsDone.With(w.url).Inc()
-	}
+	w.mx.unitsDone.With(w.url).Inc()
 	w.transitionLocked(BreakerClosed)
 }
 
@@ -195,35 +188,8 @@ func (w *workerState) recordFailure(err error) {
 	w.unitsFailed++
 	w.consecFails++
 	w.lastErr = err.Error()
-	if w.mx != nil {
-		w.mx.unitsFailed.With(w.url).Inc()
-	}
+	w.mx.unitsFailed.With(w.url).Inc()
 	if w.state == BreakerHalfOpen || w.consecFails >= w.threshold {
-		w.transitionLocked(BreakerOpen)
-	}
-}
-
-// tryDispatchTrial converts an open breaker past its cooldown into a
-// half-open dispatch trial (used only when the background prober is
-// disabled). At most one trial runs at a time: half-open itself does not
-// qualify, and the trial's outcome (recordSuccess / recordFailure /
-// cancelTrial) settles the state either way.
-func (w *workerState) tryDispatchTrial(cooldown time.Duration) bool {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.state != BreakerOpen || time.Since(w.lastTransition) < cooldown {
-		return false
-	}
-	w.transitionLocked(BreakerHalfOpen)
-	return true
-}
-
-// cancelTrial re-opens a half-open breaker whose dispatch trial never
-// secured a unit, so the state cannot wedge in half-open.
-func (w *workerState) cancelTrial() {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.state == BreakerHalfOpen {
 		w.transitionLocked(BreakerOpen)
 	}
 }
@@ -246,13 +212,11 @@ func (w *workerState) finishProbe(err error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	w.lastProbe = time.Now()
-	if w.mx != nil {
-		outcome := "ok"
-		if err != nil {
-			outcome = "fail"
-		}
-		w.mx.probes.With(w.url, outcome).Inc()
+	outcome := "ok"
+	if err != nil {
+		outcome = "fail"
 	}
+	w.mx.probes.With(w.url, outcome).Inc()
 	if err == nil {
 		w.consecFails = 0
 		w.transitionLocked(BreakerClosed)
@@ -308,8 +272,15 @@ func (w *workerState) snapshot() WorkerStatus {
 
 // WorkerStatuses returns the current health + lease snapshot of every
 // fleet member, in join order — the body of bdcoord's GET /v1/workers
-// endpoint.
+// endpoint, and the coordinator-side half of every /v1/status fleet row.
 func (e *Executor) WorkerStatuses() []WorkerStatus {
+	return e.workerRows(e.reg.snapshot())
+}
+
+// workerRows is the one builder of fleet rows: each member's snapshot
+// plus its unit-duration quantiles, in the order of members. Callers
+// pass a single registry snapshot, so row i always describes members[i].
+func (e *Executor) workerRows(members []*workerState) []WorkerStatus {
 	// Per-worker latency quantiles come from the executor-owned histogram
 	// family, keyed by the same URL label the counters use.
 	durs := map[string]obs.HistogramSnapshot{}
@@ -318,7 +289,6 @@ func (e *Executor) WorkerStatuses() []WorkerStatus {
 			durs[labels[0]] = snap
 		}
 	})
-	members := e.reg.snapshot()
 	out := make([]WorkerStatus, len(members))
 	for i, w := range members {
 		out[i] = w.snapshot()

@@ -2,6 +2,7 @@ package shard
 
 import (
 	"errors"
+	"log/slog"
 	"net"
 	"net/http"
 	"net/http/httputil"
@@ -10,21 +11,23 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/obs"
 	"repro/internal/service"
 )
+
+var discardLog = slog.New(slog.DiscardHandler)
 
 // gatedWorker fronts a real worker with a health toggle and a job-POST
 // counter: flipping healthy=false simulates a worker that died *between*
 // jobs (its /healthz fails) while still counting any unit the
-// coordinator wrongly sends it. hold, when set, runs before a healthy
-// worker forwards a unit submission.
+// coordinator wrongly sends it.
 type gatedWorker struct {
 	url      string
 	healthy  atomic.Bool
 	jobPosts atomic.Int64
 }
 
-func startGatedWorker(t *testing.T, hold func()) *gatedWorker {
+func startGatedWorker(t *testing.T) *gatedWorker {
 	t.Helper()
 	backend := startWorker(t, service.Config{Workers: 2, Parallelism: 2})
 	bu, err := url.Parse(backend.url)
@@ -48,9 +51,6 @@ func startGatedWorker(t *testing.T, hold func()) *gatedWorker {
 			// A dead worker refuses work, not just probes.
 			http.Error(w, `{"error":"simulated dead worker"}`, http.StatusServiceUnavailable)
 			return
-		}
-		if hold != nil {
-			hold()
 		}
 		proxy.ServeHTTP(w, r)
 	})
@@ -89,9 +89,12 @@ func waitBreaker(t *testing.T, exec *Executor, wi int, want BreakerState, timeou
 // proactive failure discovery: a worker that dies *between* jobs must be
 // taken out of rotation by the health prober before the next job — it
 // receives zero unit submissions while its breaker is open — and a
-// successful half-open probe re-admits it afterwards.
+// successful half-open probe re-admits it afterwards. A last phase runs
+// with the prober idle for an hour: a worker dead from the start has its
+// breaker opened by unit failures alone while the job completes on its
+// sibling.
 func TestBreakerBlocksDeadWorkerBetweenJobs(t *testing.T) {
-	flappy := startGatedWorker(t, nil)
+	flappy := startGatedWorker(t)
 	steady := startWorker(t, service.Config{Workers: 2, Parallelism: 2})
 
 	cfg := fastCoordConfig([]string{flappy.url, steady.url})
@@ -152,72 +155,41 @@ func TestBreakerBlocksDeadWorkerBetweenJobs(t *testing.T) {
 	if flappy.jobPosts.Load() == 0 {
 		t.Error("re-admitted worker received no unit submissions")
 	}
-}
 
-// TestDispatchTrialReadmitsWithoutProber: with probing disabled
-// (-probe-interval < 0) an open breaker must still re-admit a recovered
-// worker — via a half-open dispatch trial after the BreakerRetry
-// cooldown — instead of excluding it for the coordinator's lifetime.
-func TestDispatchTrialReadmitsWithoutProber(t *testing.T) {
-	flappy := startGatedWorker(t, nil)
-	// While the flappy worker is down, the steady one holds each unit
-	// until the flappy one has refused two: otherwise it can finish the
-	// whole tiny job inside the flappy worker's post-failure backoff and
-	// the breaker never reaches its threshold.
-	steady := startGatedWorker(t, func() {
-		for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
-			if flappy.healthy.Load() || flappy.jobPosts.Load() >= 2 {
-				return
-			}
-		}
-	})
-
-	cfg := fastCoordConfig([]string{flappy.url, steady.url})
-	cfg.ProbeInterval = -1 // no prober: dispatch trials own re-admission
-	cfg.BreakerRetry = 200 * time.Millisecond
-	cfg.BreakerThreshold = 2
-	exec, err := New(cfg)
+	// Unit failures alone: a coordinator whose prober never fires, the
+	// flappy worker dead from the start, and a grid neither worker has
+	// seen, so the steady worker computes every unit rather than
+	// replaying them from its result cache.
+	quiet := cfg
+	quiet.ProbeInterval = time.Hour
+	exec2, err := New(quiet)
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(exec.Close)
-	coord, err := service.New(service.Config{Workers: 2, Execute: exec.Execute})
+	t.Cleanup(exec2.Close)
+	coord2, err := service.New(service.Config{Workers: 2, Execute: exec2.Execute})
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(coord.Close)
-
-	// Worker down from the start: the job completes on the steady worker
-	// and the flappy one's breaker opens from unit failures alone.
+	t.Cleanup(coord2.Close)
 	flappy.healthy.Store(false)
-	fin, _ := runToDone(t, coord, tinySpec())
-	if fin.State != service.StateDone {
-		t.Fatalf("job with one dead worker finished %s: %s", fin.State, fin.Error)
+	spec4 := tinySpec()
+	spec4.Cluster.Seed = 29
+	spec4.Cluster.InstructionsPerCore = 12000
+	fin4, _ := runToDone(t, coord2, spec4)
+	if fin4.State != service.StateDone {
+		t.Fatalf("job with a worker dead from the start finished %s: %s", fin4.State, fin4.Error)
 	}
-	if got := exec.WorkerStatuses()[0].Breaker; got != BreakerOpen {
-		t.Fatalf("dead worker's breaker is %s after the job, want open", got)
+	if st := exec2.WorkerStatuses()[0]; st.Breaker != BreakerOpen || st.Probes != 0 || st.UnitsFailed < quiet.BreakerThreshold {
+		t.Errorf("dead worker's breaker after unit failures alone: %+v, want open with no probes", st)
 	}
-
-	// Worker recovers; past the cooldown the next job's dispatch trial
-	// must use it again and close the breaker.
-	flappy.healthy.Store(true)
-	time.Sleep(2 * cfg.BreakerRetry)
-	flappy.jobPosts.Store(0)
-	fin2, _ := runToDone(t, coord, tinySpec("H-Sort", "S-Sort", "H-Grep"))
-	if fin2.State != service.StateDone {
-		t.Fatalf("post-recovery job finished %s: %s", fin2.State, fin2.Error)
-	}
-	if flappy.jobPosts.Load() == 0 {
-		t.Error("recovered worker received no dispatch trial with probing disabled")
-	}
-	waitBreaker(t, exec, 0, BreakerClosed, 5*time.Second)
 }
 
 // TestBreakerOpensOnUnitFailures: dispatch failures alone (no probing)
 // open the breaker at the configured threshold, and recordSuccess closes
 // it again.
 func TestBreakerOpensOnUnitFailures(t *testing.T) {
-	w := newWorkerState("http://example.invalid", nil, 3)
+	w := newWorkerState("http://example.invalid", nil, 3, newShardMetrics(obs.NewRegistry()), discardLog)
 	if !w.available() {
 		t.Fatal("fresh worker not available")
 	}
@@ -243,7 +215,7 @@ func TestBreakerOpensOnUnitFailures(t *testing.T) {
 // TestBreakerHalfOpenProbeCycle: a probe on an open breaker passes
 // through half-open, and its outcome decides re-admission.
 func TestBreakerHalfOpenProbeCycle(t *testing.T) {
-	w := newWorkerState("http://example.invalid", nil, 1)
+	w := newWorkerState("http://example.invalid", nil, 1, newShardMetrics(obs.NewRegistry()), discardLog)
 	w.recordFailure(errors.New("down"))
 	if w.available() {
 		t.Fatal("breaker should be open at threshold 1")
@@ -263,40 +235,5 @@ func TestBreakerHalfOpenProbeCycle(t *testing.T) {
 	w.finishProbe(nil)
 	if st := w.snapshot(); st.Breaker != BreakerClosed || st.ConsecutiveFailures != 0 {
 		t.Fatalf("successful half-open probe did not close: %+v", st)
-	}
-}
-
-// TestDispatchTrialStateMachine covers the probe-less half-open cycle:
-// cooldown gating, single trial at a time, and all three trial outcomes
-// (success, failure, canceled trial).
-func TestDispatchTrialStateMachine(t *testing.T) {
-	w := newWorkerState("http://example.invalid", nil, 1)
-	w.recordFailure(errors.New("down"))
-	if w.tryDispatchTrial(time.Hour) {
-		t.Fatal("trial admitted inside the cooldown")
-	}
-	if !w.tryDispatchTrial(0) {
-		t.Fatal("trial refused after the cooldown")
-	}
-	if w.tryDispatchTrial(0) {
-		t.Fatal("second concurrent trial admitted while half-open")
-	}
-	w.recordFailure(errors.New("still down"))
-	if st := w.snapshot(); st.Breaker != BreakerOpen {
-		t.Fatalf("failed trial left breaker %s, want open", st.Breaker)
-	}
-	if !w.tryDispatchTrial(0) {
-		t.Fatal("trial refused after a failed trial re-opened")
-	}
-	w.cancelTrial()
-	if st := w.snapshot(); st.Breaker != BreakerOpen {
-		t.Fatalf("canceled trial left breaker %s, want open", st.Breaker)
-	}
-	if !w.tryDispatchTrial(0) {
-		t.Fatal("trial refused after a canceled trial")
-	}
-	w.recordSuccess()
-	if st := w.snapshot(); st.Breaker != BreakerClosed || st.ConsecutiveFailures != 0 {
-		t.Fatalf("successful trial did not close: %+v", st)
 	}
 }

@@ -40,8 +40,8 @@ const (
 type registry struct {
 	threshold int
 	mkClient  func(string) *client.Client
-	mx        *shardMetrics // nil in bare unit tests
-	log       *slog.Logger  // nil in bare unit tests
+	mx        *shardMetrics
+	log       *slog.Logger
 
 	mu      sync.Mutex
 	members map[string]*workerState
@@ -59,14 +59,10 @@ func newRegistry(threshold int, mkClient func(string) *client.Client, mx *shardM
 }
 
 // leaseEvent records one membership lease event on the metrics and log
-// hooks (no-ops when the hooks are nil).
+// hooks.
 func (r *registry) leaseEvent(event, u string, level slog.Level, msg string, attrs ...any) {
-	if r.mx != nil {
-		r.mx.leaseEvents.With(event).Inc()
-	}
-	if r.log != nil {
-		r.log.Log(context.Background(), level, msg, append([]any{"worker", u}, attrs...)...)
-	}
+	r.mx.leaseEvents.With(event).Inc()
+	r.log.Log(context.Background(), level, msg, append([]any{"worker", u}, attrs...)...)
 }
 
 // normalizeWorkerURL validates and canonicalizes a worker base URL so
@@ -95,8 +91,7 @@ func (r *registry) seed(rawURL string) error {
 	if _, ok := r.members[u]; ok {
 		return nil
 	}
-	w := newWorkerState(u, r.mkClient(u), r.threshold)
-	w.mx, w.log = r.mx, r.log
+	w := newWorkerState(u, r.mkClient(u), r.threshold, r.mx, r.log)
 	w.source = SourceFlag
 	w.registeredAt = time.Now()
 	r.members[u] = w
@@ -135,8 +130,7 @@ func (r *registry) register(rawURL string, ttl time.Duration) (*workerState, boo
 		r.leaseEvent("renew", u, slog.LevelDebug, "worker lease renewed", "ttl", ttl)
 		return w, false, nil
 	}
-	w := newWorkerState(u, r.mkClient(u), r.threshold)
-	w.mx, w.log = r.mx, r.log
+	w := newWorkerState(u, r.mkClient(u), r.threshold, r.mx, r.log)
 	w.source = SourceRegistered
 	w.registeredAt = now
 	w.lastHeartbeat = now

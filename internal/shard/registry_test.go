@@ -4,11 +4,12 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/obs"
 	"repro/internal/service/client"
 )
 
 func testRegistry() *registry {
-	return newRegistry(3, func(u string) *client.Client { return client.New(u) }, nil, nil)
+	return newRegistry(3, func(u string) *client.Client { return client.New(u) }, newShardMetrics(obs.NewRegistry()), discardLog)
 }
 
 func TestNormalizeWorkerURL(t *testing.T) {

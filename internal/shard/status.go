@@ -31,22 +31,19 @@ const fleetStatusConcurrency = 8
 
 // FleetStatus fans GET /v1/status out to every current fleet member
 // (bounded concurrency, perWorkerTimeout each) and returns one row per
-// member in join order. Failures are isolated per worker: an unreachable
-// or slow member yields a row with StatusError set and its coordinator-
-// side WorkerStatus intact, never an error for the fleet.
+// member in join order. The coordinator-side half of each row is what
+// /v1/workers serves, built from the same membership snapshot the fan-out
+// walks. Failures are isolated per worker: an unreachable or slow member
+// yields a row with StatusError set and its coordinator-side WorkerStatus
+// intact, never an error for the fleet.
 func (e *Executor) FleetStatus(ctx context.Context, perWorkerTimeout time.Duration) []WorkerFleetStatus {
-	if perWorkerTimeout <= 0 {
-		perWorkerTimeout = 2 * time.Second
-	}
-	// WorkerStatuses (not raw snapshots) so the rows carry the same
-	// latency quantiles /v1/workers serves.
 	members := e.reg.snapshot()
-	statuses := e.WorkerStatuses()
+	rows := e.workerRows(members)
 	out := make([]WorkerFleetStatus, len(members))
 	sem := make(chan struct{}, fleetStatusConcurrency)
 	var wg sync.WaitGroup
 	for i, w := range members {
-		out[i].WorkerStatus = statuses[i]
+		out[i].WorkerStatus = rows[i]
 		wg.Add(1)
 		go func(i int, w *workerState) {
 			defer wg.Done()

@@ -2,7 +2,11 @@ package shard
 
 import (
 	"context"
+	"fmt"
 	"net"
+	"net/http"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -103,5 +107,84 @@ func TestFleetStatusTimeoutIsolated(t *testing.T) {
 	}
 	if len(rows) != 1 || rows[0].StatusError == "" {
 		t.Fatalf("silent worker not isolated: %+v", rows)
+	}
+}
+
+// TestFleetViewsUnderMembershipChurn: members deregister and re-register
+// in a loop while the fleet views are read. Each view is built from one
+// membership snapshot, so every call returns one row per member — a
+// known URL, listed once — and each FleetStatus row carries the status
+// fetched from its own worker (the stub echoes its host as the service
+// name), never a neighbour's.
+func TestFleetViewsUnderMembershipChurn(t *testing.T) {
+	stub := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		service.WriteJSON(w, http.StatusOK, service.StatusSnapshot{Service: r.Host})
+	})
+	urls := make([]string, 4)
+	known := map[string]bool{}
+	for i := range urls {
+		urls[i] = startHTTP(t, stub)
+		known[urls[i]] = true
+	}
+	cfg := fastCoordConfig(urls)
+	cfg.ProbeInterval = time.Hour
+	exec, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(exec.Close)
+
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			u := urls[i%len(urls)]
+			exec.Deregister(u)
+			if _, err := exec.Register(u, 0); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	defer func() {
+		close(stop)
+		wg.Wait()
+	}()
+
+	checkRows := func(call int, rows []WorkerStatus) error {
+		seen := map[string]bool{}
+		for _, r := range rows {
+			if r.URL == "" || !known[r.URL] || seen[r.URL] {
+				return fmt.Errorf("call %d: row URL %q is empty, unknown or repeated in %d rows", call, r.URL, len(rows))
+			}
+			seen[r.URL] = true
+		}
+		return nil
+	}
+	for call := 0; call < 2000; call++ {
+		rows := exec.FleetStatus(context.Background(), time.Second)
+		ws := make([]WorkerStatus, len(rows))
+		for i, r := range rows {
+			ws[i] = r.WorkerStatus
+			if r.Status == nil {
+				t.Fatalf("call %d: row %s has no status: %s", call, r.URL, r.StatusError)
+			}
+			if want := strings.TrimPrefix(r.URL, "http://"); r.Status.Service != want {
+				t.Fatalf("call %d: row %s carries the status of %s", call, r.URL, r.Status.Service)
+			}
+		}
+		if err := checkRows(call, ws); err != nil {
+			t.Fatal(err)
+		}
+		if err := checkRows(call, exec.WorkerStatuses()); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
