@@ -35,9 +35,10 @@
 //	        [-trace-buffer 2048] [-pprof-addr localhost:6061]
 //
 // The flags shared with bdservd, the startup (bind -addr first, then
-// replay the journal) and the shutdown order live in internal/daemon.
+// read the job records back) and the shutdown order live in
+// internal/daemon.
 // GET /metrics serves the Prometheus text exposition covering both the
-// job-manager layer (queue, cache, journal, per-stage timing) and the
+// job-manager layer (queue, cache, job records, per-stage timing) and the
 // shard layer (per-worker units, breakers, probes, leases) from one
 // shared registry; see DESIGN.md §9. GET /v1/status serves the merged
 // operational snapshot — coordinator state, cell cache, time-series
@@ -45,8 +46,8 @@
 // rendered live by cmd/bdtop; see DESIGN.md §12. Each worker's status
 // fetch in that fan-out is bounded at 2s.
 //
-// The coordinator keeps its own content-addressed result cache, a
-// persistent job journal and a cell cache (all under -data-dir): repeated
+// The coordinator keeps its own content-addressed result cache, its
+// job records and a cell cache (all under -data-dir): repeated
 // grids are served without touching the workers, job metadata survives
 // restarts, and a coordinator killed mid-job re-adopts the job on restart
 // and dispatches only the workload×node columns its cell cache lacks.
@@ -95,7 +96,7 @@ func run(ctx context.Context) error {
 	// shard.New trims and validates each seeded URL.
 	urls := strings.FieldsFunc(*workers, func(r rune) bool { return r == ',' || unicode.IsSpace(r) })
 
-	// One registry spans both layers: the manager's queue/cache/journal
+	// One registry spans both layers: the manager's queue/cache/record
 	// metrics and the executor's fleet metrics render on the same
 	// /metrics endpoint.
 	d, err := daemon.Bind("bdcoord", f, shard.FleetSeriesDefs()...)
@@ -183,7 +184,7 @@ func run(ctx context.Context) error {
 	})
 
 	// Jobs still running when the drain times out are cut short without
-	// a terminal journal record, so the next incarnation re-adopts them
+	// a terminal job record, so the next incarnation re-adopts them
 	// and (thanks to the cell cache) dispatches only the columns not yet
 	// stored.
 	return d.Serve(ctx, mux, daemon.Hooks{Stats: func() []slog.Attr {

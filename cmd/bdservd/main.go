@@ -6,11 +6,11 @@
 // plus an on-disk JSON store under -data-dir).
 //
 // Job metadata is bounded (-max-jobs evicts the oldest terminal records)
-// and persisted: with a -data-dir, lifecycle records are appended to
-// <data-dir>/journal.ndjson and replayed on boot, so a restarted daemon
-// still serves previously completed jobs' status and results. The
-// daemon binds -addr before it replays anything, so a port clash exits
-// without side effects. With -characterize-only the daemon accepts only
+// and persisted: with a -data-dir, each job's record lives at
+// <data-dir>/jobs/<id>.json and is read back on boot, so a restarted
+// daemon still serves previously completed jobs' status and results and
+// re-adopts the jobs it left unfinished. The daemon binds -addr before
+// it reads anything, so a port clash exits without side effects. With -characterize-only the daemon accepts only
 // observation-matrix jobs — the worker role behind a bdcoord shard
 // coordinator. With -register it self-registers with a coordinator
 // under a heartbeat lease (renewed every lease-ttl/3, retried with

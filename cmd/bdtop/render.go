@@ -113,15 +113,15 @@ func renderFrame(st fleetStatus, now time.Time, width int) string {
 	line("bdtop — %s  pid %d  up %s  %s  goroutines %d",
 		st.Service, st.PID, fmtDuration(time.Duration(st.UptimeSeconds*float64(time.Second))),
 		st.GoVersion, st.Goroutines)
-	journal := "journal ok"
-	if !st.Journal.Enabled {
-		journal = "journal off"
-	} else if !st.Journal.Healthy {
-		journal = "JOURNAL DEGRADED: " + st.Journal.Detail
+	records := "records ok"
+	if !st.JobRecords.Enabled {
+		records = "records off"
+	} else if !st.JobRecords.Healthy {
+		records = "RECORDS DEGRADED: " + st.JobRecords.Detail
 	}
 	line("JOBS   queued %d  running %d  done %d  failed %d  canceled %d   queue %d/%d  busy %d/%d  %s",
 		st.Jobs.Queued, st.Jobs.Running, st.Jobs.Done, st.Jobs.Failed, st.Jobs.Canceled,
-		st.Queue.Depth, st.Queue.Capacity, st.Queue.Busy, st.Queue.Workers, journal)
+		st.Queue.Depth, st.Queue.Capacity, st.Queue.Busy, st.Queue.Workers, records)
 
 	if st.Window != nil && len(st.Window.Series) > 0 {
 		line("")

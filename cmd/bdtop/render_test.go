@@ -64,7 +64,7 @@ func fixture() fleetStatus {
 					{Workload: "kmeans", Hits: 36, Misses: 28, HitRatio: 36.0 / 64.0},
 				},
 			},
-			Journal: service.JournalStatus{Enabled: true, Healthy: true, Appends: 120},
+			JobRecords: service.JobRecordsStatus{Enabled: true, Entries: 16, Healthy: true},
 			Stages: []service.StageLatency{
 				{Stage: "characterize", Count: 15, P50: 8.2, P95: 14.0, P99: 19.5},
 				{Stage: "analyze", Count: 14, P50: 0.4, P95: 0.9, P99: 1.2},
@@ -141,10 +141,10 @@ func TestRenderFrameSmokeTokens(t *testing.T) {
 func TestRenderFrameDegradedAndEmpty(t *testing.T) {
 	var st fleetStatus
 	st.Service = "bdservd"
-	st.Journal = service.JournalStatus{Enabled: true, Healthy: false, Detail: "append failed: disk full"}
+	st.JobRecords = service.JobRecordsStatus{Enabled: true, Healthy: false, Detail: "write failed: disk full"}
 	frame := renderFrame(st, time.Unix(0, 0), 0)
-	if !strings.Contains(frame, "JOURNAL DEGRADED: append failed: disk full") {
-		t.Errorf("degraded journal not surfaced:\n%s", frame)
+	if !strings.Contains(frame, "RECORDS DEGRADED: write failed: disk full") {
+		t.Errorf("degraded job records not surfaced:\n%s", frame)
 	}
 	// No fleet array (plain bdservd): no FLEET section, no panic.
 	if strings.Contains(frame, "FLEET") {

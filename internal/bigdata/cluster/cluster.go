@@ -132,8 +132,9 @@ func newNodeWorker(cfg Config) (*nodeWorker, error) {
 // grid and returns its 45-metric vector. The per-cell seed depends only
 // on (workload, run, absolute node index) and cfg.Seed, so every
 // execution order — sequential, workload-parallel, fully flattened, or
-// node-sharded across processes — produces bit-identical results.
-func (nw *nodeWorker) runNode(w workloads.Workload, cfg Config, run, node int) ([]float64, error) {
+// node-sharded across processes — produces bit-identical results. A
+// canceled ctx stops the cell at its next slice boundary.
+func (nw *nodeWorker) runNode(ctx context.Context, w workloads.Workload, cfg Config, run, node int) ([]float64, error) {
 	seed := cfg.Seed ^
 		(uint64(cfg.NodeOffset+node)+1)*0x9E3779B97F4A7C15 ^
 		(uint64(run)+1)*0xC2B2AE3D27D4EB4F ^
@@ -144,7 +145,7 @@ func (nw *nodeWorker) runNode(w workloads.Workload, cfg Config, run, node int) (
 		return nil, err
 	}
 	nw.m.Reset()
-	if err := nw.m.RunInto(&nw.res, sources, cfg.InstructionsPerCore, cfg.Slices); err != nil {
+	if err := nw.m.RunIntoCtx(ctx, &nw.res, sources, cfg.InstructionsPerCore, cfg.Slices); err != nil {
 		return nil, err
 	}
 	counts, err := perf.Measure(nw.res.Snapshots, cfg.Monitor)
@@ -190,7 +191,7 @@ func RunWorkload(w workloads.Workload, cfg Config) (*Measurement, error) {
 	for run := 0; run < cfg.Runs; run++ {
 		cells[run] = make([][]float64, cfg.SlaveNodes)
 		for node := 0; node < cfg.SlaveNodes; node++ {
-			v, err := nw.runNode(w, cfg, run, node)
+			v, err := nw.runNode(context.Background(), w, cfg, run, node)
 			if err != nil {
 				return nil, err
 			}
@@ -316,7 +317,7 @@ func CharacterizeCellsCtx(ctx context.Context, suite []workloads.Workload, cfg C
 					errs[t.ti] = err
 					continue
 				}
-				v, err := nw.runNode(suite[t.wi], cfg, t.run, t.node)
+				v, err := nw.runNode(ctx, suite[t.wi], cfg, t.run, t.node)
 				if err != nil {
 					errs[t.ti] = err
 					continue

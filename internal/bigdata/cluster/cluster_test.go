@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
@@ -184,10 +185,10 @@ func TestMachineReuseMatchesFresh(t *testing.T) {
 	}
 	// Dirty the worker with one run, then re-measure and compare against
 	// a brand-new worker.
-	if _, err := nw.runNode(ws[1], cfg, 0, 1); err != nil {
+	if _, err := nw.runNode(context.Background(), ws[1], cfg, 0, 1); err != nil {
 		t.Fatal(err)
 	}
-	reused, err := nw.runNode(ws[0], cfg, 0, 0)
+	reused, err := nw.runNode(context.Background(), ws[0], cfg, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +196,7 @@ func TestMachineReuseMatchesFresh(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	direct, err := fresh.runNode(ws[0], cfg, 0, 0)
+	direct, err := fresh.runNode(context.Background(), ws[0], cfg, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,12 +4,14 @@
 // corrupt file only ever costs a recompute), and bounded by an mtime
 // sweep over entry count and, optionally, age.
 //
-// A daemon keeps up to two stores of this type. Its result tier keeps
+// A daemon keeps up to three stores of this type. Its result tier keeps
 // canonical job results under <data-dir>/results, keyed by job ID (32
-// hex digits). Its cell cache keeps one workload×node *column* of the
-// characterization grid (the per-run metric vectors of one workload on
-// one absolute node) per entry, keyed by the full SHA-256 of the
-// column's canonical cell-key spec (64 hex digits, see cluster.CellKey);
+// hex digits). Its job records live under <data-dir>/jobs, one per
+// retained job, keyed by job ID too. Its cell cache keeps one
+// workload×node *column* of the characterization grid (the per-run
+// metric vectors of one workload on one absolute node) per entry, keyed
+// by the full SHA-256 of the column's canonical cell-key spec (64 hex
+// digits, see cluster.CellKey);
 // GetCell and PutCell are that column format on top of Get and Put. A
 // bdservd worker consults its cell cache inside the measurement grid; a
 // bdcoord coordinator's is fed by every finished unit, so a fully-cached
@@ -206,6 +208,24 @@ func (s *Store) Put(key string, data []byte) error {
 	return nil
 }
 
+// Delete removes key's entry, if any. It reports whether an entry was
+// removed.
+func (s *Store) Delete(key string) bool {
+	return ValidKey(key) && os.Remove(s.path(key)) == nil
+}
+
+// Keys lists the keys of the store's current entries, in no particular
+// order (a directory listing — for boot-time scans, not hot paths).
+func (s *Store) Keys() []string {
+	var keys []string
+	for _, f := range s.files() {
+		if f.entry {
+			keys = append(keys, strings.TrimSuffix(f.name, ".json"))
+		}
+	}
+	return keys
+}
+
 // workloadLabel bounds the attribution label: lookups that arrive
 // without a workload name (none should) collapse into one series.
 func workloadLabel(workload string) string {
@@ -286,7 +306,7 @@ type file struct {
 
 // files lists the store's own files: <key>.json entries and the
 // <key>.json.tmp* files an interrupted fsio write leaves behind. Anything
-// else sharing the directory — a journal, an operator's notes — is never
+// else sharing the directory — an operator's notes, an old file — is never
 // counted, sized or deleted.
 func (s *Store) files() []file {
 	ents, err := os.ReadDir(s.dir)

@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -236,7 +237,7 @@ func TestMaxAgeSweep(t *testing.T) {
 
 // TestSweepSparesForeignFiles pins that the store touches only its own
 // files: <key>.json entries and fsio's <key>.json.tmp* leftovers. A
-// journal or an operator's notes sharing the directory survive both the
+// foreign file or an operator's notes sharing the directory survive both the
 // max-age sweep at Open and a capacity sweep, and Len does not count
 // them.
 func TestSweepSparesForeignFiles(t *testing.T) {
@@ -332,6 +333,61 @@ func TestByteLevelGetPut(t *testing.T) {
 	s.dir = filepath.Join(dir, "missing")
 	if err := s.Put(id, []byte(`{}`)); err == nil {
 		t.Fatal("Put into a missing directory reported no error")
+	}
+}
+
+// TestDelete: Delete removes exactly the named entry, reports whether
+// one was there, and refuses keys that are not store keys.
+func TestDelete(t *testing.T) {
+	s, err := Open(t.TempDir(), 0, 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 1; i <= 2; i++ {
+		if err := s.Put(key(i), []byte("[]")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !s.Delete(key(1)) {
+		t.Fatal("Delete of a stored entry reported nothing removed")
+	}
+	if s.Has(key(1)) || !s.Has(key(2)) {
+		t.Fatal("Delete removed the wrong entry")
+	}
+	if s.Delete(key(1)) || s.Delete(key(3)) || s.Delete("../"+key(2)[3:]) {
+		t.Fatal("Delete reported removing an absent entry or an invalid key")
+	}
+	if n := s.Len(); n != 1 {
+		t.Fatalf("Len after Delete = %d, want 1", n)
+	}
+}
+
+// TestKeys: Keys lists exactly the store's entries — neither write
+// leftovers nor foreign files.
+func TestKeys(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir, 0, 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := s.Keys(); len(got) != 0 {
+		t.Fatalf("Keys of an empty store = %v", got)
+	}
+	id := strings.Repeat("ab", 16)
+	for _, k := range []string{key(1), id} {
+		if err := s.Put(k, []byte("{}")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, name := range []string{key(2) + ".json.tmp1", "notes.txt", key(3) + ".json.bak"} {
+		if err := os.WriteFile(filepath.Join(dir, name), nil, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got := s.Keys()
+	sort.Strings(got)
+	if want := []string{key(1), id}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("Keys = %v, want %v", got, want)
 	}
 }
 

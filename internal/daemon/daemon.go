@@ -7,7 +7,7 @@
 //
 // A daemon starts in three steps. Bind claims the listen address first,
 // so a port clash exits before anything touches <data-dir>, then opens
-// the shared pieces; NewManager replays the job journal; Serve answers
+// the shared pieces; NewManager reads the job records back; Serve answers
 // requests until its context ends, then shuts down in order.
 package daemon
 
@@ -54,7 +54,7 @@ type Flags struct {
 func RegisterFlags(fs *flag.FlagSet, addr, dataDir string) *Flags {
 	f := &Flags{}
 	fs.StringVar(&f.Addr, "addr", addr, "listen address")
-	fs.StringVar(&f.DataDir, "data-dir", dataDir, "on-disk result store (<data-dir>/results), job journal (<data-dir>/journal.ndjson) and cell cache ('' = memory only, no restart recovery)")
+	fs.StringVar(&f.DataDir, "data-dir", dataDir, "on-disk result store (<data-dir>/results), job records (<data-dir>/jobs) and cell cache ('' = memory only, no restart recovery)")
 	fs.IntVar(&f.Queue, "queue", 64, "max queued jobs")
 	fs.IntVar(&f.CacheEntries, "cache-entries", 256, "in-memory LRU result entries")
 	fs.IntVar(&f.MaxJobs, "max-jobs", 1024, "max retained job records (oldest terminal evicted)")
@@ -74,9 +74,8 @@ func RegisterFlags(fs *flag.FlagSet, addr, dataDir string) *Flags {
 }
 
 // dataPath is <data-dir>/name, or "" (disabled) without a data dir: the
-// journal is <data-dir>/journal.ndjson, the "auto" cell cache
-// <data-dir>/cells (the manager itself keeps results in
-// <data-dir>/results).
+// "auto" cell cache is <data-dir>/cells (the manager itself keeps results
+// in <data-dir>/results and job records in <data-dir>/jobs).
 func (f *Flags) dataPath(name string) string {
 	if f.DataDir == "" {
 		return ""
@@ -171,11 +170,11 @@ func (d *Daemon) Addr() net.Addr { return d.ln.Addr() }
 
 // NewManager builds the daemon's job manager. cfg carries the role's
 // fields (Workers, Execute, CharacterizeOnly, CellDelay); the shared
-// flags and pieces fill the rest. It replays the job journal, so re-adopted
-// jobs start here.
+// flags and pieces fill the rest. It reads the job records back, so
+// re-adopted jobs start here.
 func (d *Daemon) NewManager(cfg service.Config) (*service.Manager, error) {
 	f := d.flags
-	cfg.DataDir, cfg.JournalPath, cfg.Cells = f.DataDir, f.dataPath("journal.ndjson"), d.Cells
+	cfg.DataDir, cfg.Cells = f.DataDir, d.Cells
 	cfg.QueueDepth, cfg.CacheEntries, cfg.MaxJobs, cfg.Parallelism = f.Queue, f.CacheEntries, f.MaxJobs, f.Parallelism
 	// Flag semantics (0 = off) map to the config's (negative = off).
 	cfg.TraceBuffer = f.TraceBuffer

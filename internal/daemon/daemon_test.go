@@ -51,11 +51,11 @@ func TestSharedFlags(t *testing.T) {
 }
 
 func TestDataDirLayout(t *testing.T) {
-	if got, want := (&Flags{DataDir: "d"}).dataPath("journal.ndjson"), filepath.Join("d", "journal.ndjson"); got != want {
-		t.Errorf("journal at %q, want %q", got, want)
+	if got, want := (&Flags{DataDir: "d"}).dataPath("cells"), filepath.Join("d", "cells"); got != want {
+		t.Errorf("cell cache at %q, want %q", got, want)
 	}
-	if got := (&Flags{}).dataPath("journal.ndjson"); got != "" {
-		t.Errorf("journal without a data dir at %q, want none", got)
+	if got := (&Flags{}).dataPath("cells"); got != "" {
+		t.Errorf("cell cache without a data dir at %q, want none", got)
 	}
 	// in roots a test directory under one temp dir; "" and "auto" pass.
 	root := t.TempDir()
@@ -147,8 +147,8 @@ func TestServeAndShutdown(t *testing.T) {
 	if code := statusOf(t, "GET", base+"/healthz", ""); code != http.StatusOK {
 		t.Fatalf("/healthz after an oversized body: %d, want 200", code)
 	}
-	if _, err := os.Stat(filepath.Join(dir, "journal.ndjson")); err != nil {
-		t.Errorf("journal not at <data-dir>/journal.ndjson: %v", err)
+	if _, err := os.Stat(filepath.Join(dir, "jobs")); err != nil {
+		t.Errorf("job records not at <data-dir>/jobs: %v", err)
 	}
 	var keys []string
 	for _, a := range d.stats(Hooks{Stats: func() []slog.Attr { return []slog.Attr{slog.Int("fleet_workers", 2)} }}) {
@@ -176,7 +176,7 @@ func TestServeAndShutdown(t *testing.T) {
 
 // TestBindPortHeld pins the startup order: with the listen address
 // already taken, Bind fails before anything exists under <data-dir> — no
-// journal to replay from, no cell store.
+// job records to read back, no cell store.
 func TestBindPortHeld(t *testing.T) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -189,8 +189,8 @@ func TestBindPortHeld(t *testing.T) {
 		d.Close()
 		t.Fatal("Bind succeeded on a held port")
 	}
-	if _, err := os.Stat(filepath.Join(dir, "journal.ndjson")); !os.IsNotExist(err) {
-		t.Errorf("failed Bind left a journal (stat: %v)", err)
+	if _, err := os.Stat(filepath.Join(dir, "jobs")); !os.IsNotExist(err) {
+		t.Errorf("failed Bind left a job-record store (stat: %v)", err)
 	}
 	if _, err := os.Stat(dir); !os.IsNotExist(err) {
 		t.Errorf("failed Bind created <data-dir> (stat: %v)", err)

@@ -11,7 +11,7 @@ import (
 // WriteFileSync atomically and durably replaces path with data: the bytes
 // are written to a uniquely named temporary file in the same directory,
 // fsynced, and renamed over path. The fsync before the rename is the
-// durability half of the contract — without it a journal record written
+// durability half of the contract — without it a job record written
 // after the rename could survive a power loss whose data bytes never hit
 // the platter, leaving a key that claims bytes nobody holds. The unique
 // temporary name is the concurrency half: two goroutines storing under

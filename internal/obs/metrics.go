@@ -118,6 +118,9 @@ type family struct {
 
 	mu     sync.Mutex
 	series map[string]*series
+	// collect, on a GaugeFuncVec family, computes every series at read
+	// time; series then stays empty.
+	collect func(set func(value float64, labelValues ...string))
 }
 
 // seriesKey joins label values with a byte that cannot appear in them
@@ -231,17 +234,31 @@ func (r *Registry) GaugeFunc(name, help string, fn func() float64) {
 	s.fn = fn
 }
 
-// GaugeFuncVec is a labeled family of render-time-computed gauges.
-type GaugeFuncVec struct{ f *family }
-
-// GaugeFuncVec registers (or finds) a labeled gauge-func family.
-func (r *Registry) GaugeFuncVec(name, help string, labels ...string) *GaugeFuncVec {
-	return &GaugeFuncVec{r.family(name, help, "gauge", labels, nil)}
+// GaugeFuncVec registers a labeled gauge family computed by one callback
+// at render time: fn runs once per render (and once per ReadScalar) and
+// reports every series through set, so a breakdown that costs one scan
+// — jobs by state — costs one scan however many labels it fills.
+func (r *Registry) GaugeFuncVec(name, help string, labels []string, fn func(set func(value float64, labelValues ...string))) {
+	f := r.family(name, help, "gauge", labels, nil)
+	f.mu.Lock()
+	f.collect = fn
+	f.mu.Unlock()
 }
 
-// Register binds fn to the series at the given label values.
-func (v *GaugeFuncVec) Register(fn func() float64, values ...string) {
-	v.f.get(values).fn = fn
+// current returns the family's series as of now: a GaugeFuncVec
+// family's callback runs once and its values become the series. Caller
+// holds f.mu.
+func (f *family) current() map[string]*series {
+	if f.collect == nil {
+		return f.series
+	}
+	out := make(map[string]*series)
+	f.collect(func(value float64, labelValues ...string) {
+		s := &series{values: append([]string(nil), labelValues...), g: &Gauge{}}
+		s.g.Set(value)
+		out[seriesKey(labelValues)] = s
+	})
+	return out
 }
 
 // Histogram registers (or finds) an unlabeled histogram over the given
@@ -299,15 +316,16 @@ func (r *Registry) WriteText(w io.Writer) error {
 	for _, name := range names {
 		f := fams[name]
 		f.mu.Lock()
-		keys := make([]string, 0, len(f.series))
-		for k := range f.series {
+		all := f.current()
+		keys := make([]string, 0, len(all))
+		for k := range all {
 			keys = append(keys, k)
 		}
 		sort.Strings(keys)
 		fmt.Fprintf(&b, "# HELP %s %s\n", f.name, escapeHelp(f.help))
 		fmt.Fprintf(&b, "# TYPE %s %s\n", f.name, f.typ)
 		for _, k := range keys {
-			s := f.series[k]
+			s := all[k]
 			switch {
 			case s.h != nil:
 				writeHistogram(&b, f, s)

@@ -135,6 +135,42 @@ bd_workers 4
 	}
 }
 
+// TestGaugeFuncVecOneCallPerRender: a GaugeFuncVec family's callback
+// fills every series from one call — one render and one ReadScalar each
+// invoke it exactly once, however many labels it sets.
+func TestGaugeFuncVecOneCallPerRender(t *testing.T) {
+	r := NewRegistry()
+	calls := 0
+	r.GaugeFuncVec("bd_jobs", "Jobs by state.", []string{"state"}, func(set func(float64, ...string)) {
+		calls++
+		set(2, "running")
+		set(5, "done")
+		set(0, "failed")
+	})
+	var b strings.Builder
+	if err := r.WriteText(&b); err != nil {
+		t.Fatal(err)
+	}
+	if calls != 1 {
+		t.Fatalf("one render called the callback %d times, want 1", calls)
+	}
+	want := `# HELP bd_jobs Jobs by state.
+# TYPE bd_jobs gauge
+bd_jobs{state="done"} 5
+bd_jobs{state="failed"} 0
+bd_jobs{state="running"} 2
+`
+	if got := b.String(); got != want {
+		t.Errorf("exposition mismatch:\n--- got ---\n%s\n--- want ---\n%s", got, want)
+	}
+	if v, ok := r.ReadScalar("bd_jobs"); !ok || v != 7 || calls != 2 {
+		t.Errorf("ReadScalar = %v,%v after %d calls, want 7,true after 2", v, ok, calls)
+	}
+	if v, ok := r.ReadScalarSeries("bd_jobs", []string{"running"}); !ok || v != 2 {
+		t.Errorf("ReadScalarSeries(running) = %v,%v, want 2,true", v, ok)
+	}
+}
+
 // TestReRegistration: same name + same schema returns the same
 // instrument; a conflicting schema is a programming error and panics.
 func TestReRegistration(t *testing.T) {

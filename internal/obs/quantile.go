@@ -123,15 +123,16 @@ func (r *Registry) readScalar(name string, labelValues []string) (float64, bool)
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
+	all := f.current()
 	if labelValues != nil {
-		s, ok := f.series[seriesKey(labelValues)]
+		s, ok := all[seriesKey(labelValues)]
 		if !ok {
 			return 0, false
 		}
 		return scalarValue(s), true
 	}
 	var sum float64
-	for _, s := range f.series {
+	for _, s := range all {
 		sum += scalarValue(s)
 	}
 	return sum, true

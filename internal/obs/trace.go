@@ -51,7 +51,7 @@ func FormatTraceParent(traceID, spanID string) string {
 // ParseTraceParent decodes a TraceHeader value. The trace ID must have
 // job-ID shape and the span ID must be short and printable — anything
 // else is rejected so untrusted header bytes never reach labels, logs
-// or the journal.
+// or job records.
 func ParseTraceParent(s string) (traceID, spanID string, ok bool) {
 	i := strings.IndexByte(s, ';')
 	if i < 0 {
@@ -73,14 +73,6 @@ func ParseTraceParent(s string) (traceID, spanID string, ok bool) {
 	return traceID, spanID, true
 }
 
-// SpanEvent is a point-in-time annotation attached to a span (e.g. a
-// journal-append on the job span).
-type SpanEvent struct {
-	Time  time.Time         `json:"time"`
-	Name  string            `json:"name"`
-	Attrs map[string]string `json:"attrs,omitempty"`
-}
-
 // Span is one timed node of a trace. Spans with End == Start are
 // instant markers (breaker/lease/fleet events) rather than intervals.
 type Span struct {
@@ -93,7 +85,6 @@ type Span struct {
 	Start   time.Time         `json:"start"`
 	End     time.Time         `json:"end"`
 	Attrs   map[string]string `json:"attrs,omitempty"`
-	Events  []SpanEvent       `json:"events,omitempty"`
 }
 
 // Duration is the span's wall-clock extent (zero for instants).
@@ -136,11 +127,6 @@ type FlightRecorder struct {
 	service   string
 	maxTraces int
 	maxSpans  int
-
-	// Sink, when set, receives every span the recorder accepts through a
-	// live path (End, Record, Import) — the journal append hook. It is
-	// always invoked outside the recorder lock. Replay does not sink.
-	Sink func(jobID string, sp Span)
 
 	seq   atomic.Uint64
 	nonce string // process-unique span-ID prefix (coordinator vs worker)
@@ -238,7 +224,7 @@ func (r *FlightRecorder) push(jobID string, sp Span) {
 }
 
 // Record accepts one completed span for jobID, filling in ID and
-// Service when unset, and forwards it to Sink.
+// Service when unset.
 func (r *FlightRecorder) Record(jobID string, sp Span) {
 	if r == nil {
 		return
@@ -251,15 +237,11 @@ func (r *FlightRecorder) Record(jobID string, sp Span) {
 	}
 	r.mu.Lock()
 	r.push(jobID, sp)
-	sink := r.Sink
 	r.mu.Unlock()
-	if sink != nil {
-		sink(jobID, sp)
-	}
 }
 
-// Replay re-inserts spans recovered from the journal (no Sink — they
-// are already persisted).
+// Replay re-inserts spans recovered from a job record — the spans a job
+// cut short by a graceful shutdown carried into its next incarnation.
 func (r *FlightRecorder) Replay(jobID string, spans []Span) {
 	if r == nil {
 		return
@@ -370,21 +352,9 @@ func (h *SpanHandle) SetAttr(k, v string) {
 	h.mu.Unlock()
 }
 
-// Annotate attaches a point-in-time event to the (still open) span.
-func (h *SpanHandle) Annotate(name string, attrs map[string]string) {
-	if h == nil {
-		return
-	}
-	h.mu.Lock()
-	if !h.ended {
-		h.span.Events = append(h.span.Events, SpanEvent{Time: time.Now(), Name: name, Attrs: attrs})
-	}
-	h.mu.Unlock()
-}
-
 // End seals the span (status=ok unless an error status was already
 // set) and records it. Idempotent; the handle's internal lock is
-// released before the recorder and sink are touched, so End composes
+// released before the recorder is touched, so End composes
 // with any caller lock order.
 func (h *SpanHandle) End() { h.end(nil) }
 
@@ -476,8 +446,7 @@ func (tc *TraceContext) RecordInterval(parent, name string, start, end time.Time
 // cache hit serves spans from some older, foreign trace — those are the
 // other trace's history, not this one's), root spans of the imported
 // set are re-parented under parent, and worker/extra attributes are
-// stamped on. Imported spans flow through Sink like locally recorded
-// ones, so they survive coordinator crash-recovery too.
+// stamped on.
 func (tc *TraceContext) Import(spans []Span, parent, worker string, attrs map[string]string) {
 	if tc == nil {
 		return
@@ -591,16 +560,6 @@ func ChromeTrace(export TraceExport) ([]byte, error) {
 			ev.Ph, ev.Scope = "i", "t"
 		}
 		events = append(events, ev)
-		for _, se := range sp.Events {
-			args := map[string]any{"span_id": sp.ID}
-			for k, v := range se.Attrs {
-				args[k] = v
-			}
-			events = append(events, event{
-				Name: se.Name, Ph: "i", TS: se.Time.UnixMicro(),
-				PID: pid, TID: tid, Scope: "t", Args: args,
-			})
-		}
 	}
 	return json.Marshal(map[string]any{
 		"traceEvents":     events,

@@ -159,7 +159,7 @@ func (c *resultCache) Has(id string) bool {
 // Put stores a result under its job ID (write-through to the disk store
 // when one is configured) and returns the result hash. The disk write
 // happens first, outside c.mu, and is fsynced before its rename: a
-// journaled "done" record must never outlive its result bytes across a
+// "done" job record must never outlive its result bytes across a
 // power loss. If the write fails, no tier holds the entry, so a failed
 // job can never be replayed as a cached success.
 func (c *resultCache) Put(id string, data []byte) (string, error) {

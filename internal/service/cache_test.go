@@ -149,12 +149,11 @@ func TestSubmitReexecutesWhenResultEvicted(t *testing.T) {
 // TestResultStoreEvictsOldestPastBound: the disk half of the result tier
 // is bounded by cellcache.DefaultMaxEntries, by write recency. A store
 // past its bound loses its oldest result (counted in
-// bd_cache_disk_evictions_total), journal replay does not resurrect that
-// job's done record, and resubmitting it re-executes to the same hash.
+// bd_cache_disk_evictions_total), boot does not resurrect that job's done
+// record, and resubmitting it re-executes to the same hash.
 func TestResultStoreEvictsOldestPastBound(t *testing.T) {
 	dir := t.TempDir()
-	journal := filepath.Join(dir, "journal.ndjson")
-	m1 := newTestManager(t, Config{DataDir: dir, JournalPath: journal, CacheEntries: 1, Parallelism: 2})
+	m1 := newTestManager(t, Config{DataDir: dir, CacheEntries: 1, Parallelism: 2})
 	st, err := m1.Submit(tinySpec())
 	if err != nil {
 		t.Fatal(err)
@@ -181,7 +180,7 @@ func TestResultStoreEvictsOldestPastBound(t *testing.T) {
 
 	// Opening the store sweeps it back to its bound.
 	reg := obs.NewRegistry()
-	m2 := newTestManager(t, Config{DataDir: dir, JournalPath: journal, CacheEntries: 1, Parallelism: 2, Registry: reg})
+	m2 := newTestManager(t, Config{DataDir: dir, CacheEntries: 1, Parallelism: 2, Registry: reg})
 	if _, err := os.Stat(own); !os.IsNotExist(err) {
 		t.Fatalf("oldest result survived a store past its bound: %v", err)
 	}
@@ -194,10 +193,13 @@ func TestResultStoreEvictsOldestPastBound(t *testing.T) {
 	if cs := m2.CacheStats(); cs.DiskEvictions != 1 {
 		t.Fatalf("cache stats disk_evictions = %d, want 1", cs.DiskEvictions)
 	}
-	// The journal still holds the job's done record, but its result is
-	// gone: replay must not advertise a hash nobody can serve.
+	// The job's done record was on disk, but its result is gone: boot
+	// must not advertise a hash nobody can serve, and deletes the record.
 	if st, ok := m2.Get(st.ID); ok {
-		t.Fatalf("replay restored a done record without its result: %+v", st)
+		t.Fatalf("boot restored a done record without its result: %+v", st)
+	}
+	if _, err := os.Stat(filepath.Join(dir, "jobs", st.ID+".json")); !os.IsNotExist(err) {
+		t.Fatalf("done record without a result kept at boot: %v", err)
 	}
 	if _, ok := m2.Result(st.ID); ok {
 		t.Fatal("evicted result served")

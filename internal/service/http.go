@@ -143,14 +143,13 @@ func NewHandler(m *Manager) http.Handler {
 		WriteJSON(w, http.StatusOK, m.Status())
 	})
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
-		// A journal that has lost a record degrades the daemon: running
-		// jobs still complete (the result cache stays authoritative), but
-		// restart replay can no longer be trusted to be complete. The 503
-		// also takes a disk-failing shard worker out of its coordinator's
-		// rotation — probes fail, the breaker opens.
-		if ok, detail := m.JournalHealth(); !ok {
+		// A failing job-record write degrades the daemon until a write
+		// succeeds again: it refuses new submissions and a restart could
+		// lose jobs. The 503 also takes a disk-failing shard worker out of
+		// its coordinator's rotation — probes fail, the breaker opens.
+		if ok, detail := m.records.health(); !ok {
 			WriteJSON(w, http.StatusServiceUnavailable, map[string]string{
-				"status": "degraded", "journal": detail,
+				"status": "degraded", "job_records": detail,
 			})
 			return
 		}
@@ -173,7 +172,7 @@ func NewHandler(m *Manager) http.Handler {
 		// to the caller's trace; SubmitTraced validates before trusting.
 		st, err := m.SubmitTraced(spec, r.Header.Get(obs.TraceHeader))
 		switch {
-		case errors.Is(err, ErrQueueFull), errors.Is(err, ErrDraining):
+		case errors.Is(err, ErrQueueFull), errors.Is(err, ErrDraining), errors.Is(err, ErrRecordWrite):
 			WriteError(w, http.StatusServiceUnavailable, err)
 		case err != nil:
 			WriteError(w, http.StatusBadRequest, err)

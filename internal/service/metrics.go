@@ -12,12 +12,13 @@ import (
 // atomics and can never disagree.
 type svcMetrics struct {
 	jobsSubmitted *obs.CounterVec // outcome: queued | cache_hit | deduped
-	jobsRejected  *obs.CounterVec // reason: queue_full | draining | invalid
+	jobsRejected  *obs.CounterVec // reason: queue_full | draining | invalid | record_write
 	jobsCompleted *obs.CounterVec // state: done | failed | canceled
 	jobDuration   *obs.HistogramVec
 	stageDuration *obs.HistogramVec
+	busy          *obs.Gauge // executors running a job
+	recordWrites  *obs.Counter
 	cache         *cacheMetrics
-	journal       *journalMetrics
 }
 
 // cacheMetrics is the counter storage behind both CacheTierStatus and the
@@ -31,12 +32,6 @@ type cacheMetrics struct {
 	evictions     *obs.Counter
 	corrupt       *obs.Counter
 	diskEvictions *obs.Counter // the result store's sweep counter
-}
-
-type journalMetrics struct {
-	appends     *obs.Counter
-	failures    *obs.Counter
-	compactions *obs.Counter
 }
 
 func newCacheMetrics(reg *obs.Registry) *cacheMetrics {
@@ -66,7 +61,7 @@ func newSvcMetrics(reg *obs.Registry) *svcMetrics {
 			"Accepted job submissions, by outcome (queued, cache_hit, deduped).",
 			"outcome"),
 		jobsRejected: reg.CounterVec("bd_jobs_rejected_total",
-			"Refused job submissions, by reason (queue_full, draining, invalid).",
+			"Refused job submissions, by reason (queue_full, draining, invalid, record_write).",
 			"reason"),
 		jobsCompleted: reg.CounterVec("bd_jobs_completed_total",
 			"Jobs reaching a terminal state, by state (done, failed, canceled).",
@@ -77,15 +72,11 @@ func newSvcMetrics(reg *obs.Registry) *svcMetrics {
 		stageDuration: reg.HistogramVec("bd_stage_duration_seconds",
 			"Pipeline stage wall-clock time, by stage.",
 			obs.WideBuckets, "stage"),
+		busy: reg.Gauge("bd_executor_busy",
+			"Jobs currently executing (executor utilization = busy / workers)."),
+		recordWrites: reg.Counter("bd_job_record_writes_total",
+			"Job records written (fsynced) to <data-dir>/jobs: one when a job is queued, one when it ends."),
 		cache: newCacheMetrics(reg),
-		journal: &journalMetrics{
-			appends: reg.Counter("bd_journal_appends_total",
-				"Records appended to the job journal."),
-			failures: reg.Counter("bd_journal_failures_total",
-				"Journal append or compaction failures (any failure degrades /healthz)."),
-			compactions: reg.Counter("bd_journal_compactions_total",
-				"Journal compaction rewrites completed."),
-		},
 	}
 }
 
@@ -99,25 +90,20 @@ func (mx *svcMetrics) registerGauges(reg *obs.Registry, m *Manager) {
 		"Capacity of the job queue.").Set(float64(cap(m.queue)))
 	reg.Gauge("bd_executor_workers",
 		"Size of the executor pool.").Set(float64(m.cfg.Workers))
-	reg.GaugeFunc("bd_executor_busy",
-		"Jobs currently executing (executor utilization = busy / workers).",
-		func() float64 { return float64(m.jobCounts().Running) })
 	reg.GaugeFunc("bd_cache_entries",
 		"Entries currently held by the in-memory LRU tier.",
 		func() float64 { return float64(m.cache.Entries()) })
-	jobs := reg.GaugeFuncVec("bd_jobs",
-		"Job records currently retained, by state.", "state")
-	for _, st := range []State{StateQueued, StateRunning, StateDone, StateFailed, StateCanceled} {
-		st := st
-		jobs.Register(func() float64 {
+	reg.GaugeFuncVec("bd_jobs", "Job records currently retained, by state.", []string{"state"},
+		func(set func(float64, ...string)) {
 			c := m.jobCounts()
-			return float64(*c.of(st))
-		}, string(st))
-	}
+			for _, st := range []State{StateQueued, StateRunning, StateDone, StateFailed, StateCanceled} {
+				set(float64(*c.of(st)), string(st))
+			}
+		})
 }
 
 // jobCounts scans the record map once and counts jobs by state — the
-// one count behind Status, the bd_jobs and bd_executor_busy gauges and
+// one count behind Status, the bd_jobs family (one scan per render) and
 // the daemons' stats line. Render-time only; the map is bounded by
 // MaxJobs.
 func (m *Manager) jobCounts() JobsByState {

@@ -6,6 +6,9 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
+	"sort"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -40,12 +43,11 @@ func fakeExec(delay time.Duration) ExecuteFunc {
 	}
 }
 
-func TestJournalReplayAfterRestart(t *testing.T) {
+func TestRecordsReplayAfterRestart(t *testing.T) {
 	dir := t.TempDir()
 	cfg := Config{
-		DataDir:     filepath.Join(dir, "data"),
-		JournalPath: filepath.Join(dir, "journal.ndjson"),
-		Execute:     fakeExec(0),
+		DataDir: filepath.Join(dir, "data"),
+		Execute: fakeExec(0),
 	}
 
 	m1 := newTestManager(t, cfg)
@@ -75,7 +77,7 @@ func TestJournalReplayAfterRestart(t *testing.T) {
 	}
 	m1.Close()
 
-	// Restart: the journal replays both records; the done job's result is
+	// Restart: both records are read back; the done job's result is
 	// served straight from the disk cache.
 	m2 := newTestManager(t, cfg)
 	got, ok := m2.Get(st.ID)
@@ -122,48 +124,41 @@ func TestJournalReplayAfterRestart(t *testing.T) {
 	}
 }
 
-func TestJournalToleratesTornTail(t *testing.T) {
-	dir := t.TempDir()
-	cfg := Config{
-		DataDir:     filepath.Join(dir, "data"),
-		JournalPath: filepath.Join(dir, "journal.ndjson"),
-		Execute:     fakeExec(0),
-	}
-	m1 := newTestManager(t, cfg)
-	st, err := m1.Submit(tinySpec())
+// recordIDs lists the job IDs that have a record file under dataDir.
+func recordIDs(t *testing.T, dataDir string) []string {
+	t.Helper()
+	ents, err := os.ReadDir(filepath.Join(dataDir, "jobs"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	waitTerminal(t, m1, st.ID, 10*time.Second)
-	m1.Close()
-
-	// Simulate a crash mid-append: a torn, non-JSON trailing line.
-	f, err := os.OpenFile(cfg.JournalPath, os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		t.Fatal(err)
+	var ids []string
+	for _, e := range ents {
+		ids = append(ids, strings.TrimSuffix(e.Name(), ".json"))
 	}
-	if _, err := f.WriteString(`{"ts":"2026-01-01T00:00:00Z","type":"sub`); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
-
-	m2 := newTestManager(t, cfg)
-	if got, ok := m2.Get(st.ID); !ok || got.State != StateDone {
-		t.Fatalf("torn tail broke replay: ok=%v state=%v", ok, got.State)
-	}
+	sort.Strings(ids)
+	return ids
 }
 
-func TestJournalCompactsOnBoot(t *testing.T) {
-	dir := t.TempDir()
-	cfg := Config{
-		DataDir:     filepath.Join(dir, "data"),
-		JournalPath: filepath.Join(dir, "journal.ndjson"),
-		Execute:     fakeExec(0),
-		MaxJobs:     2,
+// listIDs is the retained job map's IDs, sorted.
+func listIDs(m *Manager) []string {
+	var ids []string
+	for _, st := range m.List() {
+		ids = append(ids, st.ID)
 	}
+	sort.Strings(ids)
+	return ids
+}
+
+// TestRecordsMirrorRetainedJobs: eviction past MaxJobs deletes the
+// evicted jobs' records, so the records directory holds exactly the
+// retained job map — in flight and after a restart with a smaller bound,
+// which trims at boot.
+func TestRecordsMirrorRetainedJobs(t *testing.T) {
+	dir := t.TempDir()
+	cfg := Config{DataDir: dir, Execute: fakeExec(0), MaxJobs: 3}
 	m1 := newTestManager(t, cfg)
 	var last string
-	for i := 0; i < 5; i++ {
+	for i := 0; i < 6; i++ {
 		spec := tinySpec()
 		spec.Cluster.Seed = uint64(100 + i)
 		st, err := m1.Submit(spec)
@@ -173,118 +168,99 @@ func TestJournalCompactsOnBoot(t *testing.T) {
 		waitTerminal(t, m1, st.ID, 10*time.Second)
 		last = st.ID
 	}
+	if got, want := recordIDs(t, dir), listIDs(m1); len(want) != 3 || !reflect.DeepEqual(got, want) {
+		t.Fatalf("records %v, retained jobs %v: want the same 3", got, want)
+	}
 	m1.Close()
 
+	cfg.MaxJobs = 2
 	m2 := newTestManager(t, cfg)
-	list := m2.List()
-	if len(list) > 2 {
-		t.Fatalf("replay ignored MaxJobs: %d records", len(list))
+	if got, want := recordIDs(t, dir), listIDs(m2); len(want) != 2 || !reflect.DeepEqual(got, want) {
+		t.Fatalf("after a restart with MaxJobs 2: records %v, retained jobs %v", got, want)
 	}
 	if _, ok := m2.Get(last); !ok {
-		t.Fatal("newest job evicted by replay truncation")
-	}
-	m2.Close()
-
-	// The compacted file holds at most MaxJobs submit+start+terminal
-	// record triples.
-	data, err := os.ReadFile(cfg.JournalPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n := bytes.Count(data, []byte("\"submit\"")); n > 2 {
-		t.Errorf("compacted journal still holds %d submit records", n)
+		t.Fatal("newest job trimmed at boot")
 	}
 }
 
-// TestJournalCompactsPeriodically: a long-running daemon must re-compact
-// its journal in flight — not only at boot — once appends pile up well
-// past the retained-job bound.
-func TestJournalCompactsPeriodically(t *testing.T) {
+// TestCacheHitWritesNoRecord: a submission the result cache answers —
+// joining a done job, or born done after that job's record was evicted —
+// writes no job record.
+func TestCacheHitWritesNoRecord(t *testing.T) {
 	dir := t.TempDir()
-	cfg := Config{
-		DataDir:     filepath.Join(dir, "data"),
-		JournalPath: filepath.Join(dir, "journal.ndjson"),
-		Execute:     fakeExec(0),
-		MaxJobs:     2, // threshold = 4*2+64 = 72 appended records
-	}
-	m := newTestManager(t, cfg)
-	var last string
-	for i := 0; i < 60; i++ { // ~180 records: submit+start+done each
-		spec := tinySpec()
-		spec.Cluster.Seed = uint64(1000 + i)
+	m := newTestManager(t, Config{DataDir: dir, Execute: fakeExec(0), MaxJobs: 1})
+	specs := []JobSpec{tinySpec(), tinySpec()}
+	specs[1].Cluster.Seed = 2001
+	for _, spec := range specs {
 		st, err := m.Submit(spec)
 		if err != nil {
 			t.Fatal(err)
 		}
-		waitTerminal(t, m, st.ID, 10*time.Second)
-		last = st.ID
+		if fin := waitTerminal(t, m, st.ID, 10*time.Second); fin.State != StateDone {
+			t.Fatalf("job finished %s", fin.State)
+		}
 	}
-	// Close drains the writer (appends + any compaction request). Without
-	// in-flight compaction the file would hold all 60 submit records;
-	// with it, at most a compacted snapshot plus one threshold's worth of
-	// tail appends (72 records = 24 submit/start/done triples) remain.
-	m.Close()
-	data, err := os.ReadFile(cfg.JournalPath)
-	if err != nil {
-		t.Fatal(err)
+	puts := m.records.store.Stats().Stores
+	if puts != 4 {
+		t.Fatalf("two computed jobs put %d records, want 4 (queued + done each)", puts)
 	}
-	if n := bytes.Count(data, []byte("\"submit\"")); n > 40 {
-		t.Fatalf("journal never re-compacted in flight: %d submit records", n)
+	// specs[1] is retained and done; specs[0]'s record was evicted, so
+	// resubmitting it is born done from the result store.
+	for i := 0; i < 3; i++ {
+		for _, spec := range specs {
+			st, err := m.Submit(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !st.CacheHit || st.State != StateDone {
+				t.Fatalf("resubmission not a cache hit: %+v", st)
+			}
+		}
 	}
-
-	// Replay still works after in-flight compaction.
-	m2 := newTestManager(t, cfg)
-	if got, ok := m2.Get(last); !ok || got.State != StateDone {
-		t.Fatalf("newest job lost after in-flight compaction: ok=%v state=%v", ok, got.State)
+	if got := m.records.store.Stats().Stores; got != puts {
+		t.Fatalf("cache-hit resubmissions put %d job records", got-puts)
+	}
+	if v, _ := m.reg.ReadScalar("bd_job_record_writes_total"); v != float64(puts) {
+		t.Fatalf("bd_job_record_writes_total = %v, want %d", v, puts)
 	}
 }
 
-// TestJournalCompactsOnCacheHitPath: a cache-dominated daemon — every
-// submission replayed born-done, no executor runs — must still trigger
-// in-flight compaction.
-func TestJournalCompactsOnCacheHitPath(t *testing.T) {
+// TestConcurrentSubmitsWriteOneRecordEach: identical and distinct
+// submissions racing over a record store (run it under -race) write
+// exactly one queued and one done record per job — an identical
+// submission waits for the record being written instead of writing its
+// own — and leave exactly one record file per job.
+func TestConcurrentSubmitsWriteOneRecordEach(t *testing.T) {
 	dir := t.TempDir()
-	cfg := Config{
-		DataDir:     filepath.Join(dir, "data"),
-		JournalPath: filepath.Join(dir, "journal.ndjson"),
-		Execute:     fakeExec(0),
-		MaxJobs:     2, // threshold = 72 appended records
+	m := newTestManager(t, Config{DataDir: dir, Execute: fakeExec(20 * time.Millisecond), Workers: 2})
+	const distinct, copies = 4, 6
+	ids := make([]string, distinct*copies)
+	var wg sync.WaitGroup
+	for i := range ids {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			spec := tinySpec()
+			spec.Cluster.Seed = uint64(500 + i%distinct)
+			st, err := m.Submit(spec)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			ids[i] = st.ID
+		}(i)
 	}
-	m := newTestManager(t, cfg)
-	specs := make([]JobSpec, 4)
-	for i := range specs {
-		specs[i] = tinySpec()
-		specs[i].Cluster.Seed = uint64(2000 + i)
-		st, err := m.Submit(specs[i])
-		if err != nil {
-			t.Fatal(err)
-		}
-		waitTerminal(t, m, st.ID, 10*time.Second)
-	}
-	// With MaxJobs=2 the two oldest records are evicted; resubmitting
-	// them replays born-done from the disk cache, appending submit+done
-	// each time while evicting another record — an append-only treadmill
-	// that never passes through runJob.
-	for i := 0; i < 60; i++ {
-		st, err := m.Submit(specs[i%len(specs)])
-		if err != nil {
-			t.Fatal(err)
-		}
-		if st.State != StateDone {
-			t.Fatalf("resubmission %d not served from cache: state %s", i, st.State)
+	wg.Wait()
+	for _, id := range ids[:distinct] {
+		if st := waitTerminal(t, m, id, 10*time.Second); st.State != StateDone {
+			t.Fatalf("job %s finished %s", id, st.State)
 		}
 	}
-	// Close drains the writer (appends + any compaction request). Without
-	// in-flight compaction the file would hold all 64 submit records;
-	// with it, at most a compacted snapshot plus one threshold's worth of
-	// tail appends (72 records ≈ 36 submits) remain.
-	m.Close()
-	data, err := os.ReadFile(cfg.JournalPath)
-	if err != nil {
-		t.Fatal(err)
+	if got := m.records.store.Stats().Stores; got != 2*distinct {
+		t.Errorf("%d jobs put %d records, want %d", distinct, got, 2*distinct)
 	}
-	if n := bytes.Count(data, []byte("\"submit\"")); n > 40 {
-		t.Fatalf("cache-hit path never compacted the journal: %d submit records", n)
+	if got := recordIDs(t, dir); len(got) != distinct {
+		t.Errorf("record files %v, want %d", got, distinct)
 	}
 }
 

@@ -1,206 +1,39 @@
 package service
 
-// Crash-recovery and graceful-shutdown tests for the manager: journal
-// replay under torn tails and from older versions, re-adoption of
-// non-terminal jobs, drain semantics, and the degraded-health path when
-// the journal loses its disk.
+// Crash-recovery and graceful-shutdown tests for the manager: job
+// records read back whatever bytes they hold, re-adoption of
+// non-terminal jobs, drain semantics, and the rejected-submission and
+// degraded-health path when the record store loses its disk.
 
 import (
+	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"log/slog"
+	"math/rand/v2"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/obs"
 )
 
-// TestJournalReplayEveryTruncation truncates a journal carrying submit,
-// start, span and done records for two jobs at EVERY byte offset and
-// replays each prefix: replay must never error, a partial line must
-// contribute nothing, and the terminal/non-terminal semantics must hold
-// at every cut — an in-flight job keeps exactly its complete span lines,
-// a terminal one keeps none.
-func TestJournalReplayEveryTruncation(t *testing.T) {
-	spec := tinySpec()
-	ts := time.Date(2026, 1, 2, 3, 4, 5, 0, time.UTC)
-	span := func(id string) *obs.Span {
-		return &obs.Span{TraceID: "job-a", ID: id, Name: "unit", Start: ts, End: ts.Add(time.Second)}
-	}
-	hash := strings.Repeat("c", 64)
-	recs := []journalRecord{
-		{TS: ts, Type: "submit", ID: "job-a", Spec: &spec},
-		{TS: ts, Type: "start", ID: "job-a"},
-		{TS: ts, Type: "span", ID: "job-a", Span: span("s1")},
-		{TS: ts, Type: "submit", ID: "job-b", Spec: &spec},
-		{TS: ts, Type: "start", ID: "job-b"},
-		{TS: ts, Type: "span", ID: "job-b", Span: span("s2")},
-		{TS: ts, Type: "done", ID: "job-b", Hash: hash},
-		{TS: ts, Type: "span", ID: "job-a", Span: span("s3")},
-	}
-	var buf []byte
-	ends := make([]int, len(recs)) // byte offset just past each record's newline
-	for i, r := range recs {
-		line, err := json.Marshal(r)
-		if err != nil {
-			t.Fatal(err)
-		}
-		buf = append(buf, line...)
-		buf = append(buf, '\n')
-		ends[i] = len(buf)
-	}
-
-	path := filepath.Join(t.TempDir(), "journal.ndjson")
-	for cut := 0; cut <= len(buf); cut++ {
-		// A record is replayable once all its bytes short of the trailing
-		// newline are on disk — a final line cut exactly before its
-		// newline still parses. Records are in file order, so record i is
-		// replayable iff i < complete.
-		complete := 0
-		for _, e := range ends {
-			if e-1 <= cut {
-				complete++
-			}
-		}
-		if err := os.WriteFile(path, buf[:cut], 0o644); err != nil {
-			t.Fatal(err)
-		}
-		jobs, err := replayJournal(path)
-		if err != nil {
-			t.Fatalf("cut %d: replay error: %v", cut, err)
-		}
-		var a, b *replayedJob
-		for i := range jobs {
-			switch jobs[i].id {
-			case "job-a":
-				a = &jobs[i]
-			case "job-b":
-				b = &jobs[i]
-			}
-		}
-		if (a != nil) != (complete > 0) || (b != nil) != (complete > 3) {
-			t.Fatalf("cut %d: job-a present %v, job-b present %v (complete lines %d)", cut, a != nil, b != nil, complete)
-		}
-		if a != nil {
-			var wantSpans []string
-			for i, r := range recs {
-				if r.Type == "span" && r.ID == "job-a" && i < complete {
-					wantSpans = append(wantSpans, r.Span.ID)
-				}
-			}
-			if a.state.terminal() || a.started.IsZero() != (complete <= 1) || len(a.spans) != len(wantSpans) {
-				t.Fatalf("cut %d: job-a = %+v, want non-terminal, started %v, %d spans", cut, a, complete > 1, len(wantSpans))
-			}
-			for i, id := range wantSpans {
-				if a.spans[i].ID != id {
-					t.Fatalf("cut %d: job-a span %d is %q, want %q", cut, i, a.spans[i].ID, id)
-				}
-			}
-		}
-		if b != nil {
-			// job-b: terminal iff its done line is complete, and terminal
-			// replay drops its spans.
-			if complete > 6 {
-				if b.state != StateDone || b.hash != hash || len(b.spans) != 0 {
-					t.Fatalf("cut %d: job-b not replayed done without spans: %+v", cut, b)
-				}
-			} else if b.state.terminal() || b.started.IsZero() != (complete <= 4) || len(b.spans) != boolInt(complete > 5) {
-				t.Fatalf("cut %d: in-flight job-b = %+v (complete lines %d)", cut, b, complete)
-			}
-		}
-	}
-}
-
-func boolInt(b bool) int {
-	if b {
-		return 1
-	}
-	return 0
-}
-
-// TestLegacyJournalReadopts replays a journal written by an older version
-// that also journaled unit-level progress ("plan" and "unit_done" lines)
-// over a data dir still holding that version's unit store: replay must
-// not error, the non-terminal job must be re-adopted and finish, the boot
-// compaction must drop the legacy lines, and the leftover units/
-// directory must be ignored.
-func TestLegacyJournalReadopts(t *testing.T) {
-	dir := t.TempDir()
-	cfg := Config{
-		DataDir:     filepath.Join(dir, "data"),
-		JournalPath: filepath.Join(dir, "journal.ndjson"),
-		Execute:     fakeExec(0),
-	}
-	spec := tinySpec()
-	id, err := spec.ID()
-	if err != nil {
-		t.Fatal(err)
-	}
-	specJSON, err := json.Marshal(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	key := strings.Repeat("a", 64)
-	legacy := fmt.Sprintf(`{"ts":"2026-01-02T03:04:05Z","type":"submit","id":%q,"spec":%s}
-{"ts":"2026-01-02T03:04:06Z","type":"start","id":%q}
-{"ts":"2026-01-02T03:04:06Z","type":"plan","id":%q,"parts":4}
-{"ts":"2026-01-02T03:04:07Z","type":"unit_done","id":%q,"unit":0,"key":%q}
-`, id, specJSON, id, id, id, key)
-	if err := os.WriteFile(cfg.JournalPath, []byte(legacy), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	units := filepath.Join(cfg.DataDir, "units")
-	if err := os.MkdirAll(units, 0o755); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(units, key+".json"), []byte("{}"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	m, err := New(cfg)
-	if err != nil {
-		t.Fatalf("legacy journal refused: %v", err)
-	}
-	if got, ok := m.Get(id); !ok || got.State.terminal() {
-		m.Close()
-		t.Fatalf("legacy non-terminal job not re-adopted: %+v (ok %v)", got, ok)
-	}
-	fin := waitTerminal(t, m, id, 10*time.Second)
-	m.Close()
-	if fin.State != StateDone {
-		t.Fatalf("re-adopted legacy job finished %s: %s", fin.State, fin.Error)
-	}
-	data, err := os.ReadFile(cfg.JournalPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, line := range strings.Split(strings.TrimSpace(string(data)), "\n") {
-		var rec struct {
-			Type string `json:"type"`
-		}
-		if err := json.Unmarshal([]byte(line), &rec); err != nil {
-			t.Fatalf("compacted journal line %q: %v", line, err)
-		}
-		if rec.Type == "plan" || rec.Type == "unit_done" {
-			t.Fatalf("compacted journal kept a legacy %s line: %s", rec.Type, line)
-		}
-	}
-}
-
 // TestShutdownReadoptsRunningJob: a manager closed with a job still
-// running journals NO terminal record for it — the crash/shutdown model
-// — so the next manager over the same journal re-adopts and finishes it,
-// and only then does the journal go terminal.
+// running writes NO terminal record for it — the crash/shutdown model —
+// so the next manager over the same data dir re-adopts and finishes it,
+// and only then does the record go terminal.
 func TestShutdownReadoptsRunningJob(t *testing.T) {
 	dir := t.TempDir()
 	cfg := Config{
-		DataDir:     filepath.Join(dir, "data"),
-		JournalPath: filepath.Join(dir, "journal.ndjson"),
-		Execute:     fakeExec(400 * time.Millisecond),
+		DataDir: filepath.Join(dir, "data"),
+		Execute: fakeExec(400 * time.Millisecond),
 	}
 	m1, err := New(cfg)
 	if err != nil {
@@ -237,9 +70,7 @@ func TestShutdownReadoptsRunningJob(t *testing.T) {
 	if data, ok := m2.Result(st.ID); !ok || len(data) == 0 {
 		t.Fatal("re-adopted job has no result")
 	}
-	// A restart means the previous incarnation shut down: Close drains the
-	// async journal writer, so the done record is on disk before m3 opens
-	// the file. (Without this the test races the writer goroutine.)
+	// A restart means the previous incarnation shut down.
 	m2.Close()
 
 	// Third incarnation sees it done — the terminal record landed.
@@ -249,13 +80,13 @@ func TestShutdownReadoptsRunningJob(t *testing.T) {
 	}
 }
 
-// TestUserCancelIsNotReadopted: an explicit cancel IS journaled terminal
+// TestUserCancelIsNotReadopted: an explicit cancel IS recorded terminal
 // — only shutdown interruptions re-adopt.
 func TestUserCancelIsNotReadopted(t *testing.T) {
 	dir := t.TempDir()
 	cfg := Config{
-		JournalPath: filepath.Join(dir, "journal.ndjson"),
-		Execute:     fakeExec(time.Hour),
+		DataDir: dir,
+		Execute: fakeExec(time.Hour),
 	}
 	m1, err := New(cfg)
 	if err != nil {
@@ -309,59 +140,235 @@ func TestDrainWaitsAndRefusesNewWork(t *testing.T) {
 	}
 }
 
-// TestJournalFailureDegradesHealthz: once an append hits a dead file the
-// journal reports unhealthy — sticky — and /healthz turns 503 degraded,
-// which is exactly what a coordinator's prober needs to breaker a
-// disk-failing worker out of rotation.
-func TestJournalFailureDegradesHealthz(t *testing.T) {
+// TestRecordWriteFailureRejectsAndDegrades: a job record that cannot
+// be written refuses the submission — no job is left behind — and turns
+// /healthz 503 degraded, which is what a coordinator's prober needs to
+// breaker a disk-failing worker out of rotation. The next successful
+// write clears it.
+func TestRecordWriteFailureRejectsAndDegrades(t *testing.T) {
 	dir := t.TempDir()
-	m := newTestManager(t, Config{
-		JournalPath: filepath.Join(dir, "journal.ndjson"),
-		Execute:     fakeExec(0),
-	})
-	if ok, detail := m.JournalHealth(); !ok {
-		t.Fatalf("fresh journal unhealthy: %s", detail)
+	m := newTestManager(t, Config{DataDir: dir, Execute: fakeExec(0)})
+	if ok, detail := m.records.health(); !ok {
+		t.Fatalf("fresh record store unhealthy: %s", detail)
 	}
 	srv := httptest.NewServer(NewHandler(m))
 	defer srv.Close()
-	if resp, err := http.Get(srv.URL + "/healthz"); err != nil || resp.StatusCode != http.StatusOK {
-		t.Fatalf("healthz before failure: %v %v", resp.StatusCode, err)
+	healthz := func() (int, map[string]string) {
+		t.Helper()
+		resp, err := http.Get(srv.URL + "/healthz")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var body map[string]string
+		if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
+			t.Fatal(err)
+		}
+		return resp.StatusCode, body
+	}
+	if code, _ := healthz(); code != http.StatusOK {
+		t.Fatalf("healthz before failure: %d", code)
 	}
 
-	// Pull the disk out from under the writer goroutine: the next append
-	// hits a closed file and the failure sticks.
-	m.jmu.Lock()
-	m.journal.f.Close()
-	m.jmu.Unlock()
-	if _, err := m.Submit(tinySpec()); err != nil {
+	// Pull the disk out from under the store: the next write fails.
+	jobs := filepath.Join(dir, "jobs")
+	if err := os.RemoveAll(jobs); err != nil {
 		t.Fatal(err)
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		if ok, _ := m.JournalHealth(); !ok {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("journal failure never surfaced in JournalHealth")
-		}
-		time.Sleep(2 * time.Millisecond)
+	st, err := m.Submit(tinySpec())
+	if !errors.Is(err, ErrRecordWrite) {
+		t.Fatalf("submit with a dead record store: %+v, %v; want ErrRecordWrite", st, err)
 	}
-	resp, err := http.Get(srv.URL + "/healthz")
+	id, _ := tinySpec().ID()
+	if _, ok := m.Get(id); ok || len(m.List()) != 0 || m.anyLive() {
+		t.Fatalf("rejected submission left a job behind: %+v", m.List())
+	}
+	code, body := healthz()
+	if code != http.StatusServiceUnavailable || body["status"] != "degraded" || body["job_records"] == "" {
+		t.Fatalf("degraded healthz: %d %+v", code, body)
+	}
+	if rs := m.Status().JobRecords; rs.Healthy || rs.Detail == "" {
+		t.Fatalf("status job_records: %+v", rs)
+	}
+	resp, err := http.Post(srv.URL+"/v1/jobs", "application/json", strings.NewReader(`{"workloads":["H-Sort"],"nodes":2,"instructions":1500}`))
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer resp.Body.Close()
+	resp.Body.Close()
 	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("degraded healthz status = %d, want 503", resp.StatusCode)
+		t.Fatalf("POST /v1/jobs with a dead record store: %d, want 503", resp.StatusCode)
 	}
-	var body struct {
-		Status  string `json:"status"`
-		Journal string `json:"journal"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
+
+	// The disk comes back: the next write succeeds and health clears.
+	if err := os.MkdirAll(jobs, 0o755); err != nil {
 		t.Fatal(err)
 	}
-	if body.Status != "degraded" || body.Journal == "" {
-		t.Fatalf("degraded healthz body: %+v", body)
+	st, err = m.Submit(tinySpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fin := waitTerminal(t, m, st.ID, 10*time.Second); fin.State != StateDone {
+		t.Fatalf("job after recovery finished %s", fin.State)
+	}
+	if code, _ := healthz(); code != http.StatusOK {
+		t.Fatalf("healthz after a successful write: %d, want 200", code)
+	}
+}
+
+// TestRecordStoreSurvivesArbitraryBytes: whatever bytes sit in a record
+// file — every truncation of a valid record, random bytes, well-formed
+// JSON naming another job — boot neither fails nor panics, and every
+// file that is not exactly a valid record of its key is deleted.
+func TestRecordStoreSurvivesArbitraryBytes(t *testing.T) {
+	dir := t.TempDir()
+	spec, err := tinySpec().Normalized()
+	if err != nil {
+		t.Fatal(err)
+	}
+	id, err := spec.id()
+	if err != nil {
+		t.Fatal(err)
+	}
+	valid, err := json.Marshal(jobRecord{
+		Spec: spec, State: StateFailed, Error: "boom",
+		Created: time.Date(2026, 1, 2, 3, 4, 5, 0, time.UTC),
+		Spans:   []obs.Span{{TraceID: id, ID: "s1", Name: "unit"}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rs, err := openRecords(dir, 0, obs.NewRegistry().Counter("w", ""), slog.New(slog.DiscardHandler))
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, "jobs", id+".json")
+	for cut := 0; cut <= len(valid); cut++ {
+		if err := os.WriteFile(path, valid[:cut], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		got := rs.load()
+		if cut < len(valid) {
+			if len(got) != 0 {
+				t.Fatalf("cut %d: truncated record loaded: %+v", cut, got)
+			}
+			if _, err := os.Stat(path); !os.IsNotExist(err) {
+				t.Fatalf("cut %d: truncated record not deleted", cut)
+			}
+			continue
+		}
+		if len(got) != 1 || got[0].id != id || got[0].State != StateFailed || len(got[0].Spans) != 1 {
+			t.Fatalf("whole record loaded as %+v", got)
+		}
+	}
+
+	// Random bytes and wrong-key JSON under many keys, beside the valid
+	// record: one boot of a real manager.
+	rng := rand.New(rand.NewPCG(1, 2))
+	other := strings.Repeat("0", 32)
+	garbage := map[string][]byte{
+		other:                   valid, // a valid record, filed under a key it does not hash to
+		strings.Repeat("1", 32): []byte("null"),
+		strings.Repeat("2", 32): []byte("{}"),
+		strings.Repeat("3", 32): []byte(`{"spec":7,"state":"done"}`),
+		strings.Repeat("4", 32): nil,
+	}
+	for i := 0; i < 64; i++ {
+		b := make([]byte, rng.IntN(256))
+		for j := range b {
+			b[j] = byte(rng.Uint32())
+		}
+		garbage[fmt.Sprintf("%032x", 1000+i)] = b
+	}
+	for key, b := range garbage {
+		if err := os.WriteFile(filepath.Join(dir, "jobs", key+".json"), b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	m := newTestManager(t, Config{DataDir: dir, Execute: fakeExec(0)})
+	if got := listIDs(m); len(got) != 1 || got[0] != id {
+		t.Fatalf("boot over garbage kept jobs %v, want only %s", got, id)
+	}
+	if st, _ := m.Get(id); st.State != StateFailed || st.Error != "boom" {
+		t.Fatalf("valid record restored as %+v", st)
+	}
+	if got := recordIDs(t, dir); len(got) != 1 || got[0] != id {
+		t.Fatalf("garbage records not deleted: %v", got)
+	}
+}
+
+// TestRecordWithStoredResultBootsDone: a record whose result the result
+// store holds boots done with that result's hash, whatever state it
+// says — a terminal write lost in a crash costs nothing — and the job
+// is not run again.
+func TestRecordWithStoredResultBootsDone(t *testing.T) {
+	dir := t.TempDir()
+	m1 := newTestManager(t, Config{DataDir: dir, Execute: fakeExec(0)})
+	st, err := m1.Submit(tinySpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	fin := waitTerminal(t, m1, st.ID, 10*time.Second)
+	m1.Close()
+	path := filepath.Join(dir, "jobs", st.ID+".json")
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, state := range []State{StateQueued, StateRunning, StateFailed, StateCanceled} {
+		var rec jobRecord
+		if err := json.Unmarshal(data, &rec); err != nil {
+			t.Fatal(err)
+		}
+		rec.State, rec.Hash, rec.Error = state, "", "lost"
+		b, err := json.Marshal(rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		var runs atomic.Int32
+		m2 := newTestManager(t, Config{DataDir: dir, Execute: func(ctx context.Context, spec JobSpec, p core.Progress) ([]byte, error) {
+			runs.Add(1)
+			return fakeExec(0)(ctx, spec, p)
+		}})
+		got, ok := m2.Get(st.ID)
+		if !ok || got.State != StateDone || got.ResultHash != fin.ResultHash {
+			t.Fatalf("record in state %s booted as %+v (found %v), want done with %s", state, got, ok, fin.ResultHash)
+		}
+		m2.Close()
+		if runs.Load() != 0 {
+			t.Fatalf("record in state %s re-ran the job", state)
+		}
+	}
+}
+
+// TestOldJournalIgnored: a <data-dir>/journal.ndjson an older version
+// left behind is neither read nor removed.
+func TestOldJournalIgnored(t *testing.T) {
+	dir := t.TempDir()
+	spec := tinySpec()
+	id, err := spec.ID()
+	if err != nil {
+		t.Fatal(err)
+	}
+	specJSON, err := json.Marshal(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := fmt.Sprintf(`{"ts":"2026-01-02T03:04:05Z","type":"submit","id":%q,"spec":%s}
+{"ts":"2026-01-02T03:04:06Z","type":"start","id":%q}
+`, id, specJSON, id)
+	journal := filepath.Join(dir, "journal.ndjson")
+	if err := os.WriteFile(journal, []byte(old), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	m := newTestManager(t, Config{DataDir: dir, Execute: fakeExec(0)})
+	if st, ok := m.Get(id); ok {
+		t.Fatalf("old journal read: job %s in state %s", id, st.State)
+	}
+	m.Close()
+	if data, err := os.ReadFile(journal); err != nil || string(data) != old {
+		t.Fatalf("old journal changed or removed (err %v)", err)
 	}
 }

@@ -96,23 +96,16 @@ type job struct {
 	// (the job ID, or one propagated from an upstream coordinator via
 	// X-BD-Trace), the upstream parent span, and the pre-allocated ID of
 	// this job's root span — children reference it before the root span
-	// itself is sealed. rootSpan (under mu) is the live handle while the
-	// job runs, so journal appends can annotate it.
+	// itself is sealed.
 	traceID    string
 	parentSpan string
 	rootSpanID string
-	rootSpan   *obs.SpanHandle
 
 	// userCancel marks an explicit Manager.Cancel, distinguishing it from
 	// a shutdown cancelation (the root context closing). Only the former
-	// journals a terminal cancel record; a shutdown-canceled job must stay
-	// non-terminal in the journal so the next incarnation re-adopts it.
+	// writes a canceled record; a job shutdown cuts short keeps its queued
+	// record so the next incarnation re-adopts it.
 	userCancel bool
-	// shutdownCanceled marks a job whose run was cut short by shutdown:
-	// terminal in memory (subscribers see a canceled event) but treated as
-	// live by journal compaction and eviction, so its submit record and
-	// unit progress survive to the next incarnation.
-	shutdownCanceled bool
 }
 
 func (j *job) status() JobStatus {
@@ -135,6 +128,21 @@ func (j *job) status() JobStatus {
 	return st
 }
 
+// recordLocked is the job's persistent record as of now. Callers hold
+// j.mu.
+func (j *job) recordLocked() jobRecord {
+	rec := jobRecord{
+		Spec: j.spec, State: j.state, Hash: j.resultHash, Error: j.errMsg,
+		Created: j.created, Started: j.started, Finished: j.finished,
+	}
+	if j.parentSpan != "" {
+		// Persist the propagated trace identity so a re-adopted job's
+		// spans still join the upstream trace after a restart.
+		rec.Trace = obs.FormatTraceParent(j.traceID, j.parentSpan)
+	}
+	return rec
+}
+
 // emit appends an event and wakes subscribers. Callers hold j.mu.
 func (j *job) emitLocked(ev Event) {
 	ev.Seq = len(j.events) + 1
@@ -145,6 +153,22 @@ func (j *job) emitLocked(ev Event) {
 	if ev.Type == "done" || ev.Type == "error" ||
 		(ev.Type == "state" && State(ev.State) == StateCanceled) {
 		j.done = true
+	}
+}
+
+// finishLocked moves j to a terminal state and emits the event that ends
+// its stream. Callers hold j.mu.
+func (j *job) finishLocked(state State, hash, errMsg string, at time.Time) {
+	j.state, j.finished = state, at
+	switch state {
+	case StateDone:
+		j.resultHash = hash
+		j.emitLocked(Event{Type: "done", ResultHash: hash})
+	case StateFailed:
+		j.errMsg = errMsg
+		j.emitLocked(Event{Type: "error", Error: errMsg})
+	default:
+		j.emitLocked(Event{Type: "state", State: StateCanceled})
 	}
 }
 
@@ -180,8 +204,12 @@ type ExecuteFunc func(ctx context.Context, spec JobSpec, progress core.Progress)
 // Config configures a Manager.
 type Config struct {
 	// DataDir roots the on-disk result store at <DataDir>/results (one
-	// <job-id>.json per result, bounded by write recency); empty disables
-	// the disk tier (results then live only in the in-memory LRU).
+	// <job-id>.json per result, bounded by write recency) and the job
+	// records at <DataDir>/jobs (one <job-id>.json per retained job, read
+	// back on boot so job metadata survives restarts and jobs a previous
+	// incarnation left unfinished are re-adopted). Empty disables both:
+	// results then live only in the in-memory LRU, and nothing survives
+	// a restart.
 	DataDir string
 	// Workers bounds concurrently executing jobs (default 1; each job
 	// internally parallelizes its measurement grid).
@@ -198,10 +226,9 @@ type Config struct {
 	// Parallelism is forwarded to each job's characterization grid and
 	// analysis stage (0 = GOMAXPROCS). It never affects results.
 	Parallelism int
-	// JournalPath, when set, enables the persistent job journal: job
-	// lifecycle records are appended as NDJSON and replayed on startup,
-	// so terminal job metadata (including done-job → result-hash
-	// mappings) survives restarts.
+	// Deprecated: JournalPath is ignored. Job records live under
+	// DataDir (see DataDir); an old journal file is neither read nor
+	// removed.
 	JournalPath string
 	// CellDelay, when positive, sleeps this long after every completed
 	// characterization grid cell — an artificial throttle for
@@ -232,20 +259,20 @@ type Config struct {
 	TraceService string
 	// Execute overrides the local pipeline executor — the hook through
 	// which bdcoord turns a Manager into a shard coordinator while
-	// reusing its queue, cache, journal and event plumbing. Nil runs
+	// reusing its queue, cache, job records and event plumbing. Nil runs
 	// jobs in-process.
 	Execute ExecuteFunc
 	// Registry receives the manager's metrics (queue depth, jobs by
-	// state, cache/journal counters, job and stage duration histograms)
-	// and backs the handler's GET /metrics. Nil uses a private registry:
-	// instruments still work, nothing renders them.
+	// state, cache and job-record counters, job and stage duration
+	// histograms) and backs the handler's GET /metrics. Nil uses a
+	// private registry: instruments still work, nothing renders them.
 	Registry *obs.Registry
 	// Sampler, when set, contributes its trailing time-series window to
 	// GET /v1/status. The manager never starts or stops it — the owning
 	// daemon drives the tick (see obs.Sampler.Start).
 	Sampler *obs.Sampler
-	// Logger receives structured job-lifecycle and journal log lines,
-	// each tagged with the job ID. Nil discards them.
+	// Logger receives structured job-lifecycle log lines, each tagged
+	// with the job ID. Nil discards them.
 	Logger *slog.Logger
 }
 
@@ -255,6 +282,10 @@ var ErrQueueFull = errors.New("service: job queue full")
 // ErrDraining is returned by Submit once Drain has begun: the daemon is
 // shutting down and admits no new work.
 var ErrDraining = errors.New("service: draining for shutdown")
+
+// ErrRecordWrite is returned (wrapped) by Submit when the job's record
+// could not be written: the submission is refused and leaves no job.
+var ErrRecordWrite = errors.New("service: writing job record")
 
 // Manager owns the job queue, the executor pool and the result cache.
 type Manager struct {
@@ -271,22 +302,24 @@ type Manager struct {
 	startedAt time.Time
 
 	draining atomic.Bool
-
-	jmu     sync.Mutex // serializes journal appends
-	journal *journal
+	records  *recordStore // nil without DataDir
 
 	mu    sync.Mutex
 	jobs  map[string]*job
 	order []string // submission order, for listing
 	queue chan *job
+	// pending holds submissions whose queued record is being written:
+	// each holds a queue slot, and an identical submission waits on the
+	// channel instead of writing a second record.
+	pending map[string]chan struct{}
 }
 
-// New starts a manager with cfg.Workers executor goroutines, replaying
-// the job journal (if configured) so terminal job records survive
-// restarts. Non-terminal journaled jobs — ones a previous incarnation
-// died holding — are re-adopted: re-queued as if freshly submitted. A
-// sharded executor recovers their finished work from its own cell cache,
-// not from the journal.
+// New starts a manager with cfg.Workers executor goroutines. With a
+// DataDir it first reads the job records back (see restore): terminal
+// jobs keep their status across restarts, and jobs a previous
+// incarnation left queued or running are re-adopted — re-queued as if
+// freshly submitted. A sharded executor recovers their finished work
+// from its own cell cache, not from the record.
 func New(cfg Config) (*Manager, error) {
 	if cfg.Workers < 1 {
 		cfg.Workers = 1
@@ -316,6 +349,12 @@ func New(cfg Config) (*Manager, error) {
 	if err != nil {
 		return nil, err
 	}
+	// The record map holds at most MaxJobs terminal jobs plus the queued
+	// and running ones; one more keeps the store's sweep clear of them.
+	records, err := openRecords(cfg.DataDir, cfg.MaxJobs+cfg.QueueDepth+cfg.Workers+1, mx.recordWrites, logger)
+	if err != nil {
+		return nil, err
+	}
 	root, stop := context.WithCancel(context.Background())
 	m := &Manager{
 		cfg:       cfg,
@@ -326,8 +365,10 @@ func New(cfg Config) (*Manager, error) {
 		root:      root,
 		stop:      stop,
 		startedAt: time.Now(),
+		records:   records,
 		jobs:      make(map[string]*job),
 		queue:     make(chan *job, cfg.QueueDepth),
+		pending:   make(map[string]chan struct{}),
 	}
 	mx.registerGauges(reg, m)
 	if cfg.TraceBuffer >= 0 {
@@ -336,68 +377,11 @@ func New(cfg Config) (*Manager, error) {
 			buf = 2048
 		}
 		m.tracer = obs.NewFlightRecorder(cfg.TraceService, cfg.MaxJobs, buf)
-		// Every completed span is journaled, so the traces of re-adopted
-		// jobs survive a coordinator crash along with their unit progress.
-		m.tracer.Sink = func(jobID string, sp obs.Span) {
-			m.journalAppendSync(journalRecord{TS: sp.End, Type: "span", ID: jobID, Span: &sp})
-		}
 	}
-	if cfg.JournalPath != "" {
-		jl, replayed, err := openJournal(cfg.JournalPath, cfg.MaxJobs, logger, mx.journal)
-		if err != nil {
-			stop()
-			return nil, err
-		}
-		m.journal = jl
-		for _, r := range replayed {
-			if !r.state.terminal() {
-				// The previous incarnation died while this job was queued
-				// or running: re-adopt it. The job re-enters the queue as
-				// freshly submitted.
-				if len(m.queue) >= cap(m.queue) {
-					m.log.Warn("journal re-adoption: queue full, dropping job (resubmit to re-run)", "job", r.id)
-					continue
-				}
-				j := newJob(m.root, r.id, r.spec)
-				j.created = r.created
-				m.initTrace(j, r.trace)
-				m.tracer.Replay(r.id, r.spans)
-				j.emit(Event{Type: "state", State: StateQueued})
-				m.jobs[r.id] = j
-				m.order = append(m.order, r.id)
-				m.queue <- j
-				m.log.Info("job re-adopted from journal", "job", r.id)
-				continue
-			}
-			if r.state == StateDone && !m.cache.Has(r.id) {
-				// The done job's bytes died with the previous process
-				// (no disk tier) or were swept past the disk tier's
-				// bound: materializing the record would advertise a
-				// hash nobody can serve. Drop it; a resubmission simply
-				// re-executes.
-				continue
-			}
-			j := newJob(m.root, r.id, r.spec)
-			j.state = r.state
-			j.created, j.started, j.finished = r.created, r.started, r.finished
-			switch r.state {
-			case StateDone:
-				j.resultHash = r.hash
-				j.emit(Event{Type: "state", State: StateDone})
-				j.emit(Event{Type: "done", ResultHash: r.hash})
-			case StateFailed:
-				j.errMsg = r.errMsg
-				j.emit(Event{Type: "error", Error: r.errMsg})
-			case StateCanceled:
-				j.emit(Event{Type: "state", State: StateCanceled})
-			}
-			// Terminal from birth: release the job's child context so the
-			// record doesn't pin an entry in the root context's tree.
-			j.cancel()
-			m.jobs[r.id] = j
-			m.order = append(m.order, r.id)
-		}
+	for _, r := range records.load() {
+		m.restore(r)
 	}
+	m.evict()
 	for i := 0; i < cfg.Workers; i++ {
 		m.wg.Add(1)
 		go m.worker()
@@ -405,17 +389,63 @@ func New(cfg Config) (*Manager, error) {
 	return m, nil
 }
 
-// Close cancels all running jobs, stops the executor pool and closes the
-// journal. Jobs cut short here stay non-terminal in the journal (their
-// cancel is a shutdown artifact, not a verdict) and are re-adopted by the
-// next incarnation.
+// restore rebuilds one job from its record at boot. A record whose
+// result some tier holds is done, whatever state it says; a done record
+// without one is deleted (a resubmission simply re-executes); a
+// non-terminal record is re-adopted; failed and canceled records come
+// back as they were.
+func (m *Manager) restore(r storedRecord) {
+	j := newJob(m.root, r.id, r.Spec)
+	j.created, j.started = r.Created, r.Started
+	hash := r.Hash
+	if m.cache.Has(r.id) {
+		ok := r.State == StateDone && hash != ""
+		if !ok {
+			// The job's result landed but its terminal record did not.
+			_, hash, ok = m.cache.Get(r.id)
+		}
+		if ok {
+			r.State = StateDone
+		}
+	} else if r.State == StateDone {
+		m.records.remove(r.id)
+		return
+	}
+	j.mu.Lock()
+	switch {
+	case r.State.terminal():
+		if r.State == StateDone {
+			j.emitLocked(Event{Type: "state", State: StateDone})
+		}
+		j.finishLocked(r.State, hash, r.Error, r.Finished)
+		// Terminal from birth: release the job's child context so the
+		// record doesn't pin an entry in the root context's tree.
+		j.cancel()
+	case len(m.queue) >= cap(m.queue):
+		j.mu.Unlock()
+		m.log.Warn("re-adoption: queue full, dropping job (resubmit to re-run)", "job", r.id)
+		m.records.remove(r.id)
+		return
+	default:
+		j.started = time.Time{}
+		m.initTrace(j, r.Trace)
+		m.tracer.Replay(r.id, r.Spans)
+		j.emitLocked(Event{Type: "state", State: StateQueued})
+		m.queue <- j
+		m.log.Info("job re-adopted", "job", r.id)
+	}
+	j.mu.Unlock()
+	m.jobs[r.id] = j
+	m.order = append(m.order, r.id)
+}
+
+// Close cancels all running jobs and stops the executor pool. Jobs cut
+// short here keep their queued record (their cancel is a shutdown
+// artifact, not a verdict) and are re-adopted by the next incarnation.
 func (m *Manager) Close() {
+	m.draining.Store(true)
 	m.stop()
 	m.wg.Wait()
-	m.jmu.Lock()
-	m.journal.Close()
-	m.journal = nil
-	m.jmu.Unlock()
 }
 
 // Drain begins a graceful shutdown: new submissions are refused with
@@ -441,6 +471,9 @@ func (m *Manager) Drain(timeout time.Duration) bool {
 func (m *Manager) anyLive() bool {
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	if len(m.pending) > 0 {
+		return true
+	}
 	for _, j := range m.jobs {
 		j.mu.Lock()
 		live := !j.state.terminal()
@@ -450,53 +483,6 @@ func (m *Manager) anyLive() bool {
 		}
 	}
 	return false
-}
-
-// JournalHealth reports whether the persistent journal (when configured)
-// has hit a permanent write failure, and the first error if so. A
-// degraded journal means restart replay can no longer be trusted to be
-// complete; the daemon surfaces it as a degraded /healthz.
-func (m *Manager) JournalHealth() (ok bool, detail string) {
-	m.jmu.Lock()
-	jl := m.journal
-	m.jmu.Unlock()
-	return jl.health()
-}
-
-// journalAppend enqueues one journal record (a no-op without a journal):
-// a channel send to the journal's writer goroutine, so no disk I/O
-// happens on the caller's lock path. jmu guards against a concurrent
-// Close of the channel.
-//
-// Every call happens while holding m.mu (Submit appends inline; other
-// paths use journalAppendSync). That invariant is what makes in-flight
-// compaction sound: maybeCompactJournal snapshots job state and enqueues
-// the compaction request under m.mu, so any record enqueued before the
-// request reflects state the snapshot already saw, and any enqueued
-// after survives the rewrite.
-func (m *Manager) journalAppend(rec journalRecord) {
-	// Annotate the job's open root span with the append — the tracing view
-	// of journal activity. Span records themselves are excluded (every
-	// span would otherwise annotate the root with its own persistence).
-	if rec.Type != "span" && m.cfg.JournalPath != "" {
-		if j := m.jobs[rec.ID]; j != nil {
-			j.mu.Lock()
-			h := j.rootSpan
-			j.mu.Unlock()
-			h.Annotate("journal-append", map[string]string{"type": rec.Type})
-		}
-	}
-	m.jmu.Lock()
-	defer m.jmu.Unlock()
-	m.journal.append(rec)
-}
-
-// journalAppendSync is journalAppend behind m.mu, for callers (runJob,
-// Cancel) that don't already hold it.
-func (m *Manager) journalAppendSync(rec journalRecord) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.journalAppend(rec)
 }
 
 func newJob(ctx context.Context, id string, spec JobSpec) *job {
@@ -536,9 +522,10 @@ func (m *Manager) Trace(id string) (obs.TraceExport, bool) {
 // joins it, and one matching a completed job or cached result returns
 // immediately with CacheHit set and the stored result.
 //
-// The result-cache probe — which may read the disk tier — happens outside
-// m.mu, so concurrent submissions of distinct jobs never serialize behind
-// disk I/O; the record map is re-checked under the lock afterwards.
+// The result-cache probe — which may read the disk tier — and the job
+// record write happen outside m.mu, so concurrent submissions of distinct
+// jobs never serialize behind each other's disk I/O; the record map is
+// re-checked under the lock afterwards.
 func (m *Manager) Submit(spec JobSpec) (JobStatus, error) {
 	return m.SubmitTraced(spec, "")
 }
@@ -548,172 +535,200 @@ func (m *Manager) Submit(spec JobSpec) (JobStatus, error) {
 // join the caller's trace (parented under the caller's span) instead of
 // rooting a fresh one; anything malformed is ignored, never trusted.
 func (m *Manager) SubmitTraced(spec JobSpec, traceParent string) (JobStatus, error) {
-	if m.draining.Load() {
-		m.mx.jobsRejected.With("draining").Inc()
-		return JobStatus{}, ErrDraining
-	}
-	norm, err := spec.Normalized()
+	norm, id, err := m.admit(spec)
 	if err != nil {
-		m.mx.jobsRejected.With("invalid").Inc()
 		return JobStatus{}, err
 	}
-	if m.cfg.CharacterizeOnly && norm.Mode != ModeObservations {
-		m.mx.jobsRejected.With("invalid").Inc()
-		return JobStatus{}, fmt.Errorf("service: this daemon is characterize-only (shard worker); it accepts only mode %q jobs", ModeObservations)
-	}
-	id, err := norm.id()
-	if err != nil {
-		m.mx.jobsRejected.With("invalid").Inc()
-		return JobStatus{}, err
-	}
-
-	// The cache-probe span is built when the probe runs but recorded only
-	// at an exit where the job's submit journal record already exists (or
-	// is already queued ahead of it): recording during the probe would
-	// journal the span line before the submit line, and replay drops
-	// spans that precede their job. Recording also sinks to the journal
-	// under m.mu, so it must happen after the unlock at each exit.
-	var probeSpan *obs.Span
-	recordProbe := func() {
-		if probeSpan != nil {
-			m.tracer.Record(id, *probeSpan)
-			probeSpan = nil
-		}
-	}
-
+	var probe *obs.Span
 	for attempt := 0; ; attempt++ {
 		// Fast path, no disk I/O: a live record already covers this
 		// submission.
-		m.mu.Lock()
-		if j, ok := m.jobs[id]; ok {
-			if st := j.status(); st.State == StateQueued || st.State == StateRunning {
-				m.mu.Unlock()
-				m.mx.jobsSubmitted.With("deduped").Inc()
-				m.log.Debug("job submission joined live job", "job", id, "state", st.State)
-				return st, nil
+		st, ok := m.joinLive(id)
+		if !ok {
+			probeStart := time.Now()
+			_, hash, hit := m.cache.Get(id)
+			if attempt == 0 {
+				probe = m.probeSpan(id, traceParent, probeStart, hit)
+			}
+			var retry bool
+			if st, retry, err = m.place(id, norm, traceParent, hash, hit, probeStart, attempt); retry {
+				continue
 			}
 		}
-		m.mu.Unlock()
-
-		// Probe the cache (LRU, then disk tier) unlocked.
-		probeStart := time.Now()
-		_, hash, hit := m.cache.Get(id)
-		if attempt == 0 && m.tracer.Enabled() {
-			tid := obs.TraceID(id)
-			parent := ""
-			if t, p, ok := obs.ParseTraceParent(traceParent); ok {
-				tid, parent = t, p
-			}
-			probeSpan = &obs.Span{
-				TraceID: tid, Parent: parent, Name: "cache-probe",
-				Start: probeStart, End: time.Now(),
-				Attrs: map[string]string{"status": "ok", "hit": fmt.Sprintf("%t", hit)},
-			}
+		// Recorded once the submission is placed: place drops the trace of
+		// a record it replaces.
+		if probe != nil && err == nil {
+			m.tracer.Record(id, *probe)
 		}
-
-		m.mu.Lock()
-		if j, ok := m.jobs[id]; ok {
-			st := j.status()
-			switch st.State {
-			case StateQueued, StateRunning:
-				// Raced with a concurrent identical submission.
-				m.mu.Unlock()
-				recordProbe()
-				m.mx.jobsSubmitted.With("deduped").Inc()
-				m.log.Debug("job submission joined live job", "job", id, "state", st.State)
-				return st, nil
-			case StateDone:
-				if hit {
-					// Count the replay as a cache hit so stats reflect
-					// dedupe.
-					st.ResultHash = hash
-					st.CacheHit = true
-					m.mu.Unlock()
-					recordProbe()
-					m.mx.jobsSubmitted.With("cache_hit").Inc()
-					m.log.Debug("job submission replayed from cache", "job", id, "hash", hash)
-					return st, nil
-				}
-				if attempt == 0 && st.FinishedAt != nil && st.FinishedAt.After(probeStart) {
-					// The job finished — its result landing in the cache
-					// — after our unlocked probe began: re-probe once.
-					// A job that finished before the probe can't win that
-					// race, so its miss is final and not re-counted.
-					m.mu.Unlock()
-					continue
-				}
-				// The result really was evicted from every tier: the
-				// record advertises a hash nobody can serve.
-				fallthrough
-			default:
-				// Evicted, failed or canceled: forget the old record and
-				// resubmit.
-				m.forgetLocked(j)
-			}
-		}
-
-		if hit {
-			j := newJob(m.root, id, norm)
-			now := time.Now()
-			j.state, j.cacheHit = StateDone, true
-			j.started, j.finished = now, now
-			j.resultHash = hash
-			j.emit(Event{Type: "state", State: StateDone})
-			j.emit(Event{Type: "done", ResultHash: hash})
-			j.cancel() // born terminal: release the child context
-			m.jobs[id] = j
-			m.order = append(m.order, id)
-			m.evictLocked()
-			m.journalAppend(journalRecord{TS: now, Type: "submit", ID: id, Spec: &norm})
-			m.journalAppend(journalRecord{TS: now, Type: "done", ID: id, Hash: hash})
-			st := j.status()
-			m.mu.Unlock()
-			recordProbe()
-			m.mx.jobsSubmitted.With("cache_hit").Inc()
-			m.log.Info("job submitted", "job", id, "state", StateDone, "cache_hit", true, "hash", hash)
-			// Born-done jobs never pass through runJob, so this is their
-			// only chance to trigger in-flight journal compaction — the
-			// steady state of a cache-dominated daemon.
-			m.maybeCompactJournal()
-			return st, nil
-		}
-
-		// Capacity check before any record exists: Submit is the only
-		// queue sender and it holds m.mu, so len < cap here guarantees
-		// the send below cannot block — and a rejected submission leaves
-		// no job record, no journal entry and no dangling child context.
-		if len(m.queue) >= cap(m.queue) {
-			m.mu.Unlock()
-			m.mx.jobsRejected.With("queue_full").Inc()
-			m.log.Warn("job submission rejected: queue full", "job", id, "queue_capacity", cap(m.queue))
-			return JobStatus{}, ErrQueueFull
-		}
-		j := newJob(m.root, id, norm)
-		m.initTrace(j, traceParent)
-		// Record and emit "queued" before the channel send: a free worker
-		// can pick the job up (and emit "running") the instant it lands
-		// in the queue, and the stream must start with the queued event.
-		// The submit journal record is written before the send too, so it
-		// always precedes the job's start/terminal records in the file.
-		m.jobs[id] = j
-		m.order = append(m.order, id)
-		m.evictLocked()
-		j.emit(Event{Type: "state", State: StateQueued})
-		trace := ""
-		if j.parentSpan != "" {
-			// Persist the propagated trace identity so a re-adopted job's
-			// new spans still join the upstream trace after a crash.
-			trace = obs.FormatTraceParent(j.traceID, j.parentSpan)
-		}
-		m.journalAppend(journalRecord{TS: j.created, Type: "submit", ID: id, Spec: &norm, Trace: trace})
-		m.queue <- j
-		st := j.status()
-		m.mu.Unlock()
-		recordProbe()
-		m.mx.jobsSubmitted.With("queued").Inc()
-		m.log.Info("job submitted", "job", id, "state", StateQueued, "mode", norm.Mode, "workloads", len(norm.Workloads))
-		return st, nil
+		return st, err
 	}
+}
+
+// admit refuses what no submission attempt could accept — a draining
+// daemon, an invalid spec, an analysis job on a characterize-only worker
+// — and returns the normalized spec with its job ID.
+func (m *Manager) admit(spec JobSpec) (JobSpec, string, error) {
+	if m.draining.Load() {
+		m.mx.jobsRejected.With("draining").Inc()
+		return JobSpec{}, "", ErrDraining
+	}
+	norm, err := spec.Normalized()
+	if err == nil && m.cfg.CharacterizeOnly && norm.Mode != ModeObservations {
+		err = fmt.Errorf("service: this daemon is characterize-only (shard worker); it accepts only mode %q jobs", ModeObservations)
+	}
+	var id string
+	if err == nil {
+		id, err = norm.id()
+	}
+	if err != nil {
+		m.mx.jobsRejected.With("invalid").Inc()
+		return JobSpec{}, "", err
+	}
+	return norm, id, nil
+}
+
+// joinLive returns the status of the queued or running job id, if there
+// is one.
+func (m *Manager) joinLive(id string) (JobStatus, bool) {
+	j, ok := m.job(id)
+	if !ok {
+		return JobStatus{}, false
+	}
+	st := j.status()
+	if st.State != StateQueued && st.State != StateRunning {
+		return JobStatus{}, false
+	}
+	m.mx.jobsSubmitted.With("deduped").Inc()
+	m.log.Debug("job submission joined live job", "job", id, "state", st.State)
+	return st, true
+}
+
+// probeSpan is the cache-probe span of a submission's result-cache
+// lookup (nil when tracing is disabled).
+func (m *Manager) probeSpan(id, traceParent string, start time.Time, hit bool) *obs.Span {
+	if !m.tracer.Enabled() {
+		return nil
+	}
+	tid, parent := obs.TraceID(id), ""
+	if t, p, ok := obs.ParseTraceParent(traceParent); ok {
+		tid, parent = t, p
+	}
+	return &obs.Span{
+		TraceID: tid, Parent: parent, Name: "cache-probe",
+		Start: start, End: time.Now(),
+		Attrs: map[string]string{"status": "ok", "hit": strconv.FormatBool(hit)},
+	}
+}
+
+// place settles a submission after its unlocked cache probe: it serves
+// a hit or enqueues a fresh job. retry asks SubmitTraced to start over —
+// to join an identical submission that went live (or is writing its
+// record) meanwhile, or to re-probe.
+func (m *Manager) place(id string, norm JobSpec, traceParent, hash string, hit bool, probeStart time.Time, attempt int) (st JobStatus, retry bool, err error) {
+	m.mu.Lock()
+	if wait, ok := m.pending[id]; ok {
+		m.mu.Unlock()
+		<-wait
+		return JobStatus{}, true, nil
+	}
+	if j, ok := m.jobs[id]; ok {
+		st := j.status()
+		switch {
+		case st.State == StateQueued || st.State == StateRunning:
+			m.mu.Unlock()
+			return JobStatus{}, true, nil
+		case st.State == StateDone && hit:
+			// Count the replay as a cache hit so stats reflect dedupe.
+			st.ResultHash, st.CacheHit = hash, true
+			m.mu.Unlock()
+			m.mx.jobsSubmitted.With("cache_hit").Inc()
+			m.log.Debug("job submission replayed from cache", "job", id, "hash", hash)
+			return st, false, nil
+		case st.State == StateDone && attempt == 0 && st.FinishedAt != nil && st.FinishedAt.After(probeStart):
+			// The job finished — its result landing in the cache — after
+			// our unlocked probe began: re-probe once. A job that finished
+			// before the probe can't win that race, so its miss is final
+			// and not re-counted.
+			m.mu.Unlock()
+			return JobStatus{}, true, nil
+		}
+		// Failed, canceled, or done with its result evicted from every
+		// tier: forget the old record and resubmit.
+		m.forgetLocked(j)
+	}
+	if hit {
+		return m.serveHitLocked(id, norm, hash), false, nil
+	}
+	st, err = m.enqueueLocked(id, norm, traceParent)
+	return st, false, err
+}
+
+// serveHitLocked records a submission the result cache answered as a
+// born-done job. It writes no job record — the result itself is what
+// done means — so replaying cached results stays write-free. Called with
+// m.mu held; returns with it released.
+func (m *Manager) serveHitLocked(id string, norm JobSpec, hash string) JobStatus {
+	j := newJob(m.root, id, norm)
+	j.mu.Lock()
+	j.cacheHit, j.started = true, time.Now()
+	j.emitLocked(Event{Type: "state", State: StateDone})
+	j.finishLocked(StateDone, hash, "", j.started)
+	j.mu.Unlock()
+	j.cancel() // born terminal: release the child context
+	m.jobs[id] = j
+	m.order = append(m.order, id)
+	m.evictLocked()
+	st := j.status()
+	m.mu.Unlock()
+	m.mx.jobsSubmitted.With("cache_hit").Inc()
+	m.log.Info("job submitted", "job", id, "state", StateDone, "cache_hit", true, "hash", hash)
+	return st
+}
+
+// enqueueLocked queues a fresh job. The queue slot is reserved under
+// m.mu, the queued record is written without it, and only then does the
+// job become visible: a rejected submission — queue full, or a record
+// that could not be written — leaves no job, no record and no dangling
+// child context. Called with m.mu held; returns with it released.
+func (m *Manager) enqueueLocked(id string, norm JobSpec, traceParent string) (JobStatus, error) {
+	// Submit is the only queue sender and reserves its slot here, so the
+	// send below can never block.
+	if len(m.queue)+len(m.pending) >= cap(m.queue) {
+		m.mu.Unlock()
+		m.mx.jobsRejected.With("queue_full").Inc()
+		m.log.Warn("job submission rejected: queue full", "job", id, "queue_capacity", cap(m.queue))
+		return JobStatus{}, ErrQueueFull
+	}
+	j := newJob(m.root, id, norm)
+	m.initTrace(j, traceParent)
+	wait := make(chan struct{})
+	m.pending[id] = wait
+	m.mu.Unlock()
+
+	err := m.records.put(id, j.recordLocked()) // j is not visible yet
+
+	m.mu.Lock()
+	delete(m.pending, id)
+	close(wait)
+	if err != nil {
+		m.mu.Unlock()
+		j.cancel()
+		m.mx.jobsRejected.With("record_write").Inc()
+		return JobStatus{}, fmt.Errorf("%w: %v", ErrRecordWrite, err)
+	}
+	// Emit "queued" before the channel send: a free worker can pick the
+	// job up (and emit "running") the instant it lands in the queue, and
+	// the stream must start with the queued event.
+	m.jobs[id] = j
+	m.order = append(m.order, id)
+	m.evictLocked()
+	j.emit(Event{Type: "state", State: StateQueued})
+	m.queue <- j
+	st := j.status()
+	m.mu.Unlock()
+	m.mx.jobsSubmitted.With("queued").Inc()
+	m.log.Info("job submitted", "job", id, "state", StateQueued, "mode", norm.Mode, "workloads", len(norm.Workloads))
+	return st, nil
 }
 
 // evictLocked bounds the job-record map at cfg.MaxJobs by dropping the
@@ -722,15 +737,20 @@ func (m *Manager) SubmitTraced(spec JobSpec, traceParent string) (JobStatus, err
 // flight. An evicted done job stays servable: its result lives in the
 // result cache, which Result consults for unknown IDs, and an identical
 // resubmission replays from the cache as a fresh born-done record.
+//
+// Once Close has begun nothing is evicted: a job shutdown cut short is
+// canceled in memory, but its queued record must survive for the next
+// boot to re-adopt.
 func (m *Manager) evictLocked() {
+	if m.root.Err() != nil {
+		return
+	}
 	for len(m.jobs) > m.cfg.MaxJobs {
 		evicted := false
 		for _, id := range m.order {
 			j := m.jobs[id]
 			j.mu.Lock()
-			// shutdownCanceled jobs are terminal in memory but must keep
-			// their record until the journal is done with them.
-			terminal := j.state.terminal() && !j.shutdownCanceled
+			terminal := j.state.terminal()
 			j.mu.Unlock()
 			if terminal {
 				m.forgetLocked(j)
@@ -751,14 +771,17 @@ func (m *Manager) evict() {
 	m.evictLocked()
 }
 
-// forgetLocked drops a terminal job's record — its child context and
-// its flight-recorder trace with it — so its ID can be submitted afresh.
-// Callers hold m.mu.
+// forgetLocked drops a terminal job — its child context, its
+// flight-recorder trace and its record file with it — so its ID can be
+// submitted afresh and the record directory mirrors the retained map.
+// A terminal job's record was written before its state was published,
+// so no write of it can land after this delete. Callers hold m.mu.
 func (m *Manager) forgetLocked(j *job) {
 	j.cancel()
 	delete(m.jobs, j.id)
 	m.dropFromOrder(j.id)
 	m.tracer.Remove(j.id)
+	m.records.remove(j.id)
 }
 
 func (m *Manager) dropFromOrder(id string) {
@@ -825,32 +848,27 @@ func (m *Manager) forget(j *job) {
 }
 
 // Cancel cancels a queued or running job. It reports whether the job
-// exists; cancelling a terminal job is a no-op.
+// exists; cancelling a terminal job is a no-op. A queued job is settled
+// here — its canceled record written, then its state published — and
+// the executor skips it; a running one settles when its executor
+// returns.
 func (m *Manager) Cancel(id string) bool {
 	j, ok := m.job(id)
 	if !ok {
 		return false
 	}
 	j.mu.Lock()
+	queued := j.state == StateQueued && !j.userCancel
 	j.userCancel = true
-	settled := false
-	if j.state == StateQueued {
-		// Not started yet: settle it immediately; the worker skips it.
-		j.state = StateCanceled
-		j.finished = time.Now()
-		j.emitLocked(Event{Type: "state", State: StateCanceled})
-		settled = true
-	}
 	j.mu.Unlock()
-	if settled {
+	j.cancel()
+	if queued {
 		m.mx.jobsCompleted.With(string(StateCanceled)).Inc()
 		m.log.Info("job canceled while queued", "job", id)
-		m.journalAppendSync(journalRecord{TS: time.Now(), Type: "cancel", ID: j.id})
-		m.maybeCompactJournal()
+		m.settle(j, StateCanceled, "", "")
 	} else {
 		m.log.Info("job cancel requested", "job", id)
 	}
-	j.cancel()
 	return true
 }
 
@@ -896,15 +914,17 @@ func (m *Manager) worker() {
 // with per-cell progress, analyze with stage progress, encode, cache.
 func (m *Manager) runJob(j *job) {
 	j.mu.Lock()
-	if j.state != StateQueued {
+	if j.state != StateQueued || j.userCancel {
 		j.mu.Unlock()
-		return // canceled while queued
+		return // canceled while queued: Cancel settles it
 	}
 	j.state = StateRunning
 	j.started = time.Now()
 	j.emitLocked(Event{Type: "state", State: StateRunning})
 	created, started := j.created, j.started
 	j.mu.Unlock()
+	m.mx.busy.Add(1)
+	defer m.mx.busy.Add(-1)
 	// Open the job's root span under its pre-allocated ID and backfill the
 	// time spent queued as a queue-wait child. Both no-op when disabled.
 	rootSpan := m.tracer.StartSpanID(j.id, j.traceID, j.parentSpan, "job", j.rootSpanID)
@@ -916,153 +936,67 @@ func (m *Manager) runJob(j *job) {
 			Attrs: map[string]string{"status": "ok"},
 		})
 	}
-	j.mu.Lock()
-	j.rootSpan = rootSpan
-	j.mu.Unlock()
 	m.log.Info("job started", "job", j.id)
-	m.journalAppendSync(journalRecord{TS: started, Type: "start", ID: j.id})
 
 	hash, err := m.execute(j)
-	now := time.Now()
-	elapsed := now.Sub(started)
-	var rec journalRecord
-	skipJournal := false
-	j.mu.Lock()
-	j.finished = now
+	elapsed := time.Since(started)
+	state, errMsg := StateDone, ""
 	switch {
 	case err == nil:
-		j.state = StateDone
-		j.resultHash = hash
-		j.emitLocked(Event{Type: "done", ResultHash: hash})
-		rec = journalRecord{TS: now, Type: "done", ID: j.id, Hash: hash}
+		m.log.Info("job done", "job", j.id, "duration", elapsed, "hash", hash)
 	case errors.Is(err, context.Canceled):
-		j.state = StateCanceled
-		j.emitLocked(Event{Type: "state", State: StateCanceled})
-		if m.root.Err() != nil && !j.userCancel {
-			// Shutdown cut the run short — nobody canceled the *job*. No
-			// terminal record: the journal keeps the submit (and any unit
-			// progress), so the next incarnation re-adopts and finishes it.
-			j.shutdownCanceled = true
-			skipJournal = true
-		} else {
-			rec = journalRecord{TS: now, Type: "cancel", ID: j.id}
-		}
+		state = StateCanceled
+		m.log.Info("job canceled", "job", j.id, "duration", elapsed, "shutdown", m.root.Err() != nil)
 	default:
-		j.state = StateFailed
-		j.errMsg = err.Error()
-		j.emitLocked(Event{Type: "error", Error: err.Error()})
-		rec = journalRecord{TS: now, Type: "fail", ID: j.id, Err: err.Error()}
+		state, errMsg = StateFailed, err.Error()
+		m.log.Warn("job failed", "job", j.id, "duration", elapsed, "error", err)
 	}
-	state := j.state
-	j.rootSpan = nil // no further annotations after the terminal record
-	j.mu.Unlock()
-	m.mx.jobsCompleted.With(string(state)).Inc()
-	m.mx.jobDuration.With(string(state)).Observe(elapsed.Seconds())
 	rootSpan.SetAttr("state", string(state))
 	if state == StateFailed {
 		rootSpan.EndErr(err)
 	} else {
 		rootSpan.End()
 	}
-	switch state {
-	case StateDone:
-		m.log.Info("job done", "job", j.id, "duration", elapsed, "hash", hash)
-	case StateCanceled:
-		m.log.Info("job canceled", "job", j.id, "duration", elapsed, "shutdown", skipJournal)
-	default:
-		m.log.Warn("job failed", "job", j.id, "duration", elapsed, "error", err)
+	m.mx.jobsCompleted.With(string(state)).Inc()
+	m.mx.jobDuration.With(string(state)).Observe(elapsed.Seconds())
+	m.settle(j, state, hash, errMsg)
+}
+
+// settle finishes a job: it writes the job's record, then publishes the
+// terminal state and event, then trims the record map. Writing first
+// means whatever observes the terminal state — a poller, the eviction
+// that deletes the record — finds the record already on disk. A failed
+// write is logged and degrades the daemon's /healthz but costs the job nothing: a
+// done job's result decides its state at boot, and a failed or canceled
+// one whose record still says queued merely re-runs.
+//
+// A job shutdown cut short — canceled, but by nobody — ends canceled in
+// memory only, so subscribers see their stream end. Its record stays
+// queued, now carrying the trace so far, so the next incarnation
+// re-adopts it and replays those spans.
+func (m *Manager) settle(j *job, state State, hash, errMsg string) {
+	now := time.Now()
+	j.mu.Lock()
+	rec := j.recordLocked()
+	shutdown := state == StateCanceled && !j.userCancel && m.root.Err() != nil
+	j.mu.Unlock()
+	rec.State, rec.Hash, rec.Error, rec.Finished = state, hash, errMsg, now
+	if shutdown {
+		rec.State, rec.Finished = StateQueued, time.Time{}
+		if exp, ok := m.tracer.Export(j.id); ok {
+			rec.Spans = exp.Spans
+		}
 	}
+	m.records.put(j.id, rec)
+
+	j.mu.Lock()
+	j.finishLocked(state, hash, errMsg, now)
+	j.mu.Unlock()
 	// Terminal: release the job's child context — nothing runs under it
 	// anymore, and an un-canceled child would stay registered in the root
 	// context's tree for the daemon's lifetime.
 	j.cancel()
-	if skipJournal {
-		return
-	}
-	m.journalAppendSync(rec)
-	// The finished job may push the record map past its bound.
 	m.evict()
-	m.maybeCompactJournal()
-}
-
-// maybeCompactJournal re-compacts the journal in flight once appends
-// since the last compaction exceed a few multiples of the retained-job
-// bound, so a long-running daemon's journal file stays proportional to
-// -max-jobs instead of growing for the process lifetime. The snapshot is
-// taken here (the writer goroutine has no access to manager state); the
-// rewrite itself happens on the writer goroutine, in order with the
-// appends already queued ahead of it. The snapshot covers *all* current
-// records — live jobs keep their submit/start lines so the terminal
-// record they append later still binds on replay. Every journal append
-// in the manager happens under m.mu (see journalAppend), and the
-// snapshot + compaction request are taken while holding m.mu, so no
-// record of any kind can slip between the snapshot and the request and
-// be erased by the rewrite.
-//
-// The append count restarts with each request, so requests come at most
-// once per threshold's worth of records. A request made while an earlier
-// one is still queued or running simply follows it on the writer. Once
-// the writer catches up, the file holds the last snapshot plus less than
-// one threshold of tail records, however fast appends arrive.
-func (m *Manager) maybeCompactJournal() {
-	m.jmu.Lock()
-	jl := m.journal
-	m.jmu.Unlock()
-	if jl == nil {
-		return
-	}
-	threshold := int64(4*m.cfg.MaxJobs + 64)
-	if jl.appends.Load() < threshold {
-		return
-	}
-
-	m.mu.Lock()
-	// Re-check under m.mu, where the count is reset: a concurrent caller
-	// may have requested this compaction already.
-	if jl.appends.Load() < threshold {
-		m.mu.Unlock()
-		return
-	}
-	snapshot := make([]replayedJob, 0, len(m.order))
-	for _, id := range m.order {
-		j := m.jobs[id]
-		j.mu.Lock()
-		state := j.state
-		if j.shutdownCanceled {
-			// Canceled by shutdown, not by anyone's verdict: compaction
-			// must keep the job non-terminal so the next incarnation
-			// re-adopts it.
-			state = ""
-		}
-		trace := ""
-		if j.parentSpan != "" {
-			trace = obs.FormatTraceParent(j.traceID, j.parentSpan)
-		}
-		var spans []obs.Span
-		if !state.terminal() && m.tracer.Enabled() {
-			// In-flight jobs keep their spans across the rewrite — the
-			// trace must survive compaction the same way the job
-			// itself does. Terminal jobs' spans are dropped with the rest of
-			// their non-essential history.
-			if exp, ok := m.tracer.Export(j.id); ok {
-				spans = exp.Spans
-			}
-		}
-		snapshot = append(snapshot, replayedJob{
-			id: j.id, spec: j.spec, state: state,
-			hash: j.resultHash, errMsg: j.errMsg,
-			created: j.created, started: j.started, finished: j.finished,
-			trace: trace, spans: spans,
-		})
-		j.mu.Unlock()
-	}
-	// Every record appended from now on lands after the rewrite and counts
-	// toward the next threshold, even while this compaction is still queued.
-	jl.appends.Store(0)
-	m.jmu.Lock()
-	m.journal.requestCompact(snapshot)
-	m.jmu.Unlock()
-	m.mu.Unlock()
 }
 
 // execute computes a job's result bytes — through the configured Execute

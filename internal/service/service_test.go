@@ -374,7 +374,9 @@ func TestCancelStopsGridWorkersPromptly(t *testing.T) {
 	if fin.State != StateCanceled {
 		t.Fatalf("state after cancel = %s (err %q), want %s", fin.State, fin.Error, StateCanceled)
 	}
-	if settle := time.Since(canceledAt); settle > 5*time.Second {
+	settle := time.Since(canceledAt)
+	t.Logf("cancellation settled in %v", settle)
+	if settle > 5*time.Second {
 		t.Errorf("cancellation took %v to settle; grid workers did not stop promptly", settle)
 	}
 	if fin.CellsDone >= fin.CellsTotal {

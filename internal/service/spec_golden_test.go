@@ -12,7 +12,7 @@ import (
 // defaults, or the canonical JSON of a nested config — into a test
 // failure. If a change here is *deliberate* (the spec semantics really
 // changed), update the constants and say so in the commit: every daemon's
-// existing cache entries and journal records become unreachable under the
+// existing cache entries and job records become unreachable under the
 // new IDs.
 const (
 	// goldenDefaultID is DefaultSpec(): all 32 built-ins, paper-shaped
@@ -39,7 +39,7 @@ func TestJobIDGoldenDefaultSpec(t *testing.T) {
 	}
 	if id != goldenDefaultID {
 		t.Errorf("DefaultSpec job ID changed: %s, pinned %s\n"+
-			"This silently invalidates every cached result and journal record.\n"+
+			"This silently invalidates every cached result and job record.\n"+
 			"If the spec change is deliberate, update the golden constant.", id, goldenDefaultID)
 	}
 }

@@ -13,7 +13,7 @@ import (
 // document carrying everything an operator console needs about a daemon
 // — process identity, queue and executor occupancy, jobs by state, the
 // active jobs with their stage progress, every cache tier with hit
-// ratios, journal health, per-stage latency quantiles, and the sampler's
+// ratios, job-record health, per-stage latency quantiles, and the sampler's
 // trailing time-series window. bdcoord serves the same snapshot with a
 // fleet view appended (see shard.WorkerFleetStatus); bdtop renders it.
 //
@@ -33,7 +33,7 @@ type StatusSnapshot struct {
 	ActiveJobs  []ActiveJob      `json:"active_jobs,omitempty"`
 	ResultCache CacheTierStatus  `json:"result_cache"`
 	CellCache   *cellcache.Stats `json:"cell_cache,omitempty"`
-	Journal     JournalStatus    `json:"journal"`
+	JobRecords  JobRecordsStatus `json:"job_records"`
 	Stages      []StageLatency   `json:"stages,omitempty"`
 	Window      *obs.Window      `json:"window,omitempty"`
 }
@@ -82,16 +82,6 @@ type ActiveJob struct {
 	StartedAt  *time.Time `json:"started_at,omitempty"`
 }
 
-// JournalStatus is the job journal's health line.
-type JournalStatus struct {
-	Enabled     bool   `json:"enabled"`
-	Healthy     bool   `json:"healthy"`
-	Detail      string `json:"detail,omitempty"`
-	Appends     uint64 `json:"appends"`
-	Failures    uint64 `json:"failures"`
-	Compactions uint64 `json:"compactions"`
-}
-
 // StageLatency is one pipeline stage's estimated latency quantiles,
 // computed from the bd_stage_duration_seconds histogram buckets.
 type StageLatency struct {
@@ -130,7 +120,7 @@ func (m *Manager) Status() StatusSnapshot {
 		},
 		Jobs:        jobs,
 		ResultCache: m.cache.Stats(),
-		Journal:     m.journalStatus(),
+		JobRecords:  m.records.status(),
 		Stages:      m.StageLatencies(),
 	}
 	for _, js := range m.List() {
@@ -155,20 +145,6 @@ func (m *Manager) Status() StatusSnapshot {
 		snap.Window = &w
 	}
 	return snap
-}
-
-func (m *Manager) journalStatus() JournalStatus {
-	js := JournalStatus{
-		Enabled:     m.journal != nil,
-		Appends:     m.mx.journal.appends.Value(),
-		Failures:    m.mx.journal.failures.Value(),
-		Compactions: m.mx.journal.compactions.Value(),
-	}
-	js.Healthy, js.Detail = m.JournalHealth()
-	if js.Healthy {
-		js.Detail = ""
-	}
-	return js
 }
 
 // StageLatencies estimates p50/p95/p99 per pipeline stage from the

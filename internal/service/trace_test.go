@@ -185,16 +185,15 @@ func TestTraceHTTPEndpoint(t *testing.T) {
 	}
 }
 
-// TestTraceSurvivesRestart: completed spans are journaled, so when a
-// manager dies mid-job the next incarnation's re-adopted job still
-// carries its pre-crash spans — the cache-probe span exists only in the
-// first incarnation's Submit path, so finding it after the restart
-// proves the journal round trip.
+// TestTraceSurvivesRestart: a manager closed mid-job writes the job's
+// spans so far into its record, so the next incarnation's re-adopted job
+// still carries its pre-shutdown spans — the cache-probe span exists only
+// in the first incarnation's Submit path, so finding it after the restart
+// proves the record round trip.
 func TestTraceSurvivesRestart(t *testing.T) {
 	dir := t.TempDir()
 	cfg := Config{
 		DataDir:     filepath.Join(dir, "data"),
-		JournalPath: filepath.Join(dir, "journal.ndjson"),
 		Execute:     fakeExec(400 * time.Millisecond),
 		TraceBuffer: 4096,
 	}

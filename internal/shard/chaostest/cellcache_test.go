@@ -53,7 +53,7 @@ type cellStats struct {
 }
 
 // runCellCached runs spec through a fresh coordinator (fresh executor,
-// fresh manager — no result-cache or journal carry-over) whose executor
+// fresh manager — no result-cache or job-record carry-over) whose executor
 // shares cellDir and plans upw units per worker, and returns the merged hash/bytes plus the run's cell
 // counter deltas (the registry is fresh, so totals ARE deltas).
 func runCellCached(t *testing.T, spec service.JobSpec, workers []string, cellDir string, upw int) (string, []byte, cellStats) {

@@ -401,7 +401,7 @@ func TestChaosPropertyMergedHashMatchesGolden(t *testing.T) {
 			var gotBytes []byte
 			if rng.Intn(3) == 0 {
 				// Coordinator-crash variant: kill and restart the
-				// coordinator mid-job over a journal + cell cache, with a
+				// coordinator mid-job over its job records + cell cache, with a
 				// clean worker joining and a seeded one leaving during
 				// recovery (see recovery_test.go). The determinism property
 				// must hold across coordinator incarnations too.

@@ -88,7 +88,7 @@ type Proxy struct {
 	// OnRestart, when set, is invoked before a scripted restart and
 	// returns the target for the revived proxy — e.g. the URL of a
 	// freshly booted worker, simulating a crash that lost all worker
-	// state (cache, journal, in-flight jobs).
+	// state (cache, job records, in-flight jobs).
 	OnRestart func() string
 }
 
@@ -166,7 +166,7 @@ func (p *Proxy) Restart() error {
 // /v1/jobs that passed through the proxy, in arrival order (duplicates
 // included). Unit job IDs are content-addressed, so recovery tests use
 // this to assert a restarted coordinator never re-submits a unit it
-// already journaled as done.
+// already recorded as done.
 func (p *Proxy) SubmittedIDs() []string {
 	p.mu.Lock()
 	defer p.mu.Unlock()

@@ -1,7 +1,7 @@
 package chaostest
 
 // Coordinator crash-recovery chaos tests: the coordinator itself — not a
-// worker — is killed mid-job and restarted over its journal + cell
+// worker — is killed mid-job and restarted over its job records + cell
 // cache, while the worker fleet churns (a fresh worker joins, a seeded
 // one leaves). The acceptance property is twofold: the merged result
 // stays byte-identical to the single-daemon golden run, and no finished
@@ -13,7 +13,6 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 	"time"
 
@@ -23,31 +22,21 @@ import (
 	"repro/internal/shard"
 )
 
-// journalTerminal reports whether the journal holds a terminal record
-// for jobID. A torn tail (partial last line) stops the scan, exactly
-// like replay.
-func journalTerminal(t *testing.T, path, jobID string) bool {
+// recordTerminal reports whether jobID's record under dataDir says the
+// job reached a terminal state.
+func recordTerminal(t *testing.T, dataDir, jobID string) bool {
 	t.Helper()
-	data, err := os.ReadFile(path)
+	data, err := os.ReadFile(filepath.Join(dataDir, "jobs", jobID+".json"))
 	if err != nil {
-		t.Fatalf("reading journal: %v", err)
+		t.Fatalf("reading job record: %v", err)
 	}
-	for _, line := range strings.Split(string(data), "\n") {
-		if strings.TrimSpace(line) == "" {
-			continue
-		}
-		var rec struct {
-			Type string `json:"type"`
-			ID   string `json:"id"`
-		}
-		if json.Unmarshal([]byte(line), &rec) != nil {
-			break // torn tail
-		}
-		if rec.ID == jobID && (rec.Type == "done" || rec.Type == "fail" || rec.Type == "cancel") {
-			return true
-		}
+	var rec struct {
+		State service.State `json:"state"`
 	}
-	return false
+	if err := json.Unmarshal(data, &rec); err != nil {
+		t.Fatalf("parsing job record: %v", err)
+	}
+	return rec.State == service.StateDone || rec.State == service.StateFailed || rec.State == service.StateCanceled
 }
 
 // startWorkerThrottled is startWorker with an artificial per-cell delay,
@@ -58,10 +47,11 @@ func startWorkerThrottled(t *testing.T, d time.Duration) *worker {
 	return startWorkerWith(t, service.Config{Workers: 2, Parallelism: 2, CellDelay: d})
 }
 
-// runWithCoordinatorCrash runs spec through a journaled coordinator with
-// a cell cache that is killed the moment its first column lands in that
-// cache (Close with the job still running journals no terminal record —
-// the crash model), then restarted over the same journal and cell cache.
+// runWithCoordinatorCrash runs spec through a coordinator with job
+// records and a cell cache that is killed the moment its first column
+// lands in that cache (Close with the job still running writes no
+// terminal record — the crash model), then restarted over the same data
+// dir and cell cache.
 // During recovery the fleet churns: extra (if non-nil) joins via the
 // registration path and the last initial proxy's worker leaves. It
 // asserts that across both incarnations each workload×node column is
@@ -71,7 +61,7 @@ func startWorkerThrottled(t *testing.T, d time.Duration) *worker {
 func runWithCoordinatorCrash(t *testing.T, spec service.JobSpec, proxies []*Proxy, upw int, extra *Proxy) (string, []byte) {
 	t.Helper()
 	dir := t.TempDir()
-	journal := filepath.Join(dir, "journal.ndjson")
+	dataDir := filepath.Join(dir, "data")
 	cellDir := filepath.Join(dir, "cells")
 	urls := make([]string, len(proxies))
 	for i, p := range proxies {
@@ -93,10 +83,9 @@ func runWithCoordinatorCrash(t *testing.T, spec service.JobSpec, proxies []*Prox
 	}
 	mkCoord := func(exec *shard.Executor) *service.Manager {
 		coord, err := service.New(service.Config{
-			Workers:     2,
-			DataDir:     filepath.Join(dir, "data"),
-			JournalPath: journal,
-			Execute:     exec.Execute,
+			Workers: 2,
+			DataDir: dataDir,
+			Execute: exec.Execute,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -127,9 +116,9 @@ func runWithCoordinatorCrash(t *testing.T, spec service.JobSpec, proxies []*Prox
 	exec1.Close()
 	// Close waited for every dispatcher, so no store lands after this read.
 	preStores := counterValue(t, reg1, "bd_cellcache_stores_total")
-	terminal := journalTerminal(t, journal, st.ID)
+	terminal := recordTerminal(t, dataDir, st.ID)
 
-	// Incarnation two over the same journal + cell cache re-adopts the
+	// Incarnation two over the same job records + cell cache re-adopts the
 	// job at New. Churn the fleet while it recovers: extra joins, the
 	// last seeded worker leaves.
 	reg2 := obs.NewRegistry()

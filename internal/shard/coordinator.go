@@ -111,7 +111,7 @@ const dispatchPoll = 10 * time.Millisecond
 // workers through a work-stealing dispatch loop and merges the unit
 // results deterministically. Its Execute method satisfies
 // service.ExecuteFunc, so a stock service.Manager (queue, dedupe, result
-// cache, journal, HTTP API) becomes a coordinator by plugging it in.
+// cache, job records, HTTP API) becomes a coordinator by plugging it in.
 // Fleet membership lives in the registry: flag-seeded members plus
 // runtime registrations under heartbeat leases; running jobs pick up
 // joins and leaves within one dispatch poll tick. Close stops the

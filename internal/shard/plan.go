@@ -10,7 +10,7 @@
 // unit observation matrices are re-assembled in canonical order, so the
 // merged result is byte-identical to a single-daemon run no matter which
 // worker ran which unit. cmd/bdcoord plugs the executor into a stock
-// service.Manager, inheriting its queue, cache, journal and HTTP API.
+// service.Manager, inheriting its queue, cache, job records and HTTP API.
 // internal/shard/chaostest is the fault-injection harness that proves
 // the determinism claim under latency, disconnect, crash-and-restart and
 // wrong-shape faults.

@@ -1,6 +1,7 @@
 package machine
 
 import (
+	"context"
 	"fmt"
 	"math/bits"
 
@@ -736,6 +737,15 @@ func (m *Machine) Run(sources []Source, maxInstrPerCore int, slices int) (*RunRe
 // machine-wide count snapshots are allocated once per worker instead of
 // once per run.
 func (m *Machine) RunInto(res *RunResult, sources []Source, maxInstrPerCore int, slices int) error {
+	return m.RunIntoCtx(context.Background(), res, sources, maxInstrPerCore, slices)
+}
+
+// RunIntoCtx is RunInto with cooperative cancellation: it checks ctx at
+// every slice boundary and returns ctx.Err() once it is done, leaving res
+// and the machine mid-run (Reset before reuse). The check reads nothing
+// the simulation writes, so an uncanceled run is bit-identical to
+// RunInto.
+func (m *Machine) RunIntoCtx(ctx context.Context, res *RunResult, sources []Source, maxInstrPerCore int, slices int) error {
 	if len(sources) != len(m.cores) {
 		return fmt.Errorf("machine: %d sources for %d cores", len(sources), len(m.cores))
 	}
@@ -780,6 +790,9 @@ func (m *Machine) RunInto(res *RunResult, sources []Source, maxInstrPerCore int,
 			}
 		}
 		for executed >= nextSlice && len(res.Snapshots) < slices {
+			if err := ctx.Err(); err != nil {
+				return err
+			}
 			res.Snapshots = append(res.Snapshots, m.Snapshot())
 			nextSlice += sliceEvery
 		}

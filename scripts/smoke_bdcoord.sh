@@ -3,8 +3,8 @@
 # locally: boot two characterize-only bdservd workers and one bdcoord,
 # submit the CI-scale job to the coordinator, and verify the merged
 # result hash (and bytes) are identical to a direct single-daemon run of
-# the same spec. Then restart the coordinator and verify the job journal
-# replays: the finished job's status and result are still served.
+# the same spec. Then restart the coordinator and verify its job records
+# are read back: the finished job's status and result are still served.
 # Next, submit a job whose spec carries custom workload definitions (a
 # preset family plus an inline ad-hoc definition) and assert the merged
 # result is byte-identical to the single-daemon run and that
@@ -171,7 +171,7 @@ print(f"    trace: {len(spans)} spans, {nested} worker stage spans nested under 
 PY
 python3 -c 'import json,sys; ev=json.load(open("smoke_bdcoord_trace.json"))["traceEvents"]; assert ev, "empty chrome trace"; print(f"    chrome trace: {len(ev)} events -> smoke_bdcoord_trace.json")'
 
-echo "==> restarting the coordinator (journal replay)"
+echo "==> restarting the coordinator (job records read back)"
 kill "$CO_PID"
 wait "$CO_PID" 2>/dev/null || true
 "$WORKDIR/bdcoord" -addr "$CO_ADDR" -data-dir "$WORKDIR/coord" \
@@ -185,7 +185,7 @@ HASH2=$(json_field "$WORKDIR/co_status2.json" result_hash)
 [ "$HASH2" = "$CO_HASH" ] || { echo "replayed hash $HASH2 != $CO_HASH" >&2; exit 1; }
 curl -fsS "$CO/v1/jobs/$CO_ID/result" -o "$WORKDIR/co_result2.json"
 cmp "$WORKDIR/co_result.json" "$WORKDIR/co_result2.json"
-echo "    journal replayed: job still done with identical result"
+echo "    job record read back: job still done with identical result"
 
 echo "==> custom-workload job: preset + inline definition through the coordinator"
 # The spec carries the MemThrash preset (materialized into the spec by

@@ -12,7 +12,7 @@
 #     model, no drain, no terminal record.
 #  3. Register a second worker (fleet churn during recovery) and restart
 #     the coordinator over the same data dir: it must re-adopt the job
-#     from the journal, read every column stored before the kill back
+#     from its record, read every column stored before the kill back
 #     from its cell cache (bd_cellcache_hits_total >= the pre-kill store
 #     count), and finish the job.
 #  4. Assert the recovered merged result is byte-identical to a
@@ -118,7 +118,7 @@ print(f"    lease visible: ttl {w['ttl_seconds']}s, remaining {w['ttl_remaining_
 PY
 
 JOB='{"workloads":["H-Sort","S-Sort","H-Grep","S-Grep"],"nodes":2,"instructions":6000,"kmax":3}'
-JOURNAL="$WORKDIR/coord/journal.ndjson"
+RECORDS="$WORKDIR/coord/jobs"
 
 echo "==> submitting the job, then SIGKILL-ing the coordinator after its first cell-cache store"
 curl -fsS -X POST -d "$JOB" "$CO/v1/jobs" -o "$WORKDIR/submit.json"
@@ -140,11 +140,14 @@ case "$PREKILL_STATE" in
 esac
 kill -9 "$CO_PID"
 wait "$CO_PID" 2>/dev/null || true
-grep -q '"type":"done".*"id":"'"$CO_ID"'"\|"id":"'"$CO_ID"'".*"type":"done"' "$JOURNAL" \
-  && { echo "job already terminal before the kill — crash landed too late" >&2; exit 1; }
+RECORD_STATE=$(json_field "$RECORDS/$CO_ID.json" state)
+case "$RECORD_STATE" in
+  queued|running) ;;
+  *) echo "job record '$RECORD_STATE' before the kill — crash landed too late" >&2; exit 1 ;;
+esac
 echo "    coordinator killed after >= $STORES cell-cache store(s) with the job non-terminal"
 
-echo "==> second worker joins; coordinator restarts over the same journal + cell cache"
+echo "==> second worker joins; coordinator restarts over the same job records + cell cache"
 "$WORKDIR/bdservd" -addr "$W2_ADDR" -data-dir "$WORKDIR/w2" -characterize-only \
   -register "$CO" -advertise "$W2" -lease-ttl 5s &
 PIDS+=($!); W2_PID=$!
