@@ -149,11 +149,11 @@ func listIDs(m *Manager) []string {
 	return ids
 }
 
-// TestRecordsMirrorRetainedJobs: eviction past MaxJobs deletes the
-// evicted jobs' records, so the records directory holds exactly the
-// retained job map — in flight and after a restart with a smaller bound,
-// which trims at boot.
-func TestRecordsMirrorRetainedJobs(t *testing.T) {
+// TestJournalCompactsPeriodically: the job records are the journal, and
+// a long-running daemon keeps it compact in flight — eviction past
+// MaxJobs deletes the evicted jobs' records, so the records directory
+// holds exactly the retained job map, and the next boot reads it back.
+func TestJournalCompactsPeriodically(t *testing.T) {
 	dir := t.TempDir()
 	cfg := Config{DataDir: dir, Execute: fakeExec(0), MaxJobs: 3}
 	m1 := newTestManager(t, cfg)
@@ -170,6 +170,35 @@ func TestRecordsMirrorRetainedJobs(t *testing.T) {
 	}
 	if got, want := recordIDs(t, dir), listIDs(m1); len(want) != 3 || !reflect.DeepEqual(got, want) {
 		t.Fatalf("records %v, retained jobs %v: want the same 3", got, want)
+	}
+	m1.Close()
+
+	m2 := newTestManager(t, cfg)
+	if got, ok := m2.Get(last); !ok || got.State != StateDone {
+		t.Fatalf("newest job lost after in-flight eviction: ok=%v state=%v", ok, got.State)
+	}
+}
+
+// TestJournalCompactsOnBoot: a restart with a smaller MaxJobs trims the
+// restored job map at boot and deletes the trimmed jobs' records, keeping
+// the newest.
+func TestJournalCompactsOnBoot(t *testing.T) {
+	dir := t.TempDir()
+	cfg := Config{DataDir: dir, Execute: fakeExec(0), MaxJobs: 5}
+	m1 := newTestManager(t, cfg)
+	var last string
+	for i := 0; i < 5; i++ {
+		spec := tinySpec()
+		spec.Cluster.Seed = uint64(100 + i)
+		st, err := m1.Submit(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		waitTerminal(t, m1, st.ID, 10*time.Second)
+		last = st.ID
+	}
+	if got := recordIDs(t, dir); len(got) != 5 {
+		t.Fatalf("records before restart: %v, want 5", got)
 	}
 	m1.Close()
 

@@ -215,21 +215,17 @@ func TestRecordWriteFailureRejectsAndDegrades(t *testing.T) {
 	}
 }
 
-// TestRecordStoreSurvivesArbitraryBytes: whatever bytes sit in a record
-// file — every truncation of a valid record, random bytes, well-formed
-// JSON naming another job — boot neither fails nor panics, and every
-// file that is not exactly a valid record of its key is deleted.
-func TestRecordStoreSurvivesArbitraryBytes(t *testing.T) {
-	dir := t.TempDir()
+// validRecord is a whole failed-job record with one span, and its key.
+func validRecord(t *testing.T) (id string, data []byte) {
+	t.Helper()
 	spec, err := tinySpec().Normalized()
 	if err != nil {
 		t.Fatal(err)
 	}
-	id, err := spec.id()
-	if err != nil {
+	if id, err = spec.id(); err != nil {
 		t.Fatal(err)
 	}
-	valid, err := json.Marshal(jobRecord{
+	data, err = json.Marshal(jobRecord{
 		Spec: spec, State: StateFailed, Error: "boom",
 		Created: time.Date(2026, 1, 2, 3, 4, 5, 0, time.UTC),
 		Spans:   []obs.Span{{TraceID: id, ID: "s1", Name: "unit"}},
@@ -237,6 +233,15 @@ func TestRecordStoreSurvivesArbitraryBytes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return id, data
+}
+
+// TestJournalReplayEveryTruncation: the job records are the journal.
+// A record file cut at EVERY byte offset reads back nothing and is
+// deleted; only the whole record loads, with its state and spans.
+func TestJournalReplayEveryTruncation(t *testing.T) {
+	dir := t.TempDir()
+	id, valid := validRecord(t)
 	rs, err := openRecords(dir, 0, obs.NewRegistry().Counter("w", ""), slog.New(slog.DiscardHandler))
 	if err != nil {
 		t.Fatal(err)
@@ -259,6 +264,59 @@ func TestRecordStoreSurvivesArbitraryBytes(t *testing.T) {
 		if len(got) != 1 || got[0].id != id || got[0].State != StateFailed || len(got[0].Spans) != 1 {
 			t.Fatalf("whole record loaded as %+v", got)
 		}
+	}
+}
+
+// TestJournalToleratesTornTail: a crash mid-write leaves a torn temp
+// file beside the records — of a done job's record, or of a job whose
+// first write never landed. Boot reads neither as a record: the done job
+// boots done from its whole record, and the unlanded job does not exist.
+func TestJournalToleratesTornTail(t *testing.T) {
+	dir := t.TempDir()
+	cfg := Config{DataDir: dir, Execute: fakeExec(0)}
+	m1 := newTestManager(t, cfg)
+	st, err := m1.Submit(tinySpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	fin := waitTerminal(t, m1, st.ID, 10*time.Second)
+	m1.Close()
+
+	rec, err := os.ReadFile(filepath.Join(dir, "jobs", st.ID+".json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	torn := map[string][]byte{
+		st.ID + ".json.tmp123":                 rec[:len(rec)/2],
+		strings.Repeat("a", 32) + ".json.tmp7": []byte(`{"spec":{"cluster":{"se`),
+	}
+	for name, b := range torn {
+		if err := os.WriteFile(filepath.Join(dir, "jobs", name), b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	m2 := newTestManager(t, cfg)
+	if got := listIDs(m2); len(got) != 1 || got[0] != st.ID {
+		t.Fatalf("torn temp files changed the restored jobs: %v", got)
+	}
+	if got, _ := m2.Get(st.ID); got.State != StateDone || got.ResultHash != fin.ResultHash {
+		t.Fatalf("torn tail broke replay: state=%s hash=%s", got.State, got.ResultHash)
+	}
+}
+
+// TestRecordStoreSurvivesArbitraryBytes: whatever bytes sit in a record
+// file — random bytes, well-formed JSON naming another job — boot neither
+// fails nor panics, and every file that is not exactly a valid record of
+// its key is deleted.
+func TestRecordStoreSurvivesArbitraryBytes(t *testing.T) {
+	dir := t.TempDir()
+	id, valid := validRecord(t)
+	if err := os.MkdirAll(filepath.Join(dir, "jobs"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "jobs", id+".json"), valid, 0o644); err != nil {
+		t.Fatal(err)
 	}
 
 	// Random bytes and wrong-key JSON under many keys, beside the valid
