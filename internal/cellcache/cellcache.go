@@ -7,7 +7,8 @@
 // A daemon keeps up to three stores of this type. Its result tier keeps
 // canonical job results under <data-dir>/results, keyed by job ID (32
 // hex digits). Its job records live under <data-dir>/jobs, one per
-// retained job, keyed by job ID too. Its cell cache keeps one
+// retained job, keyed by job ID too, in a store opened Unbounded: the
+// job map deletes its own records. Its cell cache keeps one
 // workload×node *column* of the characterization grid (the per-run
 // metric vectors of one workload on one absolute node) per entry, keyed
 // by the full SHA-256 of the column's canonical cell-key spec (64 hex
@@ -29,6 +30,7 @@ package cellcache
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -44,6 +46,11 @@ import (
 // file per workload×node column, 4096 entries cover ~93 full 44-workload
 // paper grids before eviction starts.
 const DefaultMaxEntries = 4096
+
+// Unbounded, as Open's maxEntries with no age bound, turns the sweep off:
+// for a store whose owner deletes every entry it no longer needs (the
+// job records), so no write-recency rule ever picks an entry to drop.
+const Unbounded = math.MaxInt
 
 // sweepEvery is how many stores may land between eviction sweeps. The
 // bound is enforced in batches — a directory listing per store would turn
@@ -333,6 +340,9 @@ func (s *Store) files() []file {
 // write-recency eviction: the working set of the most recent campaigns
 // stays resident, which is exactly the overlap the store is for.
 func (s *Store) sweep() {
+	if s.max == Unbounded && s.maxAge == 0 {
+		return
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	files := s.files()

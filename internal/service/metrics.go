@@ -16,7 +16,7 @@ type svcMetrics struct {
 	jobsCompleted *obs.CounterVec // state: done | failed | canceled
 	jobDuration   *obs.HistogramVec
 	stageDuration *obs.HistogramVec
-	busy          *obs.Gauge // executors running a job
+	busy          *obs.Gauge // executors running a job: bd_executor_busy and Status's queue.busy
 	recordWrites  *obs.Counter
 	cache         *cacheMetrics
 }

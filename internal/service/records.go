@@ -49,14 +49,16 @@ type recordStore struct {
 	failure string // the last write's error; "" once a write succeeds
 }
 
-// openRecords opens <dataDir>/jobs bounded to maxEntries records — more
-// than the retained job map can hold, so the store's own sweep never
-// removes a live job's record. An empty dataDir disables records.
-func openRecords(dataDir string, maxEntries int, writes *obs.Counter, logger *slog.Logger) (*recordStore, error) {
+// openRecords opens <dataDir>/jobs with no bound of its own: the
+// retained job map is the bound. Eviction deletes a record with its job
+// and boot trims only terminal ones, so no store sweep — which picks by
+// file age, and would pick a long-queued job — ever removes a record.
+// An empty dataDir disables records.
+func openRecords(dataDir string, writes *obs.Counter, logger *slog.Logger) (*recordStore, error) {
 	if dataDir == "" {
 		return nil, nil
 	}
-	store, err := cellcache.Open(filepath.Join(dataDir, "jobs"), maxEntries, 0, nil)
+	store, err := cellcache.Open(filepath.Join(dataDir, "jobs"), cellcache.Unbounded, 0, nil)
 	if err != nil {
 		return nil, fmt.Errorf("service: opening job records: %w", err)
 	}

@@ -3,6 +3,7 @@ package service
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -181,7 +182,9 @@ func TestJournalCompactsPeriodically(t *testing.T) {
 
 // TestJournalCompactsOnBoot: a restart with a smaller MaxJobs trims the
 // restored job map at boot and deletes the trimmed jobs' records, keeping
-// the newest.
+// the newest. Only terminal jobs are trimmed: a queued record whose file
+// is the oldest on disk, booted with fewer MaxJobs+QueueDepth+Workers
+// than there are records, is still re-adopted.
 func TestJournalCompactsOnBoot(t *testing.T) {
 	dir := t.TempDir()
 	cfg := Config{DataDir: dir, Execute: fakeExec(0), MaxJobs: 5}
@@ -202,13 +205,44 @@ func TestJournalCompactsOnBoot(t *testing.T) {
 	}
 	m1.Close()
 
-	cfg.MaxJobs = 2
+	// A job a crash left queued, submitted before all of the above.
+	spec, err := tinySpec().Normalized()
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec.Cluster.Seed = 200
+	queued, err := spec.id()
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := json.Marshal(jobRecord{Spec: spec, State: StateQueued, Created: time.Now().Add(-time.Hour)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, "jobs", queued+".json")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	old := time.Now().Add(-time.Hour)
+	if err := os.Chtimes(path, old, old); err != nil {
+		t.Fatal(err)
+	}
+
+	cfg.MaxJobs, cfg.QueueDepth, cfg.Workers = 2, 1, 1
+	cfg.Execute = func(ctx context.Context, _ JobSpec, _ core.Progress) ([]byte, error) {
+		<-ctx.Done() // keep the re-adopted job live until shutdown
+		return nil, ctx.Err()
+	}
 	m2 := newTestManager(t, cfg)
+	// The live job counts against MaxJobs, so one terminal job stays.
 	if got, want := recordIDs(t, dir), listIDs(m2); len(want) != 2 || !reflect.DeepEqual(got, want) {
 		t.Fatalf("after a restart with MaxJobs 2: records %v, retained jobs %v", got, want)
 	}
 	if _, ok := m2.Get(last); !ok {
 		t.Fatal("newest job trimmed at boot")
+	}
+	if st, ok := m2.Get(queued); !ok || st.State.terminal() {
+		t.Fatalf("queued job not re-adopted: ok=%v state=%v", ok, st.State)
 	}
 }
 

@@ -242,7 +242,7 @@ func validRecord(t *testing.T) (id string, data []byte) {
 func TestJournalReplayEveryTruncation(t *testing.T) {
 	dir := t.TempDir()
 	id, valid := validRecord(t)
-	rs, err := openRecords(dir, 0, obs.NewRegistry().Counter("w", ""), slog.New(slog.DiscardHandler))
+	rs, err := openRecords(dir, obs.NewRegistry().Counter("w", ""), slog.New(slog.DiscardHandler))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -349,9 +349,7 @@ func New(cfg Config) (*Manager, error) {
 	if err != nil {
 		return nil, err
 	}
-	// The record map holds at most MaxJobs terminal jobs plus the queued
-	// and running ones; one more keeps the store's sweep clear of them.
-	records, err := openRecords(cfg.DataDir, cfg.MaxJobs+cfg.QueueDepth+cfg.Workers+1, mx.recordWrites, logger)
+	records, err := openRecords(cfg.DataDir, mx.recordWrites, logger)
 	if err != nil {
 		return nil, err
 	}

@@ -116,7 +116,7 @@ func (m *Manager) Status() StatusSnapshot {
 			Depth:    len(m.queue),
 			Capacity: cap(m.queue),
 			Workers:  m.cfg.Workers,
-			Busy:     jobs.Running,
+			Busy:     int(m.mx.busy.Value()),
 		},
 		Jobs:        jobs,
 		ResultCache: m.cache.Stats(),

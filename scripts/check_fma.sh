@@ -10,8 +10,7 @@
 # counts from rising; lowering them (explicit float64() conversions that
 # forbid fusion) lowers the ceilings in scripts/fma_ceilings.txt.
 #
-# Usage: scripts/check_fma.sh          check every ceiling
-#        scripts/check_fma.sh -print   print the current counts only
+# Usage: scripts/check_fma.sh   (prints every count beside its ceiling)
 #
 # It rebuilds the packages with -a for each architecture (about 10-20 s
 # each) and needs nothing but the Go toolchain.
@@ -31,9 +30,7 @@ status=0
 while read -r arch ceiling; do
 	case "$arch" in '' | '#'*) continue ;; esac
 	n=$(count "$arch")
-	if [ "${1:-}" = "-print" ]; then
-		echo "$arch $n"
-	elif [ "$n" -gt "$ceiling" ]; then
+	if [ "$n" -gt "$ceiling" ]; then
 		echo "FAIL $arch: $n fused multiply-adds on the answer path, ceiling $ceiling" >&2
 		status=1
 	else
