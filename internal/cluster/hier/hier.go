@@ -110,9 +110,9 @@ func Cluster(points *mat.Dense, linkage Linkage) (*Dendrogram, error) {
 
 	dist := newCondensed(n)
 	for i := 0; i < n; i++ {
-		ri := points.Row(i)
+		ri := points.RowView(i)
 		for j := i + 1; j < n; j++ {
-			d := mat.Distance(ri, points.Row(j))
+			d := mat.Distance(ri, points.RowView(j))
 			if linkage == Ward {
 				// Ward works on squared distances internally; we convert
 				// back when reporting so all linkages share units.
@@ -405,10 +405,11 @@ func (d *Dendrogram) CopheneticCorrelation(points *mat.Dense) float64 {
 	if n != d.N || n < 3 {
 		return 0
 	}
-	var orig, coph []float64
+	pairs := n * (n - 1) / 2
+	orig, coph := make([]float64, 0, pairs), make([]float64, 0, pairs)
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
-			orig = append(orig, mat.Distance(points.Row(i), points.Row(j)))
+			orig = append(orig, mat.Distance(points.RowView(i), points.RowView(j)))
 			coph = append(coph, d.CopheneticDistance(i, j))
 		}
 	}

@@ -8,6 +8,7 @@ import (
 	"math"
 	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/num/mat"
 	"repro/internal/rng"
@@ -80,8 +81,9 @@ func Run(points *mat.Dense, k int, cfg Config) (*Result, error) {
 	// Squared point norms are shared read-only by every restart: the
 	// assignment loop computes ‖x−c‖² as ‖x‖²+‖c‖²−2x·c.
 	xnorm := make([]float64, n)
-	for i := 0; i < n; i++ {
-		xnorm[i] = mat.Dot(points.Row(i), points.Row(i))
+	for i := range xnorm {
+		row := points.RowView(i)
+		xnorm[i] = mat.Dot(row, row)
 	}
 
 	results := make([]*Result, cfg.Restarts)
@@ -118,6 +120,11 @@ func Run(points *mat.Dense, k int, cfg Config) (*Result, error) {
 	return best, nil
 }
 
+// runOnce is one restart: k-means++ seeding, Lloyd iterations, and an
+// exact final assignment. Rows of points and centers are read in place
+// (points is shared read-only with concurrent restarts; centers is this
+// restart's own), and the center-update scratch is allocated once, so an
+// iteration allocates nothing.
 func runOnce(points *mat.Dense, xnorm []float64, k, maxIter int, rg *rng.RNG) *Result {
 	n, d := points.Dims()
 	centers := seedPlusPlus(points, k, rg)
@@ -126,20 +133,26 @@ func runOnce(points *mat.Dense, xnorm []float64, k, maxIter int, rg *rng.RNG) *R
 	for i := range assign {
 		assign[i] = -1
 	}
+	crows := make([][]float64, k) // views of centers' rows, which update in place
+	for c := range crows {
+		crows[c] = centers.RowView(c)
+	}
+	sums := make([]float64, k*d) // row-major k×d, like centers
+	counts := make([]int, k)
 	iters := 0
 	for iter := 0; iter < maxIter; iter++ {
 		iters = iter + 1
 		changed := false
-		for c := 0; c < k; c++ {
-			cnorm[c] = mat.Dot(centers.Row(c), centers.Row(c))
+		for c, crow := range crows {
+			cnorm[c] = mat.Dot(crow, crow)
 		}
 		for i := 0; i < n; i++ {
-			row := points.Row(i)
+			row := points.RowView(i)
 			bestC, bestD := -1, math.Inf(1)
 			for c := 0; c < k; c++ {
 				// ‖x‖²+‖c‖²−2x·c: one dot product instead of a full
 				// difference-and-square pass per candidate center.
-				dd := xnorm[i] + cnorm[c] - 2*mat.Dot(row, centers.Row(c))
+				dd := xnorm[i] + cnorm[c] - 2*mat.Dot(row, crows[c])
 				if dd < bestD {
 					bestD = dd
 					bestC = c
@@ -153,14 +166,16 @@ func runOnce(points *mat.Dense, xnorm []float64, k, maxIter int, rg *rng.RNG) *R
 		if !changed && iter > 0 {
 			break
 		}
-		// Recompute centers.
-		sums := mat.NewDense(k, d)
-		counts := make([]int, k)
+		// Recompute centers: per coordinate, the members' sum in point
+		// order, times the reciprocal count.
+		clear(sums)
+		clear(counts)
 		for i := 0; i < n; i++ {
 			c := assign[i]
 			counts[c]++
-			for j := 0; j < d; j++ {
-				sums.Set(c, j, sums.At(c, j)+points.At(i, j))
+			srow := sums[c*d : (c+1)*d]
+			for j, v := range points.RowView(i) {
+				srow[j] += v
 			}
 		}
 		for c := 0; c < k; c++ {
@@ -169,18 +184,20 @@ func runOnce(points *mat.Dense, xnorm []float64, k, maxIter int, rg *rng.RNG) *R
 				// its assigned center.
 				fi, fd := 0, -1.0
 				for i := 0; i < n; i++ {
-					dd := mat.SquaredDistance(points.Row(i), centers.Row(assign[i]))
+					dd := mat.SquaredDistance(points.RowView(i), crows[assign[i]])
 					if dd > fd {
 						fd = dd
 						fi = i
 					}
 				}
-				centers.SetRow(c, points.Row(fi))
+				centers.SetRow(c, points.RowView(fi))
 				continue
 			}
 			inv := 1 / float64(counts[c])
-			for j := 0; j < d; j++ {
-				centers.Set(c, j, sums.At(c, j)*inv)
+			srow := sums[c*d : (c+1)*d]
+			crow := crows[c]
+			for j := range crow {
+				crow[j] = srow[j] * inv
 			}
 		}
 	}
@@ -196,10 +213,10 @@ func runOnce(points *mat.Dense, xnorm []float64, k, maxIter int, rg *rng.RNG) *R
 	exact := make([]int, n)
 	exactSizes := make([]int, k)
 	for i := 0; i < n; i++ {
-		row := points.Row(i)
+		row := points.RowView(i)
 		bestC, bestD := -1, math.Inf(1)
 		for c := 0; c < k; c++ {
-			dd := mat.SquaredDistance(row, centers.Row(c))
+			dd := mat.SquaredDistance(row, crows[c])
 			if dd < bestD {
 				bestD = dd
 				bestC = c
@@ -225,7 +242,7 @@ func runOnce(points *mat.Dense, xnorm []float64, k, maxIter int, rg *rng.RNG) *R
 	inertia := 0.0
 	sizes := make([]int, k)
 	for i := 0; i < n; i++ {
-		inertia += mat.SquaredDistance(points.Row(i), centers.Row(assign[i]))
+		inertia += mat.SquaredDistance(points.RowView(i), crows[assign[i]])
 		sizes[assign[i]]++
 	}
 	return &Result{
@@ -243,11 +260,11 @@ func seedPlusPlus(points *mat.Dense, k int, rg *rng.RNG) *mat.Dense {
 	n, d := points.Dims()
 	centers := mat.NewDense(k, d)
 	first := int(rg.Uint64n(uint64(n)))
-	centers.SetRow(0, points.Row(first))
+	centers.SetRow(0, points.RowView(first))
 
 	d2 := make([]float64, n)
-	for i := 0; i < n; i++ {
-		d2[i] = mat.SquaredDistance(points.Row(i), centers.Row(0))
+	for i := range d2 {
+		d2[i] = mat.SquaredDistance(points.RowView(i), centers.RowView(0))
 	}
 	for c := 1; c < k; c++ {
 		total := 0.0
@@ -270,9 +287,10 @@ func seedPlusPlus(points *mat.Dense, k int, rg *rng.RNG) *mat.Dense {
 				}
 			}
 		}
-		centers.SetRow(c, points.Row(pick))
-		for i := 0; i < n; i++ {
-			dd := mat.SquaredDistance(points.Row(i), centers.Row(c))
+		centers.SetRow(c, points.RowView(pick))
+		crow := centers.RowView(c)
+		for i := range d2 {
+			dd := mat.SquaredDistance(points.RowView(i), crow)
 			if dd < d2[i] {
 				d2[i] = dd
 			}
@@ -331,9 +349,11 @@ func BIC(points *mat.Dense, res *Result) float64 {
 // BestK runs K-means for every K in [kMin, kMax] and returns the result
 // with the highest BIC, plus the per-K results (in K order) for
 // reporting. The K scan executes concurrently, bounded by
-// Config.Parallelism; the winner is picked by scanning the per-K results
-// in K order (strictly higher BIC wins, so ties keep the lowest K),
-// making the choice identical at any parallelism.
+// Config.Parallelism: workers take K values from a shared counter,
+// largest K first, since a run's cost grows with K and the largest must
+// not start last. The winner is picked by scanning the per-K results in
+// K order (strictly higher BIC wins, so ties keep the lowest K), making
+// the choice identical at any parallelism.
 func BestK(points *mat.Dense, kMin, kMax int, cfg Config) (*Result, []*Result, error) {
 	n, _ := points.Dims()
 	if kMin < 1 || kMax < kMin {
@@ -355,16 +375,20 @@ func BestK(points *mat.Dense, kMin, kMax int, cfg Config) (*Result, []*Result, e
 		// stay serial to avoid oversubscription.
 		inner := cfg
 		inner.Parallelism = 1
+		var next atomic.Int64
 		var wg sync.WaitGroup
-		sem := make(chan struct{}, par)
-		for i := 0; i < nk; i++ {
+		for w := 0; w < par; w++ {
 			wg.Add(1)
-			go func(i int) {
+			go func() {
 				defer wg.Done()
-				sem <- struct{}{}
-				defer func() { <-sem }()
-				all[i], errs[i] = Run(points, kMin+i, inner)
-			}(i)
+				for {
+					i := nk - int(next.Add(1)) // nk-1, nk-2, …, 0
+					if i < 0 {
+						return
+					}
+					all[i], errs[i] = Run(points, kMin+i, inner)
+				}
+			}()
 		}
 		wg.Wait()
 	}
@@ -395,7 +419,7 @@ func (r *Result) NearestToCenter(points *mat.Dense) []int {
 	n, _ := points.Dims()
 	for i := 0; i < n; i++ {
 		c := r.Assign[i]
-		d := mat.SquaredDistance(points.Row(i), r.Centers.Row(c))
+		d := mat.SquaredDistance(points.RowView(i), r.Centers.RowView(c))
 		if d < best[c] {
 			best[c] = d
 			reps[c] = i
@@ -417,7 +441,7 @@ func (r *Result) FarthestFromCenter(points *mat.Dense) []int {
 	n, _ := points.Dims()
 	for i := 0; i < n; i++ {
 		c := r.Assign[i]
-		d := mat.SquaredDistance(points.Row(i), r.Centers.Row(c))
+		d := mat.SquaredDistance(points.RowView(i), r.Centers.RowView(c))
 		if d > best[c] {
 			best[c] = d
 			reps[c] = i

@@ -79,15 +79,33 @@ func (m *Dense) check(i, j int) {
 	}
 }
 
-// Row returns a copy of row i.
+// Row returns a copy of row i: the caller owns it, and neither side sees
+// the other's later writes. RowView reads the row without the copy.
 func (m *Dense) Row(i int) []float64 {
-	if i < 0 || i >= m.rows {
-		panic(fmt.Sprintf("mat: row %d out of range", i))
-	}
 	out := make([]float64, m.cols)
-	copy(out, m.data[i*m.cols:(i+1)*m.cols])
+	copy(out, m.RowView(i))
 	return out
 }
+
+// RowView returns row i in place: the slice aliases m's storage, so a
+// write through it changes m and a later write to m shows through it.
+// Its capacity ends with the row, so an append reallocates rather than
+// overwrite row i+1. Loops that read every row many times use it to
+// skip Row's allocation; a view shared between goroutines must be
+// treated as read-only.
+func (m *Dense) RowView(i int) []float64 {
+	if uint(i) >= uint(m.rows) {
+		panic(rowRangeError(i))
+	}
+	hi := (i + 1) * m.cols
+	return m.data[hi-m.cols : hi : hi]
+}
+
+// rowRangeError is RowView's panic value: formatting it lazily keeps
+// RowView small enough to inline.
+type rowRangeError int
+
+func (e rowRangeError) Error() string { return fmt.Sprintf("mat: row %d out of range", int(e)) }
 
 // Col returns a copy of column j.
 func (m *Dense) Col(j int) []float64 {

@@ -89,6 +89,35 @@ func TestRowColCopies(t *testing.T) {
 	}
 }
 
+// TestRowViewAliases checks RowView's contract: it shares storage with
+// the matrix both ways, and its capped capacity makes an append copy
+// instead of overwriting the next row.
+func TestRowViewAliases(t *testing.T) {
+	m := FromRows([][]float64{{1, 2}, {3, 4}})
+	v := m.RowView(0)
+	v[1] = 7
+	if m.At(0, 1) != 7 {
+		t.Error("write through RowView did not reach the matrix")
+	}
+	m.Set(0, 0, 5)
+	if v[0] != 5 {
+		t.Error("write to the matrix did not show through RowView")
+	}
+	if cap(v) != 2 {
+		t.Errorf("cap(RowView) = %d, want 2", cap(v))
+	}
+	_ = append(v, 9)
+	if m.At(1, 0) != 3 {
+		t.Error("append to RowView overwrote the next row")
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("RowView(2) on a 2-row matrix did not panic")
+		}
+	}()
+	m.RowView(2)
+}
+
 func TestTransposeInvolution(t *testing.T) {
 	m := FromRows([][]float64{{1, 2, 3}, {4, 5, 6}})
 	tt := m.T().T()

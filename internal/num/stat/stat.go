@@ -143,7 +143,7 @@ func ZScoreColumns(m *mat.Dense) *ZScoreResult {
 			continue // leave the column at zero
 		}
 		for i := 0; i < rows; i++ {
-			out.Set(i, j, (m.At(i, j)-mu)/sd)
+			out.RowView(i)[j] = (col[i] - mu) / sd
 		}
 	}
 	return res
@@ -177,24 +177,27 @@ func CovarianceMatrix(m *mat.Dense) *mat.Dense {
 	for j := 0; j < cols; j++ {
 		means[j] = Mean(m.Col(j))
 	}
+	// Upper triangle, accumulated row by row in sample order.
 	cov := mat.NewDense(cols, cols)
 	for i := 0; i < rows; i++ {
-		row := m.Row(i)
-		for a := 0; a < cols; a++ {
-			da := row[a] - means[a]
+		row := m.RowView(i)
+		for a, x := range row {
+			da := x - means[a]
 			if da == 0 {
 				continue
 			}
+			crow := cov.RowView(a)
 			for b := a; b < cols; b++ {
-				cov.Set(a, b, cov.At(a, b)+da*(row[b]-means[b]))
+				crow[b] += float64(da * (row[b] - means[b]))
 			}
 		}
 	}
 	inv := 1 / float64(rows)
 	for a := 0; a < cols; a++ {
+		crow := cov.RowView(a)
 		for b := a; b < cols; b++ {
-			v := cov.At(a, b) * inv
-			cov.Set(a, b, v)
+			v := crow[b] * inv
+			crow[b] = v
 			cov.Set(b, a, v)
 		}
 	}
