@@ -246,6 +246,69 @@ func TestJournalCompactsOnBoot(t *testing.T) {
 	}
 }
 
+// TestLiveRecordsOutliveSmallerQueue: a boot whose queue cannot hold
+// every job a crash left live re-adopts what fits and keeps the other
+// records on disk, so a later boot with a deeper queue re-adopts and
+// finishes them all; no live record is deleted at boot.
+func TestLiveRecordsOutliveSmallerQueue(t *testing.T) {
+	dir := t.TempDir()
+	if err := os.MkdirAll(filepath.Join(dir, "jobs"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	var ids []string
+	for i := 0; i < 3; i++ {
+		spec, err := tinySpec().Normalized()
+		if err != nil {
+			t.Fatal(err)
+		}
+		spec.Cluster.Seed = uint64(300 + i)
+		id, err := spec.id()
+		if err != nil {
+			t.Fatal(err)
+		}
+		state := StateQueued
+		if i == 0 {
+			state = StateRunning
+		}
+		data, err := json.Marshal(jobRecord{Spec: spec, State: state, Created: time.Now().Add(time.Duration(i-10) * time.Minute)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, "jobs", id+".json"), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, id)
+	}
+	all := append([]string(nil), ids...)
+	sort.Strings(all)
+
+	cfg := Config{DataDir: dir, QueueDepth: 1, Workers: 1}
+	cfg.Execute = func(ctx context.Context, _ JobSpec, _ core.Progress) ([]byte, error) {
+		<-ctx.Done() // keep the re-adopted job live until shutdown
+		return nil, ctx.Err()
+	}
+	m1 := newTestManager(t, cfg)
+	if got := listIDs(m1); len(got) != 1 || got[0] != ids[0] {
+		t.Fatalf("QueueDepth 1 re-adopted %v, want the oldest record %s", got, ids[0])
+	}
+	if got := recordIDs(t, dir); !reflect.DeepEqual(got, all) {
+		t.Fatalf("records after a QueueDepth 1 boot: %v, want all of %v", got, all)
+	}
+	m1.Close()
+
+	cfg.QueueDepth, cfg.Execute = 3, fakeExec(0)
+	m2 := newTestManager(t, cfg)
+	if got := listIDs(m2); !reflect.DeepEqual(got, all) {
+		t.Fatalf("QueueDepth 3 re-adopted %v, want %v", got, all)
+	}
+	for _, id := range ids {
+		fin := waitTerminal(t, m2, id, 10*time.Second)
+		if want := hashBytes([]byte(`{"result":"` + id + `"}` + "\n")); fin.State != StateDone || fin.ResultHash != want {
+			t.Fatalf("job %s finished %s with hash %s, want done with %s", id, fin.State, fin.ResultHash, want)
+		}
+	}
+}
+
 // TestCacheHitWritesNoRecord: a submission the result cache answers —
 // joining a done job, or born done after that job's record was evicted —
 // writes no job record.

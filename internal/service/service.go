@@ -390,8 +390,9 @@ func New(cfg Config) (*Manager, error) {
 // restore rebuilds one job from its record at boot. A record whose
 // result some tier holds is done, whatever state it says; a done record
 // without one is deleted (a resubmission simply re-executes); a
-// non-terminal record is re-adopted; failed and canceled records come
-// back as they were.
+// non-terminal record is re-adopted while the queue has room, and
+// otherwise stays on disk, unadopted, for a later boot with a deeper
+// queue; failed and canceled records come back as they were.
 func (m *Manager) restore(r storedRecord) {
 	j := newJob(m.root, r.id, r.Spec)
 	j.created, j.started = r.Created, r.Started
@@ -421,8 +422,8 @@ func (m *Manager) restore(r storedRecord) {
 		j.cancel()
 	case len(m.queue) >= cap(m.queue):
 		j.mu.Unlock()
-		m.log.Warn("re-adoption: queue full, dropping job (resubmit to re-run)", "job", r.id)
-		m.records.remove(r.id)
+		j.cancel()
+		m.log.Warn("re-adoption: queue full, job record kept for a later boot", "job", r.id)
 		return
 	default:
 		j.started = time.Time{}
