@@ -143,7 +143,7 @@ func ZScoreColumns(m *mat.Dense) *ZScoreResult {
 			continue // leave the column at zero
 		}
 		for i := 0; i < rows; i++ {
-			out.RowView(i)[j] = (col[i] - mu) / sd
+			out.Set(i, j, (col[i]-mu)/sd)
 		}
 	}
 	return res
