@@ -405,15 +405,46 @@ func (d *Dendrogram) CopheneticCorrelation(points *mat.Dense) float64 {
 	if n != d.N || n < 3 {
 		return 0
 	}
-	pairs := n * (n - 1) / 2
-	orig, coph := make([]float64, 0, pairs), make([]float64, 0, pairs)
+	orig := make([]float64, 0, n*(n-1)/2)
 	for i := 0; i < n; i++ {
+		ri := points.RowView(i)
 		for j := i + 1; j < n; j++ {
-			orig = append(orig, mat.Distance(points.RowView(i), points.RowView(j)))
-			coph = append(coph, d.CopheneticDistance(i, j))
+			orig = append(orig, mat.Distance(ri, points.RowView(j)))
 		}
 	}
-	return pearson(orig, coph)
+	// The condensed store lists pairs i<j in the order orig does.
+	return pearson(orig, d.cophenetic().d)
+}
+
+// cophenetic returns every leaf pair's cophenetic distance in one pass
+// over the merges, O(N²) in all: merge m is the height of exactly the
+// pairs with one leaf under each of its children. Each cluster's leaves
+// are kept as a linked list, so joining two costs O(1). A pair no merge
+// joins keeps +Inf, as CopheneticDistance reports it.
+func (d *Dendrogram) cophenetic() *condensed {
+	c := newCondensed(d.N)
+	for i := range c.d {
+		c.d[i] = math.Inf(1)
+	}
+	ids := d.N + len(d.Merges)
+	head, tail := make([]int, ids), make([]int, ids)
+	next := make([]int, d.N)
+	for id := range head {
+		head[id], tail[id] = -1, -1
+	}
+	for i := range next {
+		head[i], tail[i], next[i] = i, i, -1
+	}
+	for k, m := range d.Merges {
+		for a := head[m.A]; a >= 0; a = next[a] {
+			for b := head[m.B]; b >= 0; b = next[b] {
+				c.set(a, b, m.Distance)
+			}
+		}
+		next[tail[m.A]] = head[m.B]
+		head[d.N+k], tail[d.N+k] = head[m.A], tail[m.B]
+	}
+	return c
 }
 
 func pearson(a, b []float64) float64 {
@@ -439,15 +470,31 @@ func pearson(a, b []float64) float64 {
 }
 
 // MaxPairwiseCophenetic returns the largest cophenetic distance among the
-// given leaves — the "maximal linkage distance" column of Table V.
+// given leaves — the "maximal linkage distance" column of Table V. Each
+// merge that joins two clusters both holding a given leaf is some pair's
+// cophenetic distance, and each pair's is such a merge, so one pass over
+// the merges finds the maximum. A pair no merge joins makes it +Inf.
 func (d *Dendrogram) MaxPairwiseCophenetic(leaves []int) float64 {
+	holds := make([]bool, d.N+len(d.Merges))
+	groups := 0 // clusters holding a given leaf
+	for _, l := range leaves {
+		if !holds[l] {
+			holds[l] = true
+			groups++
+		}
+	}
 	max := 0.0
-	for i := 0; i < len(leaves); i++ {
-		for j := i + 1; j < len(leaves); j++ {
-			if c := d.CopheneticDistance(leaves[i], leaves[j]); c > max {
-				max = c
+	for i, m := range d.Merges {
+		if holds[m.A] && holds[m.B] {
+			groups--
+			if m.Distance > max {
+				max = m.Distance
 			}
 		}
+		holds[d.N+i] = holds[m.A] || holds[m.B]
+	}
+	if groups > 1 {
+		return math.Inf(1)
 	}
 	return max
 }

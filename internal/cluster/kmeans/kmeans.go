@@ -123,8 +123,12 @@ func Run(points *mat.Dense, k int, cfg Config) (*Result, error) {
 // runOnce is one restart: k-means++ seeding, Lloyd iterations, and an
 // exact final assignment. Rows of points and centers are read in place
 // (points is shared read-only with concurrent restarts; centers is this
-// restart's own), and the center-update scratch is allocated once, so an
-// iteration allocates nothing.
+// restart's own), and all scratch is allocated once, so an iteration
+// allocates nothing.
+//
+// The assignment step skips a point whose Hamerly bounds prove that a
+// full scan would return its current center again, so every result bit
+// equals that of scanning every point each iteration (DESIGN.md §3).
 func runOnce(points *mat.Dense, xnorm []float64, k, maxIter int, rg *rng.RNG) *Result {
 	n, d := points.Dims()
 	centers := seedPlusPlus(points, k, rg)
@@ -139,77 +143,184 @@ func runOnce(points *mat.Dense, xnorm []float64, k, maxIter int, rg *rng.RNG) *R
 	}
 	sums := make([]float64, k*d) // row-major k×d, like centers
 	counts := make([]int, k)
+
+	// Per point, upper bounds its distance to its center and lower its
+	// distance to every other center; per center, near is the distance to
+	// its nearest other center and drift how far the last update moved it.
+	// prev holds the centers before an update.
+	upper, lower := make([]float64, n), make([]float64, n)
+	near, drift := make([]float64, k), make([]float64, k)
+	prev := make([]float64, k*d)
+	// rho bounds the rounding error of one computed ‖x‖²+‖c‖²−2x·c
+	// relative to ‖x‖²+max‖c‖²; tau is the skip test's guard, 10³ times
+	// the error it must cover (unit roundoff 2⁻⁵³).
+	rho := float64(2*d+8) * 0x1p-53
+	tau := 1e3 * float64(24*maxIter+28*d+160) * 0x1p-53
+	cmax := 0.0 // largest ‖c‖² so far; NaN sticks and stops all skipping
+	scans := 0
+
 	iters := 0
 	for iter := 0; iter < maxIter; iter++ {
 		iters = iter + 1
 		changed := false
 		for c, crow := range crows {
 			cnorm[c] = mat.Dot(crow, crow)
+			cmax = max(cmax, cnorm[c])
+			near[c] = math.Inf(1)
+		}
+		for c := range crows {
+			for c2 := c + 1; c2 < k; c2++ {
+				dc := mat.Distance(crows[c], crows[c2])
+				near[c] = min(near[c], dc)
+				near[c2] = min(near[c2], dc)
+			}
 		}
 		for i := 0; i < n; i++ {
-			row := points.RowView(i)
-			bestC, bestD := -1, math.Inf(1)
-			for c := 0; c < k; c++ {
-				// ‖x‖²+‖c‖²−2x·c: one dot product instead of a full
-				// difference-and-square pass per candidate center.
-				dd := xnorm[i] + cnorm[c] - 2*mat.Dot(row, crows[c])
-				if dd < bestD {
-					bestD = dd
-					bestC = c
+			scale := xnorm[i] + cmax
+			if a := assign[i]; a >= 0 {
+				// Any other center is at least max(lower, near[a]−upper)
+				// away. A NaN anywhere fails the test and forces a scan.
+				u := upper[i]
+				l := max(lower[i], near[a]-u)
+				if l > u && (l-u)*(l+u) > tau*scale {
+					continue
 				}
 			}
-			if assign[i] != bestC {
-				assign[i] = bestC
+			scans++
+			p := nearest(points.RowView(i), xnorm[i], crows, cnorm)
+			e := float64(rho * scale)
+			upper[i] = math.Sqrt(float64(p.best + e))
+			lower[i] = math.Sqrt(max(float64(p.second-e), 0))
+			if assign[i] != p.c {
+				assign[i] = p.c
 				changed = true
 			}
 		}
 		if !changed && iter > 0 {
 			break
 		}
-		// Recompute centers: per coordinate, the members' sum in point
-		// order, times the reciprocal count.
-		clear(sums)
-		clear(counts)
-		for i := 0; i < n; i++ {
-			c := assign[i]
-			counts[c]++
-			srow := sums[c*d : (c+1)*d]
-			for j, v := range points.RowView(i) {
-				srow[j] += v
-			}
+		for c, crow := range crows {
+			copy(prev[c*d:(c+1)*d], crow)
 		}
-		for c := 0; c < k; c++ {
-			if counts[c] == 0 {
-				// Empty-cluster repair: reseed at the point farthest from
-				// its assigned center.
-				fi, fd := 0, -1.0
-				for i := 0; i < n; i++ {
-					dd := mat.SquaredDistance(points.RowView(i), crows[assign[i]])
-					if dd > fd {
-						fd = dd
-						fi = i
-					}
-				}
-				centers.SetRow(c, points.RowView(fi))
-				continue
-			}
-			inv := 1 / float64(counts[c])
-			srow := sums[c*d : (c+1)*d]
-			crow := crows[c]
-			for j := range crow {
-				crow[j] = srow[j] * inv
-			}
+		updateCenters(points, assign, centers, crows, sums, counts)
+		maxDrift := 0.0
+		for c, crow := range crows {
+			drift[c] = mat.Distance(prev[c*d:(c+1)*d], crow)
+			maxDrift = max(maxDrift, drift[c]) // a NaN sticks
+		}
+		for i, a := range assign {
+			upper[i] += drift[a]
+			lower[i] -= maxDrift
 		}
 	}
-	// Final exact pass: recompute assignments with the direct squared
-	// distance, so reported results are free of the cached-norm
-	// formulation's cancellation error and every point provably sits with
-	// its nearest center. A rounding-induced flip can only happen when a
-	// point is within cancellation error of equidistant; if such flips
-	// would empty a cluster that Lloyd's repair kept populated, keep the
-	// Lloyd assignment wholesale — downstream consumers (representative
-	// selection) require clusters to stay non-empty, and either
-	// assignment differs only by ~1e-12 in inertia.
+	if scanHook != nil {
+		scanHook(scans, n*iters)
+	}
+	return finish(points, centers, crows, assign, iters)
+}
+
+// scanHook, when non-nil, receives each restart's number of full
+// assignment scans and its point-iterations (n·Iterations). Tests set it
+// to pin how much the bounds prune.
+var scanHook func(scans, pointIters int)
+
+// pick is a full scan's outcome: the nearest center and the two smallest
+// squared distances.
+type pick struct {
+	c            int
+	best, second float64
+}
+
+// offer considers center c at squared distance dd. Strict < keeps the
+// lowest index among equal distances, and a NaN is never picked.
+func (p *pick) offer(c int, dd float64) {
+	if dd < p.best {
+		p.c, p.best, p.second = c, dd, p.best
+	} else if dd < p.second {
+		p.second = dd
+	}
+}
+
+// nearest scans every center for the point row with squared norm xn,
+// computing ‖x‖²+‖c‖²−2x·c (one dot product instead of a full
+// difference-and-square pass per candidate center). Four centers share
+// one pass over the row, each with its own accumulator summed in
+// coordinate order exactly as mat.Dot sums, so every distance has the
+// bits a per-center mat.Dot gives.
+func nearest(row []float64, xn float64, crows [][]float64, cnorm []float64) pick {
+	p := pick{c: -1, best: math.Inf(1), second: math.Inf(1)}
+	k, c := len(crows), 0
+	for ; c+4 <= k; c += 4 {
+		c0, c1, c2, c3 := crows[c][:len(row)], crows[c+1][:len(row)], crows[c+2][:len(row)], crows[c+3][:len(row)]
+		var s0, s1, s2, s3 float64
+		for j, x := range row {
+			s0 += float64(x * c0[j])
+			s1 += float64(x * c1[j])
+			s2 += float64(x * c2[j])
+			s3 += float64(x * c3[j])
+		}
+		p.offer(c, xn+cnorm[c]-float64(2*s0))
+		p.offer(c+1, xn+cnorm[c+1]-float64(2*s1))
+		p.offer(c+2, xn+cnorm[c+2]-float64(2*s2))
+		p.offer(c+3, xn+cnorm[c+3]-float64(2*s3))
+	}
+	for ; c < k; c++ {
+		p.offer(c, xn+cnorm[c]-float64(2*mat.Dot(row, crows[c])))
+	}
+	return p
+}
+
+// updateCenters moves each center to its members' mean: per coordinate,
+// the members' sum in point order, times the reciprocal count. An empty
+// cluster is reseeded at the point farthest from its assigned center.
+func updateCenters(points *mat.Dense, assign []int, centers *mat.Dense, crows [][]float64, sums []float64, counts []int) {
+	n, d := points.Dims()
+	clear(sums)
+	clear(counts)
+	for i := 0; i < n; i++ {
+		c := assign[i]
+		counts[c]++
+		srow := sums[c*d : (c+1)*d]
+		for j, v := range points.RowView(i) {
+			srow[j] += v
+		}
+	}
+	for c := range crows {
+		if counts[c] == 0 {
+			fi, fd := 0, -1.0
+			for i := 0; i < n; i++ {
+				dd := mat.SquaredDistance(points.RowView(i), crows[assign[i]])
+				if dd > fd {
+					fd = dd
+					fi = i
+				}
+			}
+			centers.SetRow(c, points.RowView(fi))
+			continue
+		}
+		inv := 1 / float64(counts[c])
+		srow := sums[c*d : (c+1)*d]
+		crow := crows[c]
+		for j := range crow {
+			crow[j] = srow[j] * inv
+		}
+	}
+}
+
+// finish ends a restart whose Lloyd loop left assign and centers.
+//
+// Final exact pass: recompute assignments with the direct squared
+// distance, so reported results are free of the cached-norm
+// formulation's cancellation error and every point provably sits with
+// its nearest center. A rounding-induced flip can only happen when a
+// point is within cancellation error of equidistant; if such flips
+// would empty a cluster that Lloyd's repair kept populated, keep the
+// Lloyd assignment wholesale — downstream consumers (representative
+// selection) require clusters to stay non-empty, and either
+// assignment differs only by ~1e-12 in inertia.
+func finish(points *mat.Dense, centers *mat.Dense, crows [][]float64, assign []int, iters int) *Result {
+	n, _ := points.Dims()
+	k := len(crows)
 	exact := make([]int, n)
 	exactSizes := make([]int, k)
 	for i := 0; i < n; i++ {

@@ -118,6 +118,26 @@ func TestRowViewAliases(t *testing.T) {
 	m.RowView(2)
 }
 
+// TestVectorLengthMismatchPanics checks that Dot, Distance and
+// SquaredDistance still name themselves and both lengths when they panic,
+// now that the message is formatted lazily.
+func TestVectorLengthMismatchPanics(t *testing.T) {
+	for name, f := range map[string]func(a, b []float64) float64{
+		"Dot": Dot, "Distance": Distance, "SquaredDistance": SquaredDistance,
+	} {
+		func() {
+			defer func() {
+				err, _ := recover().(error)
+				want := "mat: " + name + " length mismatch 2 vs 3"
+				if err == nil || err.Error() != want {
+					t.Errorf("%s panicked with %v, want %q", name, err, want)
+				}
+			}()
+			f([]float64{1, 2}, []float64{1, 2, 3})
+		}()
+	}
+}
+
 func TestTransposeInvolution(t *testing.T) {
 	m := FromRows([][]float64{{1, 2, 3}, {4, 5, 6}})
 	tt := m.T().T()

@@ -8,13 +8,26 @@ import (
 // Dot returns the dot product of equal-length vectors a and b.
 func Dot(a, b []float64) float64 {
 	if len(a) != len(b) {
-		panic(fmt.Sprintf("mat: Dot length mismatch %d vs %d", len(a), len(b)))
+		panic(lengthError{"Dot", len(a), len(b)})
 	}
 	s := 0.0
 	for i := range a {
-		s += a[i] * b[i]
+		s += float64(a[i] * b[i])
 	}
 	return s
+}
+
+// lengthError is the panic value of Dot, Distance and SquaredDistance:
+// formatting it lazily keeps them small enough to inline. Their products
+// are rounded explicitly (float64(x*y)), so an inlined copy fuses no
+// multiply-add into the caller on architectures that have one.
+type lengthError struct {
+	op   string
+	a, b int
+}
+
+func (e lengthError) Error() string {
+	return fmt.Sprintf("mat: %s length mismatch %d vs %d", e.op, e.a, e.b)
 }
 
 // Norm returns the Euclidean (L2) norm of v.
@@ -25,12 +38,12 @@ func Norm(v []float64) float64 {
 // Distance returns the Euclidean distance between a and b.
 func Distance(a, b []float64) float64 {
 	if len(a) != len(b) {
-		panic(fmt.Sprintf("mat: Distance length mismatch %d vs %d", len(a), len(b)))
+		panic(lengthError{"Distance", len(a), len(b)})
 	}
 	s := 0.0
 	for i := range a {
 		d := a[i] - b[i]
-		s += d * d
+		s += float64(d * d)
 	}
 	return math.Sqrt(s)
 }
@@ -38,12 +51,12 @@ func Distance(a, b []float64) float64 {
 // SquaredDistance returns the squared Euclidean distance between a and b.
 func SquaredDistance(a, b []float64) float64 {
 	if len(a) != len(b) {
-		panic(fmt.Sprintf("mat: SquaredDistance length mismatch %d vs %d", len(a), len(b)))
+		panic(lengthError{"SquaredDistance", len(a), len(b)})
 	}
 	s := 0.0
 	for i := range a {
 		d := a[i] - b[i]
-		s += d * d
+		s += float64(d * d)
 	}
 	return s
 }
