@@ -242,7 +242,7 @@ func BenchmarkCharacterizeWorkload(b *testing.B) {
 	cfg.InstructionsPerCore = 5000
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := cluster.RunWorkload(w, cfg); err != nil {
+		if _, err := core.CharacterizeSuite([]workloads.Workload{w}, cfg); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -362,19 +362,20 @@ func BenchmarkAblation_Multiplexing(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		cfg.Monitor.Multiplex = true
-		muxed, err := cluster.RunWorkload(w, cfg)
+		muxedDS, err := core.CharacterizeSuite([]workloads.Workload{w}, cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
 		cfg.Monitor.Multiplex = false
-		exact, err := cluster.RunWorkload(w, cfg)
+		exactDS, err := core.CharacterizeSuite([]workloads.Workload{w}, cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
+		muxed, exact := muxedDS.Rows[0], exactDS.Rows[0]
 		sum, n := 0.0, 0
-		for j := range exact.Metrics {
-			if exact.Metrics[j] != 0 {
-				d := (muxed.Metrics[j] - exact.Metrics[j]) / exact.Metrics[j]
+		for j := range exact {
+			if exact[j] != 0 {
+				d := (muxed[j] - exact[j]) / exact[j]
 				if d < 0 {
 					d = -d
 				}

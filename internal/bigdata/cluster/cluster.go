@@ -101,17 +101,6 @@ func (c Config) Validate() error {
 	return c.Monitor.Validate()
 }
 
-// Measurement is one workload's characterization outcome.
-type Measurement struct {
-	Workload workloads.Workload
-	// Metrics is the 45-element Table II vector, averaged over slave
-	// nodes and runs.
-	Metrics []float64
-	// PerNode holds each slave node's metric vector from the last run
-	// (for variance inspection).
-	PerNode [][]float64
-}
-
 // nodeWorker bundles the per-worker simulation state that is reused
 // across node-runs: one machine (caches, TLBs, predictors — by far the
 // largest allocation of the hot path) and one snapshot buffer.
@@ -168,73 +157,20 @@ func ReduceCells(cells [][][]float64) []float64 {
 	return perf.AverageVectors(runVectors)
 }
 
-// reduce wraps ReduceCells into a Measurement.
-func reduce(w workloads.Workload, cells [][][]float64) *Measurement {
-	return &Measurement{
-		Workload: w,
-		Metrics:  ReduceCells(cells),
-		PerNode:  cells[len(cells)-1],
-	}
-}
-
-// RunWorkload executes one workload across the slave nodes and returns
-// its measurement.
-func RunWorkload(w workloads.Workload, cfg Config) (*Measurement, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	nw, err := newNodeWorker(cfg)
-	if err != nil {
-		return nil, err
-	}
-	cells := make([][][]float64, cfg.Runs)
-	for run := 0; run < cfg.Runs; run++ {
-		cells[run] = make([][]float64, cfg.SlaveNodes)
-		for node := 0; node < cfg.SlaveNodes; node++ {
-			v, err := nw.runNode(context.Background(), w, cfg, run, node)
-			if err != nil {
-				return nil, err
-			}
-			cells[run][node] = v
-		}
-	}
-	return reduce(w, cells), nil
-}
-
-// Characterize measures every workload in the suite. The full
-// workload×run×node measurement grid is flattened into one work queue and
-// executed by a bounded pool of Config.Parallelism workers (0 =
-// GOMAXPROCS), each owning a single reusable machine. Per-cell seeds are
-// pure functions of (workload, run, node), so the result is bit-identical
-// to the sequential path at any parallelism. The result order matches the
-// suite order.
-func Characterize(suite []workloads.Workload, cfg Config) ([]*Measurement, error) {
-	return CharacterizeCtx(context.Background(), suite, cfg, nil)
-}
-
-// CharacterizeCtx is Characterize with cooperative cancellation and
-// optional progress reporting. Workers check ctx between grid cells and
-// stop simulating as soon as it is cancelled, returning ctx.Err();
-// progress (if non-nil) is called after every completed cell with the
-// number of cells finished so far and the grid total.
-func CharacterizeCtx(ctx context.Context, suite []workloads.Workload, cfg Config, progress Progress) ([]*Measurement, error) {
-	cells, err := CharacterizeCellsCtx(ctx, suite, cfg, progress)
-	if err != nil {
-		return nil, err
-	}
-	results := make([]*Measurement, len(suite))
-	for wi, w := range suite {
-		results[wi] = reduce(w, cells[wi])
-	}
-	return results, nil
-}
-
 // CharacterizeCellsCtx runs the measurement grid and returns the raw
-// per-cell metric vectors indexed [workload][run][node], without the
-// node/run reduction. This is the characterize-only entry point used by
-// shard workers: a coordinator re-assembles cells from several campaigns
+// per-cell metric vectors indexed [workload][run][node], in suite order,
+// without the node/run reduction (ReduceCells). The workload×run×node
+// grid is one work queue drained by a bounded pool of Config.Parallelism
+// workers (0 = GOMAXPROCS), each owning a single reusable machine; since
+// per-cell seeds are pure functions of (workload, run, node), the cells
+// are bit-identical at any parallelism. Shard workers run it over a
+// sub-grid, and a coordinator re-assembles cells from several campaigns
 // (split on the workload and node axes) into the full grid and reduces
 // once, reproducing the single-process result bit for bit.
+//
+// Workers check ctx between cells and stop as soon as it is cancelled,
+// returning ctx.Err(); progress (if non-nil) is called after every
+// completed cell with the number of cells finished and the grid total.
 //
 // When a CellCache rides on ctx (ContextWithCellCache), every
 // workload×node column is first probed by content address (CellKey):
@@ -342,16 +278,6 @@ func CharacterizeCellsCtx(ctx context.Context, suite []workloads.Workload, cfg C
 	// validated: a partially failed campaign must not seed the cache.
 	StoreColumns(cc, suite, keys, cells)
 	return cells, nil
-}
-
-// MetricMatrix assembles measurements into a workloads×45 matrix as rows,
-// plus the row labels.
-func MetricMatrix(ms []*Measurement) (rows [][]float64, labels []string) {
-	for _, m := range ms {
-		rows = append(rows, m.Metrics)
-		labels = append(labels, m.Workload.Name)
-	}
-	return rows, labels
 }
 
 func hash(s string) uint64 {

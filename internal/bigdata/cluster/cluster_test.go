@@ -58,59 +58,64 @@ func TestConfigValidate(t *testing.T) {
 	}
 }
 
-func TestRunWorkloadShape(t *testing.T) {
-	ws := twoWorkloads(t)
-	m, err := RunWorkload(ws[0], fastConfig())
+// characterize runs the grid over suite and reduces each workload's
+// cells, returning the cells and the node- then run-averaged rows, both
+// in suite order.
+func characterize(t *testing.T, suite []workloads.Workload, cfg Config) (cells [][][][]float64, rows [][]float64) {
+	t.Helper()
+	cells, err := CharacterizeCellsCtx(context.Background(), suite, cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(m.Metrics) != perf.NumMetrics {
-		t.Fatalf("metric vector has %d entries, want %d", len(m.Metrics), perf.NumMetrics)
+	rows = make([][]float64, len(cells))
+	for wi := range cells {
+		rows[wi] = ReduceCells(cells[wi])
 	}
-	if len(m.PerNode) != 2 {
-		t.Fatalf("PerNode has %d entries, want 2", len(m.PerNode))
+	return cells, rows
+}
+
+func TestRunWorkloadShape(t *testing.T) {
+	ws := twoWorkloads(t)
+	cells, rows := characterize(t, ws[:1], fastConfig())
+	if len(rows[0]) != perf.NumMetrics {
+		t.Fatalf("metric vector has %d entries, want %d", len(rows[0]), perf.NumMetrics)
+	}
+	if len(cells[0][0]) != 2 {
+		t.Fatalf("run has %d node cells, want 2", len(cells[0][0]))
+	}
+	for node, v := range cells[0][0] {
+		if len(v) != perf.NumMetrics {
+			t.Fatalf("node %d cell has %d entries, want %d", node, len(v), perf.NumMetrics)
+		}
 	}
 	// Basic sanity: the LOAD fraction should be in a plausible range.
 	i, err := perf.MetricIndex("LOAD")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Metrics[i] < 0.05 || m.Metrics[i] > 0.6 {
-		t.Errorf("LOAD = %v, implausible", m.Metrics[i])
+	if rows[0][i] < 0.05 || rows[0][i] > 0.6 {
+		t.Errorf("LOAD = %v, implausible", rows[0][i])
 	}
 }
 
 func TestRunWorkloadDeterministic(t *testing.T) {
 	ws := twoWorkloads(t)
-	a, err := RunWorkload(ws[0], fastConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := RunWorkload(ws[0], fastConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range a.Metrics {
-		if a.Metrics[i] != b.Metrics[i] {
-			t.Fatalf("metric %d differs across identical runs: %v vs %v", i, a.Metrics[i], b.Metrics[i])
+	_, a := characterize(t, ws[:1], fastConfig())
+	_, b := characterize(t, ws[:1], fastConfig())
+	for i := range a[0] {
+		if a[0][i] != b[0][i] {
+			t.Fatalf("metric %d differs across identical runs: %v vs %v", i, a[0][i], b[0][i])
 		}
 	}
 }
 
 func TestStacksProduceDifferentMetrics(t *testing.T) {
 	ws := twoWorkloads(t)
-	cfg := fastConfig()
-	h, err := RunWorkload(ws[0], cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err := RunWorkload(ws[1], cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, rows := characterize(t, ws, fastConfig())
+	h, s := rows[0], rows[1]
 	different := 0
-	for i := range h.Metrics {
-		if h.Metrics[i] != s.Metrics[i] {
+	for i := range h {
+		if h[i] != s[i] {
 			different++
 		}
 	}
@@ -123,25 +128,18 @@ func TestCharacterizeOrderAndParallelism(t *testing.T) {
 	ws := twoWorkloads(t)
 	cfg := fastConfig()
 	cfg.Parallelism = 2
-	ms, err := Characterize(ws, cfg)
-	if err != nil {
-		t.Fatal(err)
+	_, rows := characterize(t, ws, cfg)
+	if len(rows) != 2 {
+		t.Fatalf("got %d rows", len(rows))
 	}
-	if len(ms) != 2 {
-		t.Fatalf("got %d measurements", len(ms))
-	}
-	if ms[0].Workload.Name != "H-Sort" || ms[1].Workload.Name != "S-Sort" {
-		t.Errorf("order not preserved: %s, %s", ms[0].Workload.Name, ms[1].Workload.Name)
-	}
-	// Parallel run must equal the serial one (determinism across
-	// goroutine scheduling).
-	serial, err := RunWorkload(ws[0], cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range serial.Metrics {
-		if ms[0].Metrics[i] != serial.Metrics[i] {
-			t.Fatal("parallel characterization diverged from serial run")
+	// Each row is its workload's own serial measurement: the suite order
+	// is kept, and the parallel grid equals the serial one (determinism
+	// across goroutine scheduling).
+	cfg.Parallelism = 1
+	for wi, w := range ws {
+		_, serial := characterize(t, []workloads.Workload{w}, cfg)
+		if !reflect.DeepEqual(rows[wi], serial[0]) {
+			t.Fatalf("row %d is not %s's serial measurement", wi, w.Name)
 		}
 	}
 }
@@ -151,24 +149,18 @@ func TestCharacterizeParallelismDeterminism(t *testing.T) {
 	cfg := fastConfig()
 	cfg.Runs = 2 // exercise the full workload×run×node grid
 	cfg.Parallelism = 1
-	want, err := Characterize(ws, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	wantCells, wantRows := characterize(t, ws, cfg)
 	for _, par := range []int{2, 4, 16} {
 		cfg.Parallelism = par
-		got, err := Characterize(ws, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for wi := range want {
-			if !reflect.DeepEqual(got[wi].Metrics, want[wi].Metrics) {
-				t.Fatalf("Parallelism=%d: workload %s Metrics diverged from sequential",
-					par, want[wi].Workload.Name)
+		gotCells, gotRows := characterize(t, ws, cfg)
+		for wi := range ws {
+			if !reflect.DeepEqual(gotRows[wi], wantRows[wi]) {
+				t.Fatalf("Parallelism=%d: workload %s row diverged from sequential",
+					par, ws[wi].Name)
 			}
-			if !reflect.DeepEqual(got[wi].PerNode, want[wi].PerNode) {
-				t.Fatalf("Parallelism=%d: workload %s PerNode diverged from sequential",
-					par, want[wi].Workload.Name)
+			if !reflect.DeepEqual(gotCells[wi], wantCells[wi]) {
+				t.Fatalf("Parallelism=%d: workload %s cells diverged from sequential",
+					par, ws[wi].Name)
 			}
 		}
 	}
@@ -206,23 +198,8 @@ func TestMachineReuseMatchesFresh(t *testing.T) {
 }
 
 func TestCharacterizeEmptySuite(t *testing.T) {
-	if _, err := Characterize(nil, fastConfig()); err == nil {
+	if _, err := CharacterizeCellsCtx(context.Background(), nil, fastConfig(), nil); err == nil {
 		t.Error("empty suite accepted")
-	}
-}
-
-func TestMetricMatrix(t *testing.T) {
-	ws := twoWorkloads(t)
-	ms, err := Characterize(ws, fastConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	rows, labels := MetricMatrix(ms)
-	if len(rows) != 2 || len(labels) != 2 {
-		t.Fatalf("matrix shape %dx, labels %d", len(rows), len(labels))
-	}
-	if labels[0] != "H-Sort" || len(rows[0]) != perf.NumMetrics {
-		t.Errorf("labels/rows wrong: %v, %d", labels, len(rows[0]))
 	}
 }
 
@@ -230,11 +207,20 @@ func TestMultiRunAveraging(t *testing.T) {
 	ws := twoWorkloads(t)
 	cfg := fastConfig()
 	cfg.Runs = 2
-	m, err := RunWorkload(ws[0], cfg)
-	if err != nil {
-		t.Fatal(err)
+	cells, rows := characterize(t, ws[:1], cfg)
+	if len(cells[0]) != 2 {
+		t.Fatalf("grid has %d runs, want 2", len(cells[0]))
 	}
-	if len(m.Metrics) != perf.NumMetrics {
-		t.Fatalf("metric vector has %d entries", len(m.Metrics))
+	if len(rows[0]) != perf.NumMetrics {
+		t.Fatalf("metric vector has %d entries", len(rows[0]))
+	}
+	// Run 0 is the single-run grid; the second run moves the average.
+	cfg.Runs = 1
+	oneCells, oneRows := characterize(t, ws[:1], cfg)
+	if !reflect.DeepEqual(cells[0][0], oneCells[0][0]) {
+		t.Fatal("run 0 of a two-run grid differs from the one-run grid")
+	}
+	if reflect.DeepEqual(rows[0], oneRows[0]) {
+		t.Fatal("averaging in a second run left the row unchanged")
 	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
@@ -32,11 +33,15 @@ func TestPipelineParallelismInvariant(t *testing.T) {
 	acfg := DefaultAnalysis()
 	acfg.KMax = 3
 
-	run := func(par int) *Analysis {
+	run := func(par int) (*ObservationMatrix, *Analysis) {
 		c := ccfg
 		c.Parallelism = par
 		a := acfg
 		a.Parallelism = par
+		om, err := CharacterizeObservationsCtx(context.Background(), sub, c, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
 		ds, err := CharacterizeSuite(sub, c)
 		if err != nil {
 			t.Fatal(err)
@@ -45,19 +50,22 @@ func TestPipelineParallelismInvariant(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return an
+		return om, an
 	}
 
-	want := run(1)
+	wantCells, want := run(1)
 	for _, par := range []int{2, 8} {
-		got := run(par)
+		gotCells, got := run(par)
 		if !reflect.DeepEqual(got.Dataset.Rows, want.Dataset.Rows) {
 			t.Fatalf("Parallelism=%d: characterization metrics diverged", par)
 		}
-		for i, m := range got.Dataset.Measurements {
-			if !reflect.DeepEqual(m.Metrics, want.Dataset.Measurements[i].Metrics) ||
-				!reflect.DeepEqual(m.PerNode, want.Dataset.Measurements[i].PerNode) {
-				t.Fatalf("Parallelism=%d: measurement %d diverged", par, i)
+		for w := range wantCells.Cells {
+			for r := range wantCells.Cells[w] {
+				for n, vec := range wantCells.Cells[w][r] {
+					if !reflect.DeepEqual(gotCells.Cells[w][r][n], vec) {
+						t.Fatalf("Parallelism=%d: cell [%d][%d][%d] diverged", par, w, r, n)
+					}
+				}
 			}
 		}
 		if got.KBest.K != want.KBest.K || got.KBest.BIC != want.KBest.BIC {

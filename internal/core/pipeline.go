@@ -24,7 +24,6 @@ import (
 	"repro/internal/cluster/kmeans"
 	"repro/internal/num/mat"
 	"repro/internal/num/pca"
-	"repro/internal/perf"
 )
 
 // Stage identifies one pipeline stage for progress reporting.
@@ -57,11 +56,6 @@ type Dataset struct {
 	Labels  []string
 	Metrics []string // column names, Table II order for the standard run
 	Rows    [][]float64
-	// Measurements is set when the dataset came from the simulated
-	// cluster (nil when loaded from a CSV).
-	Measurements []*cluster.Measurement
-	// Suite is the workload definitions behind the rows (nil for CSVs).
-	Suite []workloads.Workload
 }
 
 // Validate checks the dataset's shape.
@@ -98,25 +92,16 @@ func CharacterizeSuite(suite []workloads.Workload, clusterCfg cluster.Config) (*
 }
 
 // CharacterizeSuiteCtx is CharacterizeSuite with cooperative cancellation
-// and per-cell progress reporting (see Progress).
+// and per-cell progress reporting (see Progress). It is the measurement
+// grid (CharacterizeObservationsCtx) followed by the one node- then
+// run-averaging reduction (ObservationMatrix.Reduce); rows and labels
+// come out in suite order.
 func CharacterizeSuiteCtx(ctx context.Context, suite []workloads.Workload, clusterCfg cluster.Config, progress Progress) (*Dataset, error) {
-	progress.stage(StageCharacterize)
-	var cp cluster.Progress
-	if progress != nil {
-		cp = func(done, total int) { progress(StageCharacterize, done, total) }
-	}
-	ms, err := cluster.CharacterizeCtx(ctx, suite, clusterCfg, cp)
+	om, err := CharacterizeObservationsCtx(ctx, suite, clusterCfg, progress)
 	if err != nil {
 		return nil, err
 	}
-	rows, labels := cluster.MetricMatrix(ms)
-	return &Dataset{
-		Labels:       labels,
-		Metrics:      perf.MetricNames(),
-		Rows:         rows,
-		Measurements: ms,
-		Suite:        suite,
-	}, nil
+	return om.Reduce()
 }
 
 // PCSelection chooses how many principal components to keep.

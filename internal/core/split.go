@@ -74,9 +74,9 @@ func (om *ObservationMatrix) Runs() int { return len(om.Cells[0]) }
 func (om *ObservationMatrix) Nodes() int { return len(om.Cells[0][0]) }
 
 // Reduce folds the matrix into a Dataset via the canonical node- then
-// run-averaging (cluster.ReduceCells), the same arithmetic the fused
-// pipeline applies — so analysis of a reduced matrix is bit-identical to
-// a direct CharacterizeSuiteCtx + AnalyzeCtx run.
+// run-averaging (cluster.ReduceCells). It is the pipeline's only
+// reduction: CharacterizeSuiteCtx ends here, and so does a coordinator's
+// re-assembled matrix, which is why both answer bit for bit alike.
 func (om *ObservationMatrix) Reduce() (*Dataset, error) {
 	if err := om.Validate(); err != nil {
 		return nil, err

@@ -81,6 +81,38 @@ func TestSplitPipelineMatchesFused(t *testing.T) {
 	sameAnalysis(t, got, want)
 }
 
+// TestCharacterizeSuiteLabelsInSuiteOrder checks that the characterized
+// dataset keeps the suite's order, not a sorted one: each label sits at
+// its workload's index, and each row is the one that workload measures
+// on its own.
+func TestCharacterizeSuiteLabelsInSuiteOrder(t *testing.T) {
+	names := []string{"S-Sort", "H-Grep", "H-Sort"}
+	suite := splitTestSuite(t, names...)
+	ccfg := fastCluster()
+	ds, err := CharacterizeSuiteCtx(context.Background(), suite, ccfg, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(ds.Labels, names) {
+		t.Fatalf("labels %v, want suite order %v", ds.Labels, names)
+	}
+	if len(ds.Rows) != len(names) {
+		t.Fatalf("%d rows for %d workloads", len(ds.Rows), len(names))
+	}
+	for i, w := range suite {
+		if len(ds.Rows[i]) != len(ds.Metrics) || len(ds.Metrics) != 45 {
+			t.Fatalf("row %d has %d of %d metrics, want 45", i, len(ds.Rows[i]), len(ds.Metrics))
+		}
+		alone, err := CharacterizeSuiteCtx(context.Background(), []workloads.Workload{w}, ccfg, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(ds.Rows[i], alone.Rows[0]) {
+			t.Fatalf("row %d is not %s's measurement", i, w.Name)
+		}
+	}
+}
+
 // TestShardedObservationsMergeBitIdentical splits the grid on both the
 // workload and node axes (2 workload chunks × 2 node ranges = 4 shard
 // campaigns), re-assembles the observation matrix in canonical cell

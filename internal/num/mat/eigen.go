@@ -41,7 +41,7 @@ func SymEigen(a *Dense, symTol float64) (*EigenSym, error) {
 		for i := 0; i < n; i++ {
 			for j := i + 1; j < n; j++ {
 				x := w.At(i, j)
-				s += x * x
+				s += float64(x * x)
 			}
 		}
 		return math.Sqrt(s)
@@ -72,32 +72,32 @@ func SymEigen(a *Dense, symTol float64) (*EigenSym, error) {
 				theta := (aqq - app) / (2 * apq)
 				var t float64
 				if theta >= 0 {
-					t = 1 / (theta + math.Sqrt(1+theta*theta))
+					t = 1 / (theta + math.Sqrt(1+float64(theta*theta)))
 				} else {
-					t = -1 / (-theta + math.Sqrt(1+theta*theta))
+					t = -1 / (-theta + math.Sqrt(1+float64(theta*theta)))
 				}
-				cos := 1 / math.Sqrt(1+t*t)
+				cos := 1 / math.Sqrt(1+float64(t*t))
 				sin := t * cos
 
 				// Apply rotation J(p,q,θ): w = Jᵀ w J.
 				for k := 0; k < n; k++ {
 					wkp := w.At(k, p)
 					wkq := w.At(k, q)
-					w.Set(k, p, cos*wkp-sin*wkq)
-					w.Set(k, q, sin*wkp+cos*wkq)
+					w.Set(k, p, float64(cos*wkp)-float64(sin*wkq))
+					w.Set(k, q, float64(sin*wkp)+float64(cos*wkq))
 				}
 				for k := 0; k < n; k++ {
 					wpk := w.At(p, k)
 					wqk := w.At(q, k)
-					w.Set(p, k, cos*wpk-sin*wqk)
-					w.Set(q, k, sin*wpk+cos*wqk)
+					w.Set(p, k, float64(cos*wpk)-float64(sin*wqk))
+					w.Set(q, k, float64(sin*wpk)+float64(cos*wqk))
 				}
 				// Accumulate eigenvectors: v = v J.
 				for k := 0; k < n; k++ {
 					vkp := v.At(k, p)
 					vkq := v.At(k, q)
-					v.Set(k, p, cos*vkp-sin*vkq)
-					v.Set(k, q, sin*vkp+cos*vkq)
+					v.Set(k, p, float64(cos*vkp)-float64(sin*vkq))
+					v.Set(k, q, float64(sin*vkp)+float64(cos*vkq))
 				}
 			}
 		}

@@ -6,6 +6,10 @@
 // All matrices are dense, row-major, float64. Dimensions are validated
 // eagerly; size mismatches panic, since they are programming errors rather
 // than data errors.
+//
+// Products that feed a sum are written float64(x*y): the conversion rounds
+// the product, so no architecture fuses it into a multiply-add, and every
+// one computes the bits amd64 does.
 package mat
 
 import (
@@ -160,7 +164,7 @@ func Mul(a, b *Dense) *Dense {
 			}
 			brow := b.data[k*b.cols : (k+1)*b.cols]
 			for j, bv := range brow {
-				orow[j] += av * bv
+				orow[j] += float64(av * bv)
 			}
 		}
 	}
@@ -177,7 +181,7 @@ func (m *Dense) MulVec(v []float64) []float64 {
 		s := 0.0
 		row := m.data[i*m.cols : (i+1)*m.cols]
 		for j, rv := range row {
-			s += rv * v[j]
+			s += float64(rv * v[j])
 		}
 		out[i] = s
 	}
@@ -249,7 +253,7 @@ func (m *Dense) IsSymmetric(tol float64) bool {
 func (m *Dense) FrobeniusNorm() float64 {
 	s := 0.0
 	for _, v := range m.data {
-		s += v * v
+		s += float64(v * v)
 	}
 	return math.Sqrt(s)
 }

@@ -67,7 +67,7 @@ func AXPY(alpha float64, x, y []float64) {
 		panic("mat: AXPY length mismatch")
 	}
 	for i := range x {
-		y[i] += alpha * x[i]
+		y[i] += float64(alpha * x[i])
 	}
 }
 

@@ -163,7 +163,8 @@ func (r *Result) Project(sample []float64, k int) []float64 {
 	for j := 0; j < k; j++ {
 		s := 0.0
 		for m := 0; m < len(z); m++ {
-			s += z[m] * r.Components.At(m, j)
+			// float64 rounds the product: no fused multiply-add (see mat).
+			s += float64(z[m] * r.Components.At(m, j))
 		}
 		out[j] = s
 	}

@@ -3,6 +3,10 @@
 // (paper §III-C: "normalize metric values to a Gaussian distribution with
 // mean equal to zero and standard deviation equal to one"), and Pearson
 // correlation for the redundancy analysis.
+//
+// Products that feed a sum are written float64(x*y): the conversion rounds
+// the product, so no architecture fuses it into a multiply-add, and every
+// one computes the bits amd64 does.
 package stat
 
 import (
@@ -32,7 +36,7 @@ func Variance(xs []float64) float64 {
 	s := 0.0
 	for _, x := range xs {
 		d := x - m
-		s += d * d
+		s += float64(d * d)
 	}
 	return s / float64(len(xs))
 }
@@ -47,7 +51,7 @@ func SampleVariance(xs []float64) float64 {
 	s := 0.0
 	for _, x := range xs {
 		d := x - m
-		s += d * d
+		s += float64(d * d)
 	}
 	return s / float64(len(xs)-1)
 }
@@ -100,9 +104,9 @@ func Pearson(a, b []float64) float64 {
 	var sab, saa, sbb float64
 	for i := range a {
 		da, db := a[i]-ma, b[i]-mb
-		sab += da * db
-		saa += da * da
-		sbb += db * db
+		sab += float64(da * db)
+		saa += float64(da * da)
+		sbb += float64(db * db)
 	}
 	if saa == 0 || sbb == 0 {
 		return 0

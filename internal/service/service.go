@@ -1097,13 +1097,11 @@ func (c *countingCellCache) PutCell(workload, key string, vecs [][]float64) {
 	c.cc.PutCell(workload, key, vecs)
 }
 
-// executeLocal runs a job's pipeline in-process: the full characterize +
-// analyze pipeline for analyze jobs, or just the measurement grid —
-// returning the raw observation matrix — for characterize-only jobs.
-// With a cell cache configured, the grid probes it column by column
-// (through the context hook, see cluster.ContextWithCellCache); the
-// probe outcome is summarized in a cellcache-probe span under the job's
-// root.
+// executeLocal runs a job's pipeline in-process: the measurement grid,
+// then EncodeResult. With a cell cache configured, the grid probes it
+// column by column (through the context hook, see
+// cluster.ContextWithCellCache); the probe outcome is summarized in a
+// cellcache-probe span under the job's root.
 func (m *Manager) executeLocal(ctx context.Context, spec JobSpec, progress core.Progress) ([]byte, error) {
 	suite, err := spec.ResolveSuite()
 	if err != nil {
@@ -1128,21 +1126,25 @@ func (m *Manager) executeLocal(ctx context.Context, spec JobSpec, progress core.
 		}
 	}
 
-	if spec.Mode == ModeObservations {
-		om, err := core.CharacterizeObservationsCtx(ctx, suite, ccfg, progress)
-		if err != nil {
-			return nil, err
-		}
-		return benchio.MarshalCanonical(benchio.EncodeObservations(om))
-	}
-
-	acfg := spec.Analysis
-	acfg.Parallelism = m.cfg.Parallelism
-	ds, err := core.CharacterizeSuiteCtx(ctx, suite, ccfg, progress)
+	om, err := core.CharacterizeObservationsCtx(ctx, suite, ccfg, progress)
 	if err != nil {
 		return nil, err
 	}
-	an, err := core.AnalyzeCtx(ctx, ds, acfg, progress)
+	return EncodeResult(ctx, spec, om, m.cfg.Parallelism, progress)
+}
+
+// EncodeResult turns a job's full observation matrix into its result
+// bytes: the canonical matrix for an observations job, or the canonical
+// analysis of the reduced matrix for an analyze job, whose analysis stage
+// runs at the given parallelism. The in-process pipeline and the shard
+// coordinator both end here, so one matrix always answers one byte string.
+func EncodeResult(ctx context.Context, spec JobSpec, om *core.ObservationMatrix, parallelism int, progress core.Progress) ([]byte, error) {
+	if spec.Mode == ModeObservations {
+		return benchio.MarshalCanonical(benchio.EncodeObservations(om))
+	}
+	acfg := spec.Analysis
+	acfg.Parallelism = parallelism
+	an, err := core.AnalyzeObservationsCtx(ctx, om, acfg, progress)
 	if err != nil {
 		return nil, err
 	}

@@ -624,22 +624,7 @@ func (e *Executor) Execute(ctx context.Context, spec service.JobSpec, progress c
 	mergeSpan.End()
 	e.log.Info("sharded job units merged", "job", jobID,
 		"units", len(units), "merge_duration", time.Since(mergeStart))
-	var out []byte
-	if spec.Mode == service.ModeObservations {
-		out, err = benchio.MarshalCanonical(benchio.EncodeObservations(om))
-	} else {
-		acfg := spec.Analysis
-		acfg.Parallelism = e.cfg.Parallelism
-		var an *core.Analysis
-		an, err = core.AnalyzeObservationsCtx(ctx, om, acfg, progress)
-		if err == nil {
-			out, err = benchio.MarshalCanonical(benchio.EncodeAnalysis(an))
-		}
-	}
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
+	return service.EncodeResult(ctx, spec, om, e.cfg.Parallelism, progress)
 }
 
 // dispatch is one worker's dispatch loop: while its breaker admits it,
