@@ -135,14 +135,37 @@ func EncodeAnalysis(an *core.Analysis) *AnalysisJSON {
 	}
 }
 
-// MarshalCanonical renders v as indented JSON with a trailing newline.
+// MarshalCanonical renders v as indented JSON with a trailing newline:
+// the bytes of json.MarshalIndent(v, "", "  ") followed by '\n'.
 // encoding/json emits struct fields in declaration order and formats
 // floats deterministically, so for the fixed-layout types in this package
-// equal values always produce identical bytes.
+// equal values always produce identical bytes. *AnalysisJSON,
+// ObservationsJSON and DatasetJSON — every result body — go through
+// canonicalWriter, which writes those bytes in one pass (encoding/json is
+// its specification, FuzzCanonicalVsEncodingJSON its check); any other
+// value goes through encoding/json itself. A NaN or ±Inf is an error.
 func MarshalCanonical(v any) ([]byte, error) {
+	switch x := v.(type) {
+	case *AnalysisJSON:
+		if x != nil {
+			w := canonicalWriter{b: make([]byte, 0, analysisLen(x))}
+			w.analysis(x)
+			return w.canonical()
+		}
+	case ObservationsJSON:
+		w := canonicalWriter{b: make([]byte, 0, observationsLen(&x))}
+		w.observations(&x)
+		return w.canonical()
+	case DatasetJSON:
+		w := canonicalWriter{b: make([]byte, 0, datasetLen(0, &x))}
+		w.dataset(0, &x)
+		return w.canonical()
+	}
 	data, err := json.MarshalIndent(v, "", "  ")
 	if err != nil {
-		return nil, fmt.Errorf("benchio: marshal: %w", err)
+		return nil, marshalError(err)
 	}
 	return append(data, '\n'), nil
 }
+
+func marshalError(err error) error { return fmt.Errorf("benchio: marshal: %w", err) }

@@ -6,6 +6,7 @@ package hier
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/num/mat"
@@ -80,6 +81,16 @@ func (c *condensed) idx(i, j int) int {
 	return i*(c.n-1) - i*(i-1)/2 + (j - i - 1)
 }
 
+// offsets returns, per row i, the base that indexes entry (i, j), i < j,
+// as d[off[i]+j]: row i starts at idx(i, i+1) and runs to column n-1.
+func (c *condensed) offsets() []int {
+	off := make([]int, c.n)
+	for i := range off {
+		off[i] = i*(c.n-1) - i*(i-1)/2 - i - 1
+	}
+	return off
+}
+
 func (c *condensed) at(i, j int) float64     { return c.d[c.idx(i, j)] }
 func (c *condensed) set(i, j int, v float64) { c.d[c.idx(i, j)] = v }
 
@@ -108,59 +119,54 @@ func Cluster(points *mat.Dense, linkage Linkage) (*Dendrogram, error) {
 		return nil, fmt.Errorf("hier: unknown linkage %v", linkage)
 	}
 
+	// The scans below index the store through row offsets, not through
+	// idx's multiply-and-swap per entry.
 	dist := newCondensed(n)
+	dd, off := dist.d, dist.offsets()
 	for i := 0; i < n; i++ {
-		ri := points.RowView(i)
-		for j := i + 1; j < n; j++ {
-			d := mat.Distance(ri, points.RowView(j))
-			if linkage == Ward {
-				// Ward works on squared distances internally; we convert
-				// back when reporting so all linkages share units.
-				d = d * d
-			}
-			dist.set(i, j, d)
+		distances(dd[off[i]+i+1:off[i]+n], points, i)
+	}
+	if linkage == Ward {
+		// Ward works on squared distances internally; we convert back
+		// when reporting so all linkages share units.
+		for i, d := range dd {
+			dd[i] = d * d
 		}
 	}
 
 	// A cluster is identified by its smallest leaf index; merging a<b
-	// stores the union at a. size/active are indexed the same way.
+	// stores the union at a and drops b from live, the ascending list of
+	// representatives still in play. size is indexed by representative.
 	size := make([]int, n)
-	active := make([]bool, n)
+	live := make([]int, n)
 	for i := range size {
 		size[i] = 1
-		active[i] = true
+		live[i] = i
 	}
 
-	type rawMerge struct {
-		a, b int // cluster representatives, a < b
-		d    float64
-	}
 	raw := make([]rawMerge, 0, n-1)
 	chain := make([]int, 0, n)
-	remaining := n
 
-	for remaining > 1 {
+	for len(live) > 1 {
 		if len(chain) == 0 {
-			for i := 0; i < n; i++ {
-				if active[i] {
-					chain = append(chain, i)
-					break
-				}
-			}
+			chain = append(chain, live[0])
 		}
 		a := chain[len(chain)-1]
 		prev := -1
 		if len(chain) >= 2 {
 			prev = chain[len(chain)-2]
 		}
-		// Nearest active neighbor of a; ties prefer the chain predecessor
+		// Nearest live neighbor of a; ties prefer the chain predecessor
 		// (required for termination), then the smallest index.
 		b, best := -1, math.Inf(1)
-		for k := 0; k < n; k++ {
-			if !active[k] || k == a {
+		for _, k := range live {
+			i := off[a] + k
+			if k < a {
+				i = off[k] + a
+			} else if k == a {
 				continue
 			}
-			if d := dist.at(a, k); d < best {
+			if d := dd[i]; d < best {
 				best = d
 				b = k
 			}
@@ -180,11 +186,18 @@ func Cluster(points *mat.Dense, linkage Linkage) (*Dendrogram, error) {
 		}
 		raw = append(raw, rawMerge{a: x, b: y, d: best})
 		sx, sy := size[x], size[y]
-		for k := 0; k < n; k++ {
-			if !active[k] || k == x || k == y {
+		for _, k := range live {
+			if k == x || k == y {
 				continue
 			}
-			dxk, dyk := dist.at(x, k), dist.at(y, k)
+			ixk, iyk := off[x]+k, off[y]+k
+			if k < x {
+				ixk = off[k] + x
+			}
+			if k < y {
+				iyk = off[k] + y
+			}
+			dxk, dyk := dd[ixk], dd[iyk]
 			var d float64
 			switch linkage {
 			case Single:
@@ -192,26 +205,65 @@ func Cluster(points *mat.Dense, linkage Linkage) (*Dendrogram, error) {
 			case Complete:
 				d = math.Max(dxk, dyk)
 			case Average:
-				d = (float64(sx)*dxk + float64(sy)*dyk) / float64(sx+sy)
+				d = (float64(float64(sx)*dxk) + float64(float64(sy)*dyk)) / float64(sx+sy)
 			case Ward:
 				sk := float64(size[k])
 				tot := float64(sx+sy) + sk
-				d = ((float64(sx)+sk)*dxk + (float64(sy)+sk)*dyk - sk*best) / tot
+				d = (float64((float64(sx)+sk)*dxk) + float64((float64(sy)+sk)*dyk) - float64(sk*best)) / tot
 			}
-			dist.set(x, k, d)
+			dd[ixk] = d
 		}
 		size[x] = sx + sy
-		active[y] = false
-		remaining--
+		yi, _ := slices.BinarySearch(live, y)
+		live = slices.Delete(live, yi, yi+1)
 		chain = chain[:len(chain)-2]
 	}
 
-	// The chain emits merges out of distance order (it follows local
-	// reciprocal pairs, not the global minimum). Reducibility guarantees
-	// every child merge has distance ≤ its parent's, so a stable sort by
-	// distance yields a valid greedy-order history; relabel cluster IDs to
-	// match (merge i creates cluster n+i, child A has the smaller minimum
-	// leaf).
+	return chainDendrogram(n, raw, linkage), nil
+}
+
+// distances fills out[j-i-1] with the Euclidean distance from row i of
+// points to each later row j. Four rows share one pass over row i, each
+// with its own accumulator summed in coordinate order exactly as
+// mat.Distance sums, so every distance has the bits mat.Distance gives
+// while the four sums' additions overlap.
+func distances(out []float64, points *mat.Dense, i int) {
+	ri := points.RowView(i)
+	j := 0
+	for ; j+4 <= len(out); j += 4 {
+		r0 := points.RowView(i + 1 + j)[:len(ri)]
+		r1 := points.RowView(i + 2 + j)[:len(ri)]
+		r2 := points.RowView(i + 3 + j)[:len(ri)]
+		r3 := points.RowView(i + 4 + j)[:len(ri)]
+		var s0, s1, s2, s3 float64
+		for k, x := range ri {
+			d0, d1, d2, d3 := x-r0[k], x-r1[k], x-r2[k], x-r3[k]
+			s0 += float64(d0 * d0)
+			s1 += float64(d1 * d1)
+			s2 += float64(d2 * d2)
+			s3 += float64(d3 * d3)
+		}
+		out[j], out[j+1], out[j+2], out[j+3] = math.Sqrt(s0), math.Sqrt(s1), math.Sqrt(s2), math.Sqrt(s3)
+	}
+	for ; j < len(out); j++ {
+		out[j] = mat.Distance(ri, points.RowView(i+1+j))
+	}
+}
+
+// rawMerge is one merge as the chain emits it.
+type rawMerge struct {
+	a, b int // cluster representatives, a < b
+	d    float64
+}
+
+// chainDendrogram turns the chain's merges into the greedy-order history.
+// The chain emits merges out of distance order (it follows local
+// reciprocal pairs, not the global minimum). Reducibility guarantees
+// every child merge has distance ≤ its parent's, so a stable sort by
+// distance yields a valid greedy-order history; relabel cluster IDs to
+// match (merge i creates cluster n+i, child A has the smaller minimum
+// leaf).
+func chainDendrogram(n int, raw []rawMerge, linkage Linkage) *Dendrogram {
 	sort.SliceStable(raw, func(i, j int) bool { return raw[i].d < raw[j].d })
 
 	dend := &Dendrogram{N: n, Merges: make([]Merge, 0, n-1)}
@@ -236,7 +288,7 @@ func Cluster(points *mat.Dense, linkage Linkage) (*Dendrogram, error) {
 		id[rm.a] = n + i
 		csize[rm.a] = sz
 	}
-	return dend, nil
+	return dend
 }
 
 // SetLabels attaches leaf labels for rendering. len(labels) must equal N.
@@ -459,9 +511,9 @@ func pearson(a, b []float64) float64 {
 	var sab, saa, sbb float64
 	for i := range a {
 		da, db := a[i]-ma, b[i]-mb
-		sab += da * db
-		saa += da * da
-		sbb += db * db
+		sab += float64(da * db)
+		saa += float64(da * da)
+		sbb += float64(db * db)
 	}
 	if saa == 0 || sbb == 0 {
 		return 0

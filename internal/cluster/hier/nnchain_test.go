@@ -1,6 +1,7 @@
 package hier
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -135,6 +136,50 @@ func BenchmarkReferenceCluster(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := clusterReference(pts, Single); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// TestClusterMatchesActiveReference checks that Cluster reproduces the
+// active-flag chain merge for merge, every height bit for bit, under all
+// four linkages: on random points, on duplicated points (many zero
+// distances) and on small integer grids, where exactly equal distances
+// exercise the chain-predecessor and smallest-index tie rules.
+func TestClusterMatchesActiveReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(50))
+	var inputs []*mat.Dense
+	for trial := 0; trial < 12; trial++ {
+		inputs = append(inputs, randomPoints(rng, 2+rng.Intn(60), 1+rng.Intn(6)))
+	}
+	for trial := 0; trial < 12; trial++ {
+		n, d := 2+rng.Intn(60), 1+rng.Intn(3)
+		grid := mat.NewDense(n, d)
+		dup := randomPoints(rng, n, d)
+		for i := 0; i < n; i++ {
+			for j := 0; j < d; j++ {
+				grid.Set(i, j, float64(rng.Intn(4)))
+				if i > 0 && rng.Intn(3) == 0 {
+					dup.Set(i, j, dup.At(rng.Intn(i), j))
+				}
+			}
+		}
+		inputs = append(inputs, grid, dup)
+	}
+	inputs = append(inputs, wideBlobs(300))
+	for _, linkage := range []Linkage{Single, Complete, Average, Ward} {
+		for c, pts := range inputs {
+			got, err := Cluster(pts, linkage)
+			if err != nil {
+				t.Fatalf("%v input %d: %v", linkage, c, err)
+			}
+			want := clusterActiveReference(pts, linkage)
+			for i := range want.Merges {
+				g, w := got.Merges[i], want.Merges[i]
+				if g.A != w.A || g.B != w.B || g.Size != w.Size ||
+					math.Float64bits(g.Distance) != math.Float64bits(w.Distance) {
+					t.Fatalf("%v input %d merge %d: got %+v, reference %+v", linkage, c, i, g, w)
+				}
+			}
 		}
 	}
 }

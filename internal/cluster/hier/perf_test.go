@@ -1,6 +1,9 @@
 package hier
 
-import "testing"
+import (
+	"runtime"
+	"testing"
+)
 
 // TestClusterAllocsLinear checks that building the dendrogram allocates
 // O(n), not O(n²): reading rows in place leaves the n(n-1)/2 pairwise
@@ -28,5 +31,25 @@ func BenchmarkClusterWide(b *testing.B) {
 		if _, err := Cluster(pts, Single); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// TestClusterBytesCondensedPlusLinear pins the bytes Cluster allocates at
+// 1024 rows to the condensed store plus O(n): the live list, the chain,
+// the sizes, the row offsets and the merge history are each a few words
+// per point, so 256 bytes per point bounds them together.
+func TestClusterBytesCondensedPlusLinear(t *testing.T) {
+	const n = 1024
+	pts := wideBlobs(n)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := Cluster(pts, Single); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	condensed := uint64(8 * n * (n - 1) / 2)
+	if got, limit := after.TotalAlloc-before.TotalAlloc, condensed+256*n; got > limit {
+		t.Errorf("Cluster(%d×8) allocated %d bytes, want ≤ %d (condensed store %d + 256 per point)",
+			n, got, limit, condensed)
 	}
 }

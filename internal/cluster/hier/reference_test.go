@@ -115,3 +115,98 @@ func clusterReference(points *mat.Dense, linkage Linkage) (*Dendrogram, error) {
 	}
 	return dend, nil
 }
+
+// clusterActiveReference is the nearest-neighbor chain as it was before
+// Cluster kept an ascending list of live representatives and indexed the
+// condensed store through row offsets: every scan sweeps all n slots
+// behind an active flag and reads through condensed.idx. It runs the same
+// Lance–Williams arithmetic in the same order, so Cluster must agree with
+// it bit for bit, ties included; it is not used on any production path.
+func clusterActiveReference(points *mat.Dense, linkage Linkage) *Dendrogram {
+	n, _ := points.Dims()
+	dist := newCondensed(n)
+	for i := 0; i < n; i++ {
+		for j := i + 1; j < n; j++ {
+			d := mat.Distance(points.Row(i), points.Row(j))
+			if linkage == Ward {
+				d = d * d
+			}
+			dist.set(i, j, d)
+		}
+	}
+
+	size := make([]int, n)
+	active := make([]bool, n)
+	for i := range size {
+		size[i] = 1
+		active[i] = true
+	}
+	raw := make([]rawMerge, 0, n-1)
+	chain := make([]int, 0, n)
+	remaining := n
+
+	for remaining > 1 {
+		if len(chain) == 0 {
+			for i := 0; i < n; i++ {
+				if active[i] {
+					chain = append(chain, i)
+					break
+				}
+			}
+		}
+		a := chain[len(chain)-1]
+		prev := -1
+		if len(chain) >= 2 {
+			prev = chain[len(chain)-2]
+		}
+		b, best := -1, math.Inf(1)
+		for k := 0; k < n; k++ {
+			if !active[k] || k == a {
+				continue
+			}
+			if d := dist.at(a, k); d < best {
+				best = d
+				b = k
+			}
+		}
+		if prev >= 0 && dist.at(a, prev) == best {
+			b = prev
+		}
+		if b != prev {
+			chain = append(chain, b)
+			continue
+		}
+
+		x, y := a, b
+		if x > y {
+			x, y = y, x
+		}
+		raw = append(raw, rawMerge{a: x, b: y, d: best})
+		sx, sy := size[x], size[y]
+		for k := 0; k < n; k++ {
+			if !active[k] || k == x || k == y {
+				continue
+			}
+			dxk, dyk := dist.at(x, k), dist.at(y, k)
+			var d float64
+			switch linkage {
+			case Single:
+				d = math.Min(dxk, dyk)
+			case Complete:
+				d = math.Max(dxk, dyk)
+			case Average:
+				d = (float64(float64(sx)*dxk) + float64(float64(sy)*dyk)) / float64(sx+sy)
+			case Ward:
+				sk := float64(size[k])
+				tot := float64(sx+sy) + sk
+				d = (float64((float64(sx)+sk)*dxk) + float64((float64(sy)+sk)*dyk) - float64(sk*best)) / tot
+			}
+			dist.set(x, k, d)
+		}
+		size[x] = sx + sy
+		active[y] = false
+		remaining--
+		chain = chain[:len(chain)-2]
+	}
+	return chainDendrogram(n, raw, linkage)
+}

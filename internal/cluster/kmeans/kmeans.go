@@ -446,15 +446,15 @@ func BIC(points *mat.Dense, res *Result) float64 {
 		if Ri == 0 {
 			continue
 		}
-		l += -Ri/2*math.Log(2*math.Pi) -
-			Ri*dd/2*math.Log(sigma2) -
+		l += float64(-Ri/2*math.Log(2*math.Pi)) -
+			float64(Ri*dd/2*math.Log(sigma2)) -
 			(Ri-K)/2 +
-			Ri*math.Log(Ri) -
-			Ri*math.Log(R)
+			float64(Ri*math.Log(Ri)) -
+			float64(Ri*math.Log(R))
 	}
 
-	pj := K + dd*K
-	return l - pj/2*math.Log(R)
+	pj := K + float64(dd*K)
+	return l - float64(pj/2*math.Log(R))
 }
 
 // BestK runs K-means for every K in [kMin, kMax] and returns the result

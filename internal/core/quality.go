@@ -63,7 +63,7 @@ func (a *Analysis) EvaluateSubset(reps []Representative) (*SubsetQuality, error)
 
 		subsetMean := 0.0
 		for c := 0; c < a.KBest.K; c++ {
-			subsetMean += ds.Rows[repOf[c]][j] * float64(a.KBest.Sizes[c])
+			subsetMean += float64(ds.Rows[repOf[c]][j] * float64(a.KBest.Sizes[c]))
 		}
 		subsetMean /= float64(n)
 
@@ -85,7 +85,7 @@ func (a *Analysis) EvaluateSubset(reps []Representative) (*SubsetQuality, error)
 		d := 0.0
 		for j := 0; j < nm; j++ {
 			diff := zs.Normalized.At(i, j) - zs.Normalized.At(rep, j)
-			d += diff * diff
+			d += float64(diff * diff)
 		}
 		d = math.Sqrt(d)
 		sum += d
@@ -139,7 +139,7 @@ func (a *Analysis) HierarchicalRepresentatives(k int) ([]Representative, error) 
 		d := 0.0
 		for j := 0; j < dims; j++ {
 			diff := a.Scores.At(i, j) - centroids[c][j]
-			d += diff * diff
+			d += float64(diff * diff)
 		}
 		if d > best[c] {
 			best[c] = d

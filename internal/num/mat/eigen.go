@@ -3,7 +3,7 @@ package mat
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 )
 
 // EigenSym holds the eigendecomposition of a real symmetric matrix:
@@ -32,15 +32,19 @@ func SymEigen(a *Dense, symTol float64) (*EigenSym, error) {
 		return nil, fmt.Errorf("mat: SymEigen requires a symmetric matrix (tol %g)", symTol)
 	}
 
-	// Work on a copy; accumulate rotations into v.
-	w := a.Clone()
-	v := Identity(n)
+	// Work on a row-major copy w and accumulate rotations into v, both
+	// indexed directly: the n×n arrays are read and written a few million
+	// times, so skipping At/Set's bounds checks is most of the cost.
+	w := slices.Clone(a.data)
+	v := make([]float64, n*n)
+	for i := 0; i < n; i++ {
+		v[i*n+i] = 1
+	}
 
 	offdiag := func() float64 {
 		s := 0.0
 		for i := 0; i < n; i++ {
-			for j := i + 1; j < n; j++ {
-				x := w.At(i, j)
+			for _, x := range w[i*n+i+1 : (i+1)*n] {
 				s += float64(x * x)
 			}
 		}
@@ -49,7 +53,7 @@ func SymEigen(a *Dense, symTol float64) (*EigenSym, error) {
 
 	// Convergence threshold scales with the matrix magnitude so tiny
 	// matrices and large ones are handled uniformly.
-	scale := w.FrobeniusNorm()
+	scale := a.FrobeniusNorm()
 	if scale == 0 {
 		// Zero matrix: eigenvalues all zero, vectors identity.
 		return sortedEigen(make([]float64, n), v), nil
@@ -62,12 +66,12 @@ func SymEigen(a *Dense, symTol float64) (*EigenSym, error) {
 		}
 		for p := 0; p < n-1; p++ {
 			for q := p + 1; q < n; q++ {
-				apq := w.At(p, q)
+				apq := w[p*n+q]
 				if math.Abs(apq) <= tol/float64(n*n) {
 					continue
 				}
-				app := w.At(p, p)
-				aqq := w.At(q, q)
+				app := w[p*n+p]
+				aqq := w[q*n+q]
 				// Compute the rotation that annihilates w[p][q].
 				theta := (aqq - app) / (2 * apq)
 				var t float64
@@ -79,25 +83,28 @@ func SymEigen(a *Dense, symTol float64) (*EigenSym, error) {
 				cos := 1 / math.Sqrt(1+float64(t*t))
 				sin := t * cos
 
-				// Apply rotation J(p,q,θ): w = Jᵀ w J.
-				for k := 0; k < n; k++ {
-					wkp := w.At(k, p)
-					wkq := w.At(k, q)
-					w.Set(k, p, float64(cos*wkp)-float64(sin*wkq))
-					w.Set(k, q, float64(sin*wkp)+float64(cos*wkq))
+				// Apply rotation J(p,q,θ): w = Jᵀ w J. Columns p and q
+				// first (kp walks column p, kq the same row's column q),
+				// then rows p and q as contiguous slices.
+				for kp := p; kp < len(w); kp += n {
+					kq := kp + q - p
+					wkp, wkq := w[kp], w[kq]
+					w[kp] = float64(cos*wkp) - float64(sin*wkq)
+					w[kq] = float64(sin*wkp) + float64(cos*wkq)
 				}
-				for k := 0; k < n; k++ {
-					wpk := w.At(p, k)
-					wqk := w.At(q, k)
-					w.Set(p, k, float64(cos*wpk)-float64(sin*wqk))
-					w.Set(q, k, float64(sin*wpk)+float64(cos*wqk))
+				rp, rq := w[p*n:(p+1)*n], w[q*n:(q+1)*n]
+				rq = rq[:len(rp)]
+				for k, wpk := range rp {
+					wqk := rq[k]
+					rp[k] = float64(cos*wpk) - float64(sin*wqk)
+					rq[k] = float64(sin*wpk) + float64(cos*wqk)
 				}
 				// Accumulate eigenvectors: v = v J.
-				for k := 0; k < n; k++ {
-					vkp := v.At(k, p)
-					vkq := v.At(k, q)
-					v.Set(k, p, float64(cos*vkp)-float64(sin*vkq))
-					v.Set(k, q, float64(sin*vkp)+float64(cos*vkq))
+				for kp := p; kp < len(v); kp += n {
+					kq := kp + q - p
+					vkp, vkq := v[kp], v[kq]
+					v[kp] = float64(cos*vkp) - float64(sin*vkq)
+					v[kq] = float64(sin*vkp) + float64(cos*vkq)
 				}
 			}
 		}
@@ -109,31 +116,40 @@ func SymEigen(a *Dense, symTol float64) (*EigenSym, error) {
 	}
 
 	vals := make([]float64, n)
-	for i := 0; i < n; i++ {
-		vals[i] = w.At(i, i)
+	for i := range vals {
+		vals[i] = w[i*n+i]
 	}
 	return sortedEigen(vals, v), nil
 }
 
 // sortedEigen orders eigenpairs by descending eigenvalue and fixes the sign
 // convention (largest-magnitude component of each eigenvector is positive)
-// so results are deterministic across runs.
-func sortedEigen(vals []float64, vecs *Dense) *EigenSym {
+// so results are deterministic across runs. vecs is the row-major n×n
+// matrix whose column j is the eigenvector of vals[j].
+func sortedEigen(vals, vecs []float64) *EigenSym {
 	n := len(vals)
 	idx := make([]int, n)
 	for i := range idx {
 		idx[i] = i
 	}
-	sort.SliceStable(idx, func(a, b int) bool { return vals[idx[a]] > vals[idx[b]] })
+	slices.SortStableFunc(idx, func(a, b int) int {
+		switch {
+		case vals[a] > vals[b]:
+			return -1
+		case vals[a] < vals[b]:
+			return 1
+		}
+		return 0
+	})
 
 	outVals := make([]float64, n)
 	outVecs := NewDense(n, n)
 	for j, src := range idx {
 		outVals[j] = vals[src]
-		col := vecs.Col(src)
 		// Sign convention.
 		maxAbs, sign := 0.0, 1.0
-		for _, x := range col {
+		for i := src; i < len(vecs); i += n {
+			x := vecs[i]
 			if a := math.Abs(x); a > maxAbs {
 				maxAbs = a
 				if x < 0 {
@@ -143,8 +159,8 @@ func sortedEigen(vals []float64, vecs *Dense) *EigenSym {
 				}
 			}
 		}
-		for i, x := range col {
-			outVecs.Set(i, j, sign*x)
+		for i := 0; i < n; i++ {
+			outVecs.data[i*n+j] = sign * vecs[i*n+src]
 		}
 	}
 	return &EigenSym{Values: outVals, Vectors: outVecs}

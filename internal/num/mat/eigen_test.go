@@ -3,8 +3,11 @@ package mat
 import (
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/rng"
 )
 
 func TestSymEigenDiagonal(t *testing.T) {
@@ -215,5 +218,244 @@ func TestVectorMismatchPanics(t *testing.T) {
 			}()
 			fn()
 		}()
+	}
+}
+
+// symEigenReference is SymEigen as it was before the Jacobi rotations
+// indexed the arrays directly: every element goes through At/Set, and the
+// eigenvector columns are copied out with Col. SymEigen must agree with it
+// bit for bit; it is not used on any production path.
+func symEigenReference(a *Dense) *EigenSym {
+	n, _ := a.Dims()
+	w := a.Clone()
+	v := Identity(n)
+
+	offdiag := func() float64 {
+		s := 0.0
+		for i := 0; i < n; i++ {
+			for j := i + 1; j < n; j++ {
+				x := w.At(i, j)
+				s += float64(x * x)
+			}
+		}
+		return math.Sqrt(s)
+	}
+
+	scale := w.FrobeniusNorm()
+	if scale == 0 {
+		return sortedEigenReference(make([]float64, n), v)
+	}
+	tol := 1e-12 * scale
+
+	for sweep := 0; sweep < jacobiMaxSweeps; sweep++ {
+		if offdiag() <= tol {
+			break
+		}
+		for p := 0; p < n-1; p++ {
+			for q := p + 1; q < n; q++ {
+				apq := w.At(p, q)
+				if math.Abs(apq) <= tol/float64(n*n) {
+					continue
+				}
+				app := w.At(p, p)
+				aqq := w.At(q, q)
+				theta := (aqq - app) / (2 * apq)
+				var t float64
+				if theta >= 0 {
+					t = 1 / (theta + math.Sqrt(1+float64(theta*theta)))
+				} else {
+					t = -1 / (-theta + math.Sqrt(1+float64(theta*theta)))
+				}
+				cos := 1 / math.Sqrt(1+float64(t*t))
+				sin := t * cos
+
+				for k := 0; k < n; k++ {
+					wkp := w.At(k, p)
+					wkq := w.At(k, q)
+					w.Set(k, p, float64(cos*wkp)-float64(sin*wkq))
+					w.Set(k, q, float64(sin*wkp)+float64(cos*wkq))
+				}
+				for k := 0; k < n; k++ {
+					wpk := w.At(p, k)
+					wqk := w.At(q, k)
+					w.Set(p, k, float64(cos*wpk)-float64(sin*wqk))
+					w.Set(q, k, float64(sin*wpk)+float64(cos*wqk))
+				}
+				for k := 0; k < n; k++ {
+					vkp := v.At(k, p)
+					vkq := v.At(k, q)
+					v.Set(k, p, float64(cos*vkp)-float64(sin*vkq))
+					v.Set(k, q, float64(sin*vkp)+float64(cos*vkq))
+				}
+			}
+		}
+	}
+
+	vals := make([]float64, n)
+	for i := 0; i < n; i++ {
+		vals[i] = w.At(i, i)
+	}
+	return sortedEigenReference(vals, v)
+}
+
+func sortedEigenReference(vals []float64, vecs *Dense) *EigenSym {
+	n := len(vals)
+	idx := make([]int, n)
+	for i := range idx {
+		idx[i] = i
+	}
+	sort.SliceStable(idx, func(a, b int) bool { return vals[idx[a]] > vals[idx[b]] })
+
+	outVals := make([]float64, n)
+	outVecs := NewDense(n, n)
+	for j, src := range idx {
+		outVals[j] = vals[src]
+		col := vecs.Col(src)
+		maxAbs, sign := 0.0, 1.0
+		for _, x := range col {
+			if a := math.Abs(x); a > maxAbs {
+				maxAbs = a
+				if x < 0 {
+					sign = -1
+				} else {
+					sign = 1
+				}
+			}
+		}
+		for i, x := range col {
+			outVecs.Set(i, j, sign*x)
+		}
+	}
+	return &EigenSym{Values: outVals, Vectors: outVecs}
+}
+
+// eigenBitsEqual fails t unless got and want hold the same bits in every
+// eigenvalue and every eigenvector component.
+func eigenBitsEqual(t *testing.T, name string, got, want *EigenSym) {
+	t.Helper()
+	for i := range want.Values {
+		if math.Float64bits(got.Values[i]) != math.Float64bits(want.Values[i]) {
+			t.Fatalf("%s: value %d = %v, reference %v", name, i, got.Values[i], want.Values[i])
+		}
+	}
+	for i := range want.Vectors.data {
+		if math.Float64bits(got.Vectors.data[i]) != math.Float64bits(want.Vectors.data[i]) {
+			t.Fatalf("%s: vector entry %d = %v, reference %v", name, i, got.Vectors.data[i], want.Vectors.data[i])
+		}
+	}
+}
+
+// wideCovariance returns the 45×45 covariance of the z-scored columns of
+// a 1024×45 matrix shaped like the wide analysis input: 32 base rows whose
+// columns span six orders of magnitude, each replicated 32 times with
+// multiplicative 1 + 0.08·N(0,1) noise.
+func wideCovariance() *Dense {
+	const baseRows, replicas, cols = 32, 32, 45
+	const rows = baseRows * replicas
+	r := rng.New(20140926)
+	base := make([][]float64, baseRows)
+	scale := make([]float64, cols)
+	for j := range scale {
+		scale[j] = math.Pow(10, 6*r.Float64()-3)
+	}
+	for i := range base {
+		base[i] = make([]float64, cols)
+		for j := range base[i] {
+			base[i][j] = scale[j] * (0.5 + r.Float64())
+		}
+	}
+	m := NewDense(rows, cols)
+	for rep := 0; rep < replicas; rep++ {
+		for i, row := range base {
+			for j, x := range row {
+				m.Set(rep*baseRows+i, j, x*(1+0.08*r.NormFloat64()))
+			}
+		}
+	}
+	for j := 0; j < cols; j++ {
+		mean := 0.0
+		for i := 0; i < rows; i++ {
+			mean += m.At(i, j)
+		}
+		mean /= float64(rows)
+		ss := 0.0
+		for i := 0; i < rows; i++ {
+			d := m.At(i, j) - mean
+			ss += float64(d * d)
+		}
+		sd := math.Sqrt(ss / float64(rows))
+		for i := 0; i < rows; i++ {
+			m.Set(i, j, (m.At(i, j)-mean)/sd)
+		}
+	}
+	cov := NewDense(cols, cols)
+	for a := 0; a < cols; a++ {
+		for b := a; b < cols; b++ {
+			s := 0.0
+			for i := 0; i < rows; i++ {
+				s += float64(m.At(i, a) * m.At(i, b))
+			}
+			cov.Set(a, b, s/float64(rows))
+			cov.Set(b, a, s/float64(rows))
+		}
+	}
+	return cov
+}
+
+// TestSymEigenMatchesReference checks that the directly indexed Jacobi
+// iteration reproduces the At/Set one bit for bit: on random symmetric
+// matrices of every size the pipeline can meet, on the zero matrix, and
+// on the covariance of a wide analysis input.
+func TestSymEigenMatchesReference(t *testing.T) {
+	rnd := rand.New(rand.NewSource(50))
+	for _, n := range []int{1, 2, 3, 8, 45, 64} {
+		for trial := 0; trial < 4; trial++ {
+			a := randomSymmetric(rnd, n)
+			got, err := SymEigen(a, 1e-12)
+			if err != nil {
+				t.Fatalf("n=%d: %v", n, err)
+			}
+			eigenBitsEqual(t, "random", got, symEigenReference(a))
+		}
+	}
+	zero := NewDense(5, 5)
+	got, err := SymEigen(zero, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eigenBitsEqual(t, "zero", got, symEigenReference(zero))
+
+	cov := wideCovariance()
+	got, err = SymEigen(cov, 1e-9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eigenBitsEqual(t, "wide covariance", got, symEigenReference(cov))
+}
+
+// TestSymEigenAllocs pins SymEigen's allocations at a 45×45 input to a
+// fixed handful — the work copy, the rotation accumulator, the eigenvalues
+// and the sorted output — independent of n and of the sweep count.
+func TestSymEigenAllocs(t *testing.T) {
+	cov := wideCovariance()
+	allocs := testing.AllocsPerRun(5, func() {
+		if _, err := SymEigen(cov, 1e-9); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 8 {
+		t.Errorf("SymEigen(45×45) made %.0f allocations, want ≤ 8", allocs)
+	}
+}
+
+// BenchmarkSymEigen45 times the eigendecomposition PCA runs on a wide
+// analysis: the 45×45 covariance of 1024 z-scored rows.
+func BenchmarkSymEigen45(b *testing.B) {
+	cov := wideCovariance()
+	b.ReportAllocs()
+	for b.Loop() {
+		if _, err := SymEigen(cov, 1e-9); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
