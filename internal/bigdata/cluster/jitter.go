@@ -25,7 +25,7 @@ func jitterProfile(p trace.Profile, sigma float64, r *rng.RNG) trace.Profile {
 
 func jitterParams(p trace.Params, sigma float64, r *rng.RNG) trace.Params {
 	scale := func(v float64) float64 {
-		return v * (1 + sigma*r.NormFloat64())
+		return v * (1 + float64(sigma*r.NormFloat64()))
 	}
 	frac := func(v float64) float64 {
 		v = scale(v)

@@ -78,7 +78,7 @@ type algorithm struct {
 // (top-word frequency, hub-degree mass, key skew) onto the generator's
 // skew knob.
 func skewFromConcentration(m float64) float64 {
-	s := 0.3 + 0.6*m
+	s := 0.3 + float64(0.6*m)
 	return math.Min(s, 0.88)
 }
 

@@ -30,11 +30,11 @@ type Config struct {
 	MaxIterations int    // Lloyd iteration cap (default 100)
 	Restarts      int    // independent seedings, best inertia wins (default 8)
 	Seed          uint64 // RNG seed for k-means++ (deterministic)
-	// Parallelism bounds concurrent restarts in Run and concurrent K
-	// values in BestK (0 = GOMAXPROCS). Results are identical at every
-	// setting: each restart has its own seed-derived RNG and the winner is
-	// picked deterministically (lowest inertia, ties broken by the lowest
-	// restart index / lowest K).
+	// Parallelism bounds concurrent restarts in Run, and concurrent
+	// seedings and K values in BestK (0 = GOMAXPROCS). Results are
+	// identical at every setting: each restart has its own seed-derived
+	// RNG and the winner is picked deterministically (lowest inertia, ties
+	// broken by the lowest restart index / lowest K).
 	Parallelism int
 }
 
@@ -77,39 +77,42 @@ func Run(points *mat.Dense, k int, cfg Config) (*Result, error) {
 		return nil, fmt.Errorf("kmeans: k=%d exceeds point count %d", k, n)
 	}
 	cfg = cfg.withDefaults()
+	return runSeeded(points, norms(points), seedRestarts(points, k, cfg), k, cfg), nil
+}
 
-	// Squared point norms are shared read-only by every restart: the
-	// assignment loop computes ‖x−c‖² as ‖x‖²+‖c‖²−2x·c.
+// norms returns every row's squared norm. Restarts share them read-only:
+// the assignment loop computes ‖x−c‖² as ‖x‖²+‖c‖²−2x·c.
+func norms(points *mat.Dense) []float64 {
+	n, _ := points.Dims()
 	xnorm := make([]float64, n)
 	for i := range xnorm {
 		row := points.RowView(i)
 		xnorm[i] = mat.Dot(row, row)
 	}
+	return xnorm
+}
 
-	results := make([]*Result, cfg.Restarts)
-	runRestart := func(r int) {
-		rg := rng.New(cfg.Seed + uint64(r)*0x9E3779B97F4A7C15)
-		results[r] = runOnce(points, xnorm, k, cfg.MaxIterations, rg)
-	}
-	if par := parallelism(cfg.Parallelism, cfg.Restarts); par <= 1 {
-		for r := 0; r < cfg.Restarts; r++ {
-			runRestart(r)
-		}
-	} else {
-		var wg sync.WaitGroup
-		sem := make(chan struct{}, par)
-		for r := 0; r < cfg.Restarts; r++ {
-			wg.Add(1)
-			go func(r int) {
-				defer wg.Done()
-				sem <- struct{}{}
-				defer func() { <-sem }()
-				runRestart(r)
-			}(r)
-		}
-		wg.Wait()
-	}
+// seedRestarts returns every restart's k-means++ seeding at k centers,
+// computed concurrently (bounded by Config.Parallelism). Restart r draws
+// from rng.New(Seed + r·0x9E3779B97F4A7C15), which does not depend on k,
+// and seedPlusPlus draws once per center in order, so the first k′ rows
+// of a seeding at k are the restart's seeding at k′ ≤ k, bit for bit
+// (TestSeedPrefix). BestK therefore seeds once, at its largest K.
+func seedRestarts(points *mat.Dense, k int, cfg Config) []*mat.Dense {
+	seeds := make([]*mat.Dense, cfg.Restarts)
+	each(cfg.Restarts, cfg.Parallelism, func(r int) {
+		seeds[r] = seedPlusPlus(points, k, rng.New(cfg.Seed+uint64(r)*0x9E3779B97F4A7C15))
+	})
+	return seeds
+}
 
+// runSeeded executes one restart per seeding, from its first k rows,
+// bounded by Config.Parallelism, and returns the winner with its BIC.
+func runSeeded(points *mat.Dense, xnorm []float64, seeds []*mat.Dense, k int, cfg Config) *Result {
+	results := make([]*Result, len(seeds))
+	each(len(seeds), cfg.Parallelism, func(r int) {
+		results[r] = runOnce(points, xnorm, seeds[r], k, cfg.MaxIterations)
+	})
 	best := results[0]
 	for _, res := range results[1:] {
 		if res.Inertia < best.Inertia {
@@ -117,21 +120,49 @@ func Run(points *mat.Dense, k int, cfg Config) (*Result, error) {
 		}
 	}
 	best.BIC = BIC(points, best)
-	return best, nil
+	return best
 }
 
-// runOnce is one restart: k-means++ seeding, Lloyd iterations, and an
-// exact final assignment. Rows of points and centers are read in place
-// (points is shared read-only with concurrent restarts; centers is this
-// restart's own), and all scratch is allocated once, so an iteration
-// allocates nothing.
+// each calls f(0), …, f(n−1) on at most par goroutines (0 = GOMAXPROCS),
+// which take indices in order from a shared counter, and returns once
+// every call has. With one worker it calls them in order itself.
+func each(n, par int, f func(i int)) {
+	par = parallelism(par, n)
+	if par <= 1 {
+		for i := 0; i < n; i++ {
+			f(i)
+		}
+		return
+	}
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < par; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
+				f(i)
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// runOnce is one restart: Lloyd iterations from the first k rows of its
+// k-means++ seeding, then an exact final assignment. Rows of points and
+// centers are read in place (points and seed are shared read-only with
+// concurrent restarts; centers is this restart's own copy), and all
+// scratch is allocated once, so an iteration allocates nothing.
 //
 // The assignment step skips a point whose Hamerly bounds prove that a
 // full scan would return its current center again, so every result bit
 // equals that of scanning every point each iteration (DESIGN.md §3).
-func runOnce(points *mat.Dense, xnorm []float64, k, maxIter int, rg *rng.RNG) *Result {
+func runOnce(points *mat.Dense, xnorm []float64, seed *mat.Dense, k, maxIter int) *Result {
 	n, d := points.Dims()
-	centers := seedPlusPlus(points, k, rg)
+	centers := mat.NewDense(k, d)
+	for c := 0; c < k; c++ {
+		centers.SetRow(c, seed.RowView(c))
+	}
 	cnorm := make([]float64, k)
 	assign := make([]int, n)
 	for i := range assign {
@@ -159,7 +190,7 @@ func runOnce(points *mat.Dense, xnorm []float64, k, maxIter int, rg *rng.RNG) *R
 	cmax := 0.0 // largest ‖c‖² so far; NaN sticks and stops all skipping
 	scans := 0
 
-	iters := 0
+	iters, converged := 0, false
 	for iter := 0; iter < maxIter; iter++ {
 		iters = iter + 1
 		changed := false
@@ -177,14 +208,8 @@ func runOnce(points *mat.Dense, xnorm []float64, k, maxIter int, rg *rng.RNG) *R
 		}
 		for i := 0; i < n; i++ {
 			scale := xnorm[i] + cmax
-			if a := assign[i]; a >= 0 {
-				// Any other center is at least max(lower, near[a]−upper)
-				// away. A NaN anywhere fails the test and forces a scan.
-				u := upper[i]
-				l := max(lower[i], near[a]-u)
-				if l > u && (l-u)*(l+u) > tau*scale {
-					continue
-				}
+			if a := assign[i]; a >= 0 && settled(upper[i], lower[i], near[a], tau*scale) {
+				continue
 			}
 			scans++
 			p := nearest(points.RowView(i), xnorm[i], crows, cnorm)
@@ -197,6 +222,7 @@ func runOnce(points *mat.Dense, xnorm []float64, k, maxIter int, rg *rng.RNG) *R
 			}
 		}
 		if !changed && iter > 0 {
+			converged = true
 			break
 		}
 		for c, crow := range crows {
@@ -213,16 +239,43 @@ func runOnce(points *mat.Dense, xnorm []float64, k, maxIter int, rg *rng.RNG) *R
 			lower[i] -= maxDrift
 		}
 	}
-	if scanHook != nil {
-		scanHook(scans, n*iters)
+	// After convergence the last assignment pass ran against the final
+	// centers, so every bound, near and cmax hold for them. A restart
+	// stopped by maxIter moved its centers after that pass: its near and
+	// cmax are stale, and its exact pass scans every point.
+	var b *bounds
+	if converged {
+		b = &bounds{xnorm: xnorm, upper: upper, lower: lower, near: near, cmax: cmax, tau: tau}
 	}
-	return finish(points, centers, crows, assign, iters)
+	res, exactScans := finish(points, centers, crows, assign, iters, b)
+	if scanHook != nil {
+		scanHook(scans, n*iters, exactScans)
+	}
+	return res
+}
+
+// settled is the bound test: a point whose distance to its center is at
+// most upper, and to any other center at least max(lower, near−upper),
+// has that center as its strict nearest, with a squared-distance gap
+// above tauScale to cover rounding. A NaN anywhere fails the test.
+func settled(upper, lower, near, tauScale float64) bool {
+	l := max(lower, near-upper)
+	return l > upper && (l-upper)*(l+upper) > tauScale
+}
+
+// bounds is what a converged Lloyd loop hands finish: per point its
+// bounds and squared norm, per center near, and the running cmax and the
+// guard tau, all valid for the final centers.
+type bounds struct {
+	xnorm, upper, lower, near []float64
+	cmax, tau                 float64
 }
 
 // scanHook, when non-nil, receives each restart's number of full
-// assignment scans and its point-iterations (n·Iterations). Tests set it
-// to pin how much the bounds prune.
-var scanHook func(scans, pointIters int)
+// assignment scans in the Lloyd loop, its point-iterations
+// (n·Iterations) and the full scans of its exact pass. Tests set it to
+// pin how much the bounds prune.
+var scanHook func(scans, pointIters, exactScans int)
 
 // pick is a full scan's outcome: the nearest center and the two smallest
 // squared distances.
@@ -307,63 +360,63 @@ func updateCenters(points *mat.Dense, assign []int, centers *mat.Dense, crows []
 	}
 }
 
-// finish ends a restart whose Lloyd loop left assign and centers.
+// finish ends a restart whose Lloyd loop left assign and centers, and
+// returns its result and the number of points the exact pass scanned.
 //
 // Final exact pass: recompute assignments with the direct squared
 // distance, so reported results are free of the cached-norm
 // formulation's cancellation error and every point provably sits with
-// its nearest center. A rounding-induced flip can only happen when a
-// point is within cancellation error of equidistant; if such flips
-// would empty a cluster that Lloyd's repair kept populated, keep the
-// Lloyd assignment wholesale — downstream consumers (representative
-// selection) require clusters to stay non-empty, and either
-// assignment differs only by ~1e-12 in inertia.
-func finish(points *mat.Dense, centers *mat.Dense, crows [][]float64, assign []int, iters int) *Result {
+// its nearest center. With the bounds of a converged loop (b non-nil), a
+// point that passes the loop's skip test keeps its center unscanned: the
+// test's margin also covers the direct distance's rounding (DESIGN.md
+// §3). A rounding-induced flip can only happen when a point is within
+// cancellation error of equidistant; if such flips would empty a cluster
+// that Lloyd's repair kept populated, keep the Lloyd assignment
+// wholesale — downstream consumers (representative selection) require
+// clusters to stay non-empty, and either assignment differs only by
+// ~1e-12 in inertia.
+func finish(points *mat.Dense, centers *mat.Dense, crows [][]float64, assign []int, iters int, b *bounds) (*Result, int) {
 	n, _ := points.Dims()
 	k := len(crows)
 	exact := make([]int, n)
 	exactSizes := make([]int, k)
+	exactInertia := 0.0
+	scans := 0
 	for i := 0; i < n; i++ {
 		row := points.RowView(i)
-		bestC, bestD := -1, math.Inf(1)
-		for c := 0; c < k; c++ {
-			dd := mat.SquaredDistance(row, crows[c])
-			if dd < bestD {
-				bestD = dd
-				bestC = c
+		bestC, bestD := assign[i], 0.0
+		if b != nil && settled(b.upper[i], b.lower[i], b.near[bestC], b.tau*(b.xnorm[i]+b.cmax)) {
+			bestD = mat.SquaredDistance(row, crows[bestC])
+		} else {
+			scans++
+			bestC, bestD = -1, math.Inf(1)
+			for c := 0; c < k; c++ {
+				dd := mat.SquaredDistance(row, crows[c])
+				if dd < bestD {
+					bestD = dd
+					bestC = c
+				}
 			}
 		}
 		exact[i] = bestC
 		exactSizes[bestC]++
+		exactInertia += bestD
 	}
 	lloydSizes := make([]int, k)
 	for _, c := range assign {
 		lloydSizes[c]++
 	}
-	adopt := true
+	res := &Result{K: k, Assign: exact, Centers: centers, Sizes: exactSizes, Inertia: exactInertia, Iterations: iters}
 	for c := 0; c < k; c++ {
 		if lloydSizes[c] > 0 && exactSizes[c] == 0 {
-			adopt = false
+			res.Assign, res.Sizes, res.Inertia = assign, lloydSizes, 0
+			for i := 0; i < n; i++ {
+				res.Inertia += mat.SquaredDistance(points.RowView(i), crows[assign[i]])
+			}
 			break
 		}
 	}
-	if adopt {
-		assign = exact
-	}
-	inertia := 0.0
-	sizes := make([]int, k)
-	for i := 0; i < n; i++ {
-		inertia += mat.SquaredDistance(points.RowView(i), crows[assign[i]])
-		sizes[assign[i]]++
-	}
-	return &Result{
-		K:          k,
-		Assign:     assign,
-		Centers:    centers,
-		Sizes:      sizes,
-		Inertia:    inertia,
-		Iterations: iters,
-	}
+	return res, scans
 }
 
 // seedPlusPlus selects k initial centers with the k-means++ D² weighting.
@@ -448,7 +501,7 @@ func BIC(points *mat.Dense, res *Result) float64 {
 		}
 		l += float64(-Ri/2*math.Log(2*math.Pi)) -
 			float64(Ri*dd/2*math.Log(sigma2)) -
-			(Ri-K)/2 +
+			float64((Ri-K)/2) +
 			float64(Ri*math.Log(Ri)) -
 			float64(Ri*math.Log(R))
 	}
@@ -459,55 +512,40 @@ func BIC(points *mat.Dense, res *Result) float64 {
 
 // BestK runs K-means for every K in [kMin, kMax] and returns the result
 // with the highest BIC, plus the per-K results (in K order) for
-// reporting. The K scan executes concurrently, bounded by
-// Config.Parallelism: workers take K values from a shared counter,
-// largest K first, since a run's cost grows with K and the largest must
-// not start last. The winner is picked by scanning the per-K results in
-// K order (strictly higher BIC wins, so ties keep the lowest K), making
-// the choice identical at any parallelism.
+// reporting. Each result equals Run's at its K bit for bit: the point
+// norms are computed once, and every restart is seeded once at kMax and
+// starts each K from the seeding's first K rows (see seedRestarts). The
+// K scan executes concurrently, bounded by Config.Parallelism: workers
+// take K values from a shared counter, largest K first, since a run's
+// cost grows with K and the largest must not start last. The winner is
+// picked by scanning the per-K results in K order (strictly higher BIC
+// wins, so ties keep the lowest K), making the choice identical at any
+// parallelism.
 func BestK(points *mat.Dense, kMin, kMax int, cfg Config) (*Result, []*Result, error) {
 	n, _ := points.Dims()
 	if kMin < 1 || kMax < kMin {
 		return nil, nil, fmt.Errorf("kmeans: invalid K range [%d,%d]", kMin, kMax)
 	}
-	if kMax > n {
-		kMax = n
+	if kMin > n {
+		return nil, nil, fmt.Errorf("kmeans: k=%d exceeds point count %d", kMin, n)
 	}
+	kMax = min(kMax, n)
+	cfg = cfg.withDefaults()
+	xnorm := norms(points)
+	seeds := seedRestarts(points, kMax, cfg)
+
 	nk := kMax - kMin + 1
 	all := make([]*Result, nk)
-	errs := make([]error, nk)
-
-	if par := parallelism(cfg.Parallelism, nk); par <= 1 {
-		for i := 0; i < nk; i++ {
-			all[i], errs[i] = Run(points, kMin+i, cfg)
-		}
-	} else {
-		// The K goroutines carry the parallelism; restarts inside each Run
-		// stay serial to avoid oversubscription.
-		inner := cfg
+	// The K workers carry the parallelism; the restarts of each K stay
+	// serial to avoid oversubscription.
+	inner := cfg
+	if parallelism(cfg.Parallelism, nk) > 1 {
 		inner.Parallelism = 1
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		for w := 0; w < par; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for {
-					i := nk - int(next.Add(1)) // nk-1, nk-2, …, 0
-					if i < 0 {
-						return
-					}
-					all[i], errs[i] = Run(points, kMin+i, inner)
-				}
-			}()
-		}
-		wg.Wait()
 	}
-	for _, err := range errs {
-		if err != nil {
-			return nil, nil, err
-		}
-	}
+	each(nk, cfg.Parallelism, func(j int) {
+		i := nk - 1 - j // largest K first
+		all[i] = runSeeded(points, xnorm, seeds, kMin+i, inner)
+	})
 
 	best := all[0]
 	for _, res := range all[1:] {

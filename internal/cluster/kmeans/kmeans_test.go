@@ -146,6 +146,11 @@ func TestBestKValidation(t *testing.T) {
 	if _, _, err := BestK(pts, 3, 2, Config{}); err == nil {
 		t.Error("kMax<kMin accepted")
 	}
+	// kMin > n leaves no K to scan.
+	n, _ := pts.Dims()
+	if _, _, err := BestK(pts, n+1, n+4, Config{}); err == nil {
+		t.Error("kMin>n accepted")
+	}
 	// kMax > n should clamp, not error.
 	if _, _, err := BestK(pts, 1, 100, Config{Seed: 1}); err != nil {
 		t.Errorf("kMax>n errored: %v", err)

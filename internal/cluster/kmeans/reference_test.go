@@ -7,10 +7,12 @@ import (
 	"repro/internal/rng"
 )
 
-// runOnceReference is the plain Lloyd restart: every iteration scans
-// every point against every center. It is retained as the oracle the
-// bound-pruned runOnce is tested against (the two must agree bit for
-// bit) and is not used on any production path.
+// runOnceReference is the plain Lloyd restart: it seeds at k itself,
+// every iteration scans every point against every center, and its exact
+// pass gets no bounds, so it scans every point too. It is retained as the
+// oracle the bound-pruned runOnce, started from a prefix of a larger
+// seeding, is tested against (the two must agree bit for bit) and is not
+// used on any production path.
 func runOnceReference(points *mat.Dense, xnorm []float64, k, maxIter int, rg *rng.RNG) *Result {
 	n, d := points.Dims()
 	centers := seedPlusPlus(points, k, rg)
@@ -52,5 +54,6 @@ func runOnceReference(points *mat.Dense, xnorm []float64, k, maxIter int, rg *rn
 		}
 		updateCenters(points, assign, centers, crows, sums, counts)
 	}
-	return finish(points, centers, crows, assign, iters)
+	res, _ := finish(points, centers, crows, assign, iters, nil)
+	return res
 }

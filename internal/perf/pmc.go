@@ -95,7 +95,7 @@ func Measure(snapshots []event.Counts, cfg MonitorConfig) (event.Counts, error) 
 			// Round to nearest: truncation makes constant-rate streams
 			// (which should be estimated exactly) come up one short when
 			// the scale factor rounds down, e.g. 19·13·(26/13) → 493.999….
-			est[id] = uint64(float64(sums[g][id])*scale + 0.5)
+			est[id] = uint64(float64(float64(sums[g][id])*scale) + 0.5)
 		}
 	}
 	return est, nil

@@ -172,6 +172,11 @@ func (c *resultCache) Put(id string, data []byte) (string, error) {
 			return hash, fmt.Errorf("service: writing result: %w", err)
 		}
 	}
+	if cap(data) > len(data) {
+		// An encoder's buffer keeps up to half its length spare: cache an
+		// exact-size copy so no entry holds dead capacity.
+		data = append(make([]byte, 0, len(data)), data...)
+	}
 	c.mx.stores.Inc()
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -99,6 +99,41 @@ func TestPutDiskFailureRollsBack(t *testing.T) {
 	}
 }
 
+// TestPutStoresExactSize checks that every entry Put stores has no spare
+// capacity, whatever buffer the caller hands it, and holds the same bytes.
+func TestPutStoresExactSize(t *testing.T) {
+	c, err := newResultCache(4, "", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]string{}
+	put := func(id string, data []byte) {
+		t.Helper()
+		if _, err := c.Put(id, data); err != nil {
+			t.Fatal(err)
+		}
+		want[id] = string(data)
+	}
+	grown := append([]byte(nil), `{"grown":`...) // append's growth leaves spare capacity
+	grown = append(grown, strings.Repeat("7", 1000)+"}"...)
+	put(strings.Repeat("01", 16), grown)
+	put(strings.Repeat("02", 16), append(make([]byte, 0, 64), `{"x":2}`...))
+	put(strings.Repeat("03", 16), []byte(`{"x":3}`))
+	put(strings.Repeat("02", 16), append(make([]byte, 0, 64), `{"x":22}`...)) // replaces in place
+	if c.ll.Len() != len(want) {
+		t.Fatalf("%d entries, want %d", c.ll.Len(), len(want))
+	}
+	for el := c.ll.Front(); el != nil; el = el.Next() {
+		ent := el.Value.(*cacheEntry)
+		if cap(ent.data) != len(ent.data) {
+			t.Errorf("entry %s: cap %d, len %d", ent.id, cap(ent.data), len(ent.data))
+		}
+		if string(ent.data) != want[ent.id] {
+			t.Errorf("entry %s holds %q, want %q", ent.id, ent.data, want[ent.id])
+		}
+	}
+}
+
 // TestSubmitReexecutesWhenResultEvicted covers the memory-only eviction
 // corner: a done job whose result bytes were displaced from a 1-entry LRU
 // must be re-executed on resubmission, not reported as a cache hit whose

@@ -109,7 +109,7 @@ func Blend(a, b Params, w float64) Params {
 	if w > 1 {
 		w = 1
 	}
-	lin := func(x, y float64) float64 { return x*(1-w) + y*w }
+	lin := func(x, y float64) float64 { return float64(x*(1-w)) + float64(y*w) }
 	geo := func(x, y uint64) uint64 {
 		if x == 0 || y == 0 {
 			return uint64(lin(float64(x), float64(y)))
