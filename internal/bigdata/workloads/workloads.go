@@ -20,6 +20,7 @@ import (
 	"math"
 	"slices"
 	"strings"
+	"sync"
 
 	"repro/internal/bigdata/bdgs"
 	"repro/internal/bigdata/stack"
@@ -611,11 +612,16 @@ func Synthesize(alg Algorithm, eng stack.Engine, cfg Config) (Workload, error) {
 // deriving the data traits from generated data. The RNG is seeded per
 // algorithm, so both stacks see identical data (§III-A: "Identical Data
 // Sets") and one entry synthesized alone equals the same entry of Suite.
+// The skew is a pure function of the algorithm and Config.Seed, so it is
+// generated once per seed and read from skews after that.
 func (alg algorithm) derive(cfg Config) (Algorithm, error) {
-	r := rng.New(cfg.Seed ^ hashName(alg.name))
-	skew, err := alg.deriveSkew(r)
-	if err != nil {
-		return Algorithm{}, fmt.Errorf("workloads: %s: %w", alg.name, err)
+	skew, ok := skews.get(cfg.Seed, alg.name)
+	if !ok {
+		var err error
+		if skew, err = alg.deriveSkew(rng.New(cfg.Seed ^ hashName(alg.name))); err != nil {
+			return Algorithm{}, fmt.Errorf("workloads: %s: %w", alg.name, err)
+		}
+		skews.put(cfg.Seed, alg.name, skew)
 	}
 	return Algorithm{
 		Name:             alg.name,
@@ -628,6 +634,68 @@ func (alg algorithm) derive(cfg Config) (Algorithm, error) {
 		Skew:             skew,
 		Tweak:            alg.tweak,
 	}, nil
+}
+
+// memoSeeds is how many suite seeds the skew memo holds. A client picks
+// the seed, so the memo is bounded; a job, its retries and its variants
+// share one seed, and a handful covers every seed a fleet runs at once.
+const memoSeeds = 8
+
+// skews memoizes derived skews for the memoSeeds most recently used suite
+// seeds. Regenerating an algorithm's BDGS dataset costs milliseconds, and
+// every Suite and Builtin call (a coordinator's plan, a worker's unit) would
+// otherwise pay it again at the same seed. It lives in memory only, and
+// holds nothing but successful derivations.
+var skews = newSkewMemo(memoSeeds)
+
+// skewMemo maps suite seed → algorithm name → derived skew for at most
+// limit seeds, dropping the least recently used seed when a new one
+// arrives. It is safe for concurrent use; two callers that miss the same
+// key at once both derive it, and both get the same bits.
+type skewMemo struct {
+	mu    sync.Mutex
+	limit int
+	seeds []uint64 // held seeds, least recently used first
+	skew  map[uint64]map[string]float64
+}
+
+func newSkewMemo(limit int) *skewMemo {
+	return &skewMemo{limit: limit, skew: make(map[uint64]map[string]float64, limit)}
+}
+
+// touch moves seed to the most recently used end of m.seeds. Callers hold
+// m.mu and have checked that seed is held.
+func (m *skewMemo) touch(seed uint64) {
+	i := slices.Index(m.seeds, seed)
+	m.seeds = append(slices.Delete(m.seeds, i, i+1), seed)
+}
+
+func (m *skewMemo) get(seed uint64, alg string) (float64, bool) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	s, ok := m.skew[seed][alg]
+	if ok {
+		m.touch(seed)
+	}
+	return s, ok
+}
+
+func (m *skewMemo) put(seed uint64, alg string, skew float64) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	bySeed, ok := m.skew[seed]
+	if ok {
+		m.touch(seed)
+	} else {
+		if len(m.seeds) == m.limit {
+			delete(m.skew, m.seeds[0])
+			m.seeds = slices.Delete(m.seeds, 0, 1)
+		}
+		bySeed = make(map[string]float64)
+		m.skew[seed] = bySeed
+		m.seeds = append(m.seeds, seed)
+	}
+	bySeed[alg] = skew
 }
 
 // BuiltinNames returns the 32 built-in workload names (H-/S- per Table I

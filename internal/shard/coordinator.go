@@ -103,8 +103,9 @@ type Config struct {
 }
 
 // dispatchPoll is the idle-loop tick of the dispatch workers: how often
-// an idle dispatcher re-checks breaker state and the unit queue. Purely
-// a liveness knob — units take orders of magnitude longer.
+// an idle dispatcher re-checks breaker state and the unit queue, and the
+// supervisor the fleet's membership. Purely a liveness knob — units take
+// orders of magnitude longer, and a settling job wakes both loops at once.
 const dispatchPoll = 10 * time.Millisecond
 
 // Executor fans a job's grid out across a dynamic fleet of bdservd
@@ -231,11 +232,12 @@ func (a *progressAgg) report(u, done int) {
 }
 
 // unitQueue is the shared work-stealing state of one job: pending unit
-// indexes, per-unit attempt accounting, and the terminal condition. The
-// fleet is elastic, so attempt accounting is keyed by worker URL — a
-// worker that leaves and rejoins keeps its failure history for this
-// job's units, while a genuinely new worker starts fresh. All methods
-// are safe for concurrent dispatchers.
+// indexes, per-unit attempt accounting, and the terminal condition, which
+// closes settledCh the moment it is reached. The fleet is elastic, so
+// attempt accounting is keyed by worker URL — a worker that leaves and
+// rejoins keeps its failure history for this job's units, while a
+// genuinely new worker starts fresh. All methods are safe for concurrent
+// dispatchers.
 type unitQueue struct {
 	mu          sync.Mutex
 	pending     []int
@@ -248,6 +250,7 @@ type unitQueue struct {
 	err         error
 	stuckSince  time.Time
 	onErr       context.CancelFunc // cancels sibling attempts on permanent failure
+	settledCh   chan struct{}      // closed once the job is over; see settle
 }
 
 // newUnitQueue builds the queue over total units; units flagged in
@@ -260,6 +263,7 @@ func newUnitQueue(total, maxAttempts int, preDone []bool, onErr context.CancelFu
 		total:       total,
 		maxAttempts: maxAttempts,
 		onErr:       onErr,
+		settledCh:   make(chan struct{}),
 	}
 	for u := 0; u < total; u++ {
 		q.failedOn[u] = make(map[string]bool)
@@ -269,7 +273,35 @@ func newUnitQueue(total, maxAttempts int, preDone []bool, onErr context.CancelFu
 		}
 		q.pending = append(q.pending, u)
 	}
+	q.settle()
 	return q
+}
+
+// settle closes settledCh the first time the job is over: every unit
+// merged, or a permanent failure recorded. Callers hold q.mu (or own q
+// outright, as newUnitQueue does).
+func (q *unitQueue) settle() {
+	if q.completed != q.total && q.err == nil {
+		return
+	}
+	select {
+	case <-q.settledCh:
+	default:
+		close(q.settledCh)
+	}
+}
+
+// wait blocks until the job settles, ctx ends, or d passes, whichever
+// comes first: an idle loop's tick that still wakes the moment the last
+// unit lands.
+func (q *unitQueue) wait(ctx context.Context, d time.Duration) {
+	t := time.NewTimer(d)
+	defer t.Stop()
+	select {
+	case <-q.settledCh:
+	case <-ctx.Done():
+	case <-t.C:
+	}
 }
 
 // settled reports whether the job is over (all units merged, or failed).
@@ -351,6 +383,7 @@ func (q *unitQueue) complete(u int) {
 	defer q.mu.Unlock()
 	q.inflight--
 	q.completed++
+	q.settle()
 }
 
 // release returns a unit taken by an attempt that was aborted by job
@@ -374,6 +407,7 @@ func (q *unitQueue) fail(u int, url string, err error) {
 		if q.err == nil {
 			q.err = fmt.Errorf("shard: unit %d exhausted %d attempts across %d worker(s): %w",
 				u, q.attempts[u], len(q.failedOn[u]), err)
+			q.settle()
 			q.onErr()
 		}
 		return
@@ -399,6 +433,7 @@ func (q *unitQueue) stuckCheck(allUnavailable func() bool, grace time.Duration) 
 	if time.Since(q.stuckSince) >= grace {
 		q.err = fmt.Errorf("shard: %d unit(s) exhausted dispatch: no available worker in the fleet for %v",
 			len(q.pending), grace)
+		q.settle()
 		q.onErr()
 	}
 }
@@ -522,11 +557,12 @@ func (e *Executor) Execute(ctx context.Context, spec service.JobSpec, progress c
 	// The dispatch loop: one goroutine per fleet member, each pulling its
 	// next unit from the shared queue the moment the previous one
 	// completes — fast workers steal the tail a slow one would otherwise
-	// stall on. The supervisor polls the registry so membership changes
-	// land mid-job: a joining worker gets a dispatcher (and starts
-	// stealing pending units) within one poll tick; a leaving worker's
-	// dispatcher context is canceled through its gone channel, releasing
-	// its in-flight unit back to the queue without charging an attempt.
+	// stall on. The supervisor wakes the moment the queue settles, and
+	// otherwise polls the registry so membership changes land mid-job: a
+	// joining worker gets a dispatcher (and starts stealing pending units)
+	// within one poll tick; a leaving worker's dispatcher context is
+	// canceled through its gone channel, releasing its in-flight unit back
+	// to the queue without charging an attempt.
 	// Units from failed or stalled workers are re-queued; a permanent
 	// failure (attempt budget, dead fleet) cancels the siblings.
 	e.log.Info("sharded job dispatch starting", "job", jobID,
@@ -588,7 +624,7 @@ func (e *Executor) Execute(ctx context.Context, spec service.JobSpec, progress c
 			// fleet clock.
 			q.stuckCheck(e.allUnavailable, e.cfg.DownGrace)
 		}
-		sleepCtx(dctx, dispatchPoll)
+		q.wait(dctx, dispatchPoll)
 	}
 	cancel()
 	wg.Wait()
@@ -654,7 +690,7 @@ func (e *Executor) dispatch(ctx context.Context, w *workerState, run *jobRun) {
 			// hold the remaining units (in flight, or re-queued units
 			// this worker failed that a fresh worker should retry), or
 			// the job is settling.
-			sleepCtx(ctx, dispatchPoll)
+			q.wait(ctx, dispatchPoll)
 			continue
 		}
 		e.mx.unitsDispatched.With(w.url).Inc()

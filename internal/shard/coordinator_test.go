@@ -2,6 +2,8 @@ package shard
 
 import (
 	"bytes"
+	"context"
+	"errors"
 	"net"
 	"net/http"
 	"strings"
@@ -393,5 +395,61 @@ func TestCoordinatorObservationsJob(t *testing.T) {
 	}
 	if !bytes.Equal(data, refBytes) {
 		t.Error("observations bytes differ from single-daemon bytes")
+	}
+}
+
+// The queue's settled channel closes exactly when the job is over — after
+// the last complete, an exhausted attempt budget, or a dead-fleet verdict
+// from stuckCheck — and stays open through every step before that. No step
+// sleeps: a zero grace lets the second stuckCheck decide at once.
+func TestUnitQueueSettledChannel(t *testing.T) {
+	take := func(q *unitQueue) {
+		if _, _, ok := q.tryTake("w", nil); !ok {
+			t.Fatal("no unit to take")
+		}
+	}
+	complete := func(u int) func(*unitQueue) { return func(q *unitQueue) { q.complete(u) } }
+	release := func(u int) func(*unitQueue) { return func(q *unitQueue) { q.release(u) } }
+	fail := func(q *unitQueue) { q.fail(0, "w", errors.New("unit failed")) }
+	stuck := func(q *unitQueue) { q.stuckCheck(func() bool { return true }, 0) }
+	for _, c := range []struct {
+		name        string
+		total       int
+		maxAttempts int
+		steps       []func(*unitQueue) // the last one settles the queue
+		wantErr     bool
+	}{
+		{"last complete", 2, 3, []func(*unitQueue){take, take, complete(0), release(1), take, complete(1)}, false},
+		{"attempt budget exhausted", 1, 2, []func(*unitQueue){take, fail, take, fail}, true},
+		{"stuckCheck", 1, 3, []func(*unitQueue){stuck, stuck}, true},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			canceled := false
+			q := newUnitQueue(c.total, c.maxAttempts, nil, func() { canceled = true })
+			for i, step := range c.steps {
+				select {
+				case <-q.settledCh:
+					t.Fatalf("settled channel closed before step %d", i)
+				default:
+				}
+				step(q)
+			}
+			select {
+			case <-q.settledCh:
+			default:
+				t.Fatal("settled channel still open after the settling step")
+			}
+			if done, err := q.settled(); !done || (err != nil) != c.wantErr || canceled != c.wantErr {
+				t.Errorf("settled() = %v, %v; siblings canceled %v", done, err, canceled)
+			}
+			q.wait(context.Background(), time.Hour) // returns at once on a settled queue
+		})
+	}
+	// A job whose every unit came from the cell cache is born settled.
+	q := newUnitQueue(2, 3, []bool{true, true}, func() {})
+	select {
+	case <-q.settledCh:
+	default:
+		t.Error("queue born done has an open settled channel")
 	}
 }

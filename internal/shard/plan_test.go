@@ -258,9 +258,16 @@ func allocBytesPerRun(runs int, f func()) uint64 {
 // only the workloads it selects: naming all 32 built-ins must cost less
 // than synthesizing one, and resolving two must cost less than one
 // data-heavy built-in. The whole suite allocates about six times that.
+// workloads memoizes derived data traits per suite seed, so every measured
+// call runs at a seed no earlier call used: no synthesis can hide behind a
+// memo hit, in the yardstick or in the cases.
 func TestResolutionSynthesizesOnlySelectedWorkloads(t *testing.T) {
+	seed := uint64(1 << 40)
+	fresh := func() uint64 { seed++; return seed }
 	one := allocBytesPerRun(5, func() {
-		if _, err := workloads.Builtin(workloads.DefaultConfig(), "H-WordCount"); err != nil {
+		cfg := workloads.DefaultConfig()
+		cfg.Seed = fresh()
+		if _, err := workloads.Builtin(cfg, "H-WordCount"); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -271,14 +278,17 @@ func TestResolutionSynthesizesOnlySelectedWorkloads(t *testing.T) {
 	pair := tinySpec("H-Sort", "S-Grep")
 	for _, c := range []struct {
 		name string
-		f    func() error
+		spec service.JobSpec
+		f    func(service.JobSpec) error
 	}{
-		{"Normalized(32 built-ins)", func() error { _, err := all.Normalized(); return err }},
-		{"Plan(32 built-ins)", func() error { _, err := Plan(all, 8); return err }},
-		{"ResolveSuite(H-Sort, S-Grep)", func() error { _, err := pair.ResolveSuite(); return err }},
+		{"Normalized(32 built-ins)", all, func(s service.JobSpec) error { _, err := s.Normalized(); return err }},
+		{"Plan(32 built-ins)", all, func(s service.JobSpec) error { _, err := Plan(s, 8); return err }},
+		{"ResolveSuite(H-Sort, S-Grep)", pair, func(s service.JobSpec) error { _, err := s.ResolveSuite(); return err }},
 	} {
 		got := allocBytesPerRun(5, func() {
-			if err := c.f(); err != nil {
+			s := c.spec
+			s.Suite.Seed = fresh()
+			if err := c.f(s); err != nil {
 				t.Fatal(err)
 			}
 		})

@@ -157,7 +157,9 @@ func (m *Machine) Reset() {
 func (m *Machine) block(addr uint64) uint64 { return addr &^ (m.lineB - 1) }
 
 // advance moves the core's clock by dt cycles, integrating MLP over the
-// window and pruning completed misses.
+// window and pruning completed misses. A caller passing a product as dt
+// rounds it (float64(x*y)), so no inlined copy fuses it into the sums
+// below.
 func (c *core) advance(dt float64) {
 	if dt <= 0 {
 		return
@@ -178,7 +180,7 @@ func (c *core) advance(dt float64) {
 	}
 	c.outstanding = kept
 	if alive > 0 {
-		c.mlpWeighted += float64(alive) * dt
+		c.mlpWeighted += float64(float64(alive) * dt)
 		c.mlpCycles += dt
 	}
 	c.cycles = end
@@ -601,7 +603,7 @@ func (m *Machine) execute(c *core, in *Instr) {
 		c.stall(&c.decStall, 0.35)
 	}
 	if uops > 1 {
-		c.stall(&c.ratStall, 0.18*(uops-1))
+		c.stall(&c.ratStall, float64(0.18*(uops-1)))
 	}
 
 	switch in.Kind {
@@ -622,10 +624,10 @@ func (m *Machine) execute(c *core, in *Instr) {
 			p := float64(m.cfg.MispredictPenalty)
 			// Flush: half the penalty is frontend refill, half wasted
 			// backend slots. Wrong-path work executes but never retires.
-			c.stall(&c.fetchStall, p/2)
-			c.advance(p / 2)
+			c.stall(&c.fetchStall, float64(p/2))
+			c.advance(float64(p / 2))
 			c.uopsExecuted += p // ≈ issueWidth × p/4 wrong-path µops
-			c.branchesExecuted += p / 8
+			c.branchesExecuted += float64(p / 8)
 		}
 	case KindInt:
 		c.ev.Inc(event.IntOps, 1)
@@ -656,7 +658,7 @@ func (c *core) snapshot() event.Counts {
 	ev[event.MLPWeighted] = uint64(c.mlpWeighted)
 	ev[event.MLPCycles] = uint64(c.mlpCycles)
 
-	stall := c.fetchStall + c.resStall + 0.5*(c.ildStall+c.decStall+c.ratStall)
+	stall := c.fetchStall + c.resStall + float64(0.5*(c.ildStall+c.decStall+c.ratStall))
 	if stall > c.cycles {
 		stall = c.cycles
 	}

@@ -288,7 +288,9 @@ func (g *Generator) hotMixOffset(size, hotSize uint64, hotFrac float64) uint64 {
 	if hotSize > 0 && g.rng.Bool(hotFrac) {
 		region = hotSize
 	}
-	off := uint64(g.rng.Float64() * float64(region))
+	// float64 rounds the product: on ppc64le and riscv64 the conversion to
+	// uint64 subtracts 2⁶³ from it, and that subtract would fuse with it.
+	off := uint64(float64(g.rng.Float64() * float64(region)))
 	if off >= size {
 		off = size - 1
 	}
@@ -347,11 +349,11 @@ func (g *Generator) dataAddr(p *Params) (addr uint64, forceStore bool) {
 		// Mostly per-CPU kernel structures, with a shared slice that
 		// carries coherence traffic (run queues, dcache).
 		if g.rng.Bool(kernelSharedAccessFrac) {
-			off := uint64(g.rng.Float64() * kernelDataShared)
+			off := uint64(float64(g.rng.Float64() * kernelDataShared))
 			return kernelDataBase + off&^7, g.rng.Bool(kernelSharedWriteFrac)
 		}
 		base := kernelDataBase + kernelDataShared + uint64(g.core)*kernelDataPerCore
-		off := uint64(g.rng.Float64() * kernelDataPerCore)
+		off := uint64(float64(g.rng.Float64() * kernelDataPerCore))
 		return base + off&^7, false
 	}
 	if p.SharedFrac > 0 && g.rng.Bool(p.SharedFrac) {
