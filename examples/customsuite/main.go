@@ -23,7 +23,7 @@ import (
 )
 
 // The definitions ship inside the binary, so the example runs from any
-// directory; the same file works verbatim as `bdbench -workload-file
+// directory; the same file works verbatim as `report -workload-file
 // examples/customsuite/scenarios.json`.
 //
 //go:embed scenarios.json

@@ -137,7 +137,7 @@ type FlightRecorder struct {
 }
 
 // NewFlightRecorder builds a recorder for a process (service is the
-// span Service tag: "bdservd", "bdcoord", "bdbench"…). maxTraces bounds
+// span Service tag: "bdservd", "bdcoord", "report"…). maxTraces bounds
 // retained jobs, maxSpans the per-job ring.
 func NewFlightRecorder(service string, maxTraces, maxSpans int) *FlightRecorder {
 	if maxTraces < 1 {

@@ -44,7 +44,7 @@ type JobRequest struct {
 	KMin     *int    `json:"kmin,omitempty"`     // BIC scan lower bound
 	KMax     *int    `json:"kmax,omitempty"`     // BIC scan upper bound
 	Restarts *int    `json:"restarts,omitempty"` // K-means restarts
-	Linkage  *string `json:"linkage,omitempty"`  // single | complete | average
+	Linkage  *string `json:"linkage,omitempty"`  // single | complete | average | ward
 
 	// Spec, if set, is used verbatim (after normalization) and the
 	// convenience fields above must be absent.
@@ -116,8 +116,10 @@ func (r *JobRequest) ToSpec() (JobSpec, error) {
 			s.Analysis.Linkage = hier.Complete
 		case "average":
 			s.Analysis.Linkage = hier.Average
+		case "ward":
+			s.Analysis.Linkage = hier.Ward
 		default:
-			return JobSpec{}, fmt.Errorf("service: unknown linkage %q (single, complete, average)", *r.Linkage)
+			return JobSpec{}, fmt.Errorf("service: unknown linkage %q (single, complete, average, ward)", *r.Linkage)
 		}
 	}
 	return s, nil

@@ -198,7 +198,7 @@ func TestHTTPConvenienceFieldsAndValidation(t *testing.T) {
 		"malformed":        `{"workloads":`,
 		"unknown field":    `{"wrkloads":["H-Sort"]}`,
 		"unknown workload": `{"workloads":["H-Sort","H-Nope"],"instructions":1000}`,
-		"bad linkage":      `{"linkage":"ward"}`,
+		"bad linkage":      `{"linkage":"median"}`,
 		"spec+convenience": fmt.Sprintf(`{"nodes":3,"spec":%s}`, mustJSON(t, tinySpec())),
 		"bad runs":         `{"runs":-1}`,
 		"48-byte lines":    fmt.Sprintf(`{"spec":%s}`, mustJSON(t, oddLineSpec())),

@@ -3,7 +3,8 @@
 # usable locally: start the daemon, submit a tiny 2-workload job, poll it
 # to completion, then verify that resubmitting the identical job is an
 # immediate cache hit with the identical result hash and byte-identical
-# result body.
+# result body. Finally run the same request through report, once locally
+# and once against the daemon, and require byte-identical metric CSVs.
 set -euo pipefail
 
 ADDR="127.0.0.1:8356"
@@ -19,8 +20,9 @@ cleanup() {
 }
 trap cleanup EXIT
 
-echo "==> building bdservd"
+echo "==> building bdservd and report"
 go build -o "$WORKDIR/bdservd" ./cmd/bdservd
+go build -o "$WORKDIR/report" ./cmd/report
 
 echo "==> starting daemon"
 "$WORKDIR/bdservd" -addr "$ADDR" -data-dir "$WORKDIR/data" &
@@ -34,6 +36,7 @@ done
 curl -fsS "$BASE/healthz" >/dev/null || { echo "daemon never became healthy" >&2; exit 1; }
 
 JOB='{"workloads":["H-Sort","S-Sort"],"nodes":2,"instructions":6000,"kmax":3}'
+echo "$JOB" > "$WORKDIR/job.json"
 
 json_field() { # json_field <file> <field> — bools print as True/False
   python3 -c 'import json,sys; print(json.load(open(sys.argv[1])).get(sys.argv[2], ""))' "$1" "$2"
@@ -88,5 +91,11 @@ echo "==> cache stats"
 curl -fsS "$BASE/v1/cache/stats"
 HITS=$(curl -fsS "$BASE/v1/cache/stats" | python3 -c 'import json,sys; print(json.load(sys.stdin)["hits"])')
 [ "$HITS" -ge 1 ] || { echo "cache reports zero hits" >&2; exit 1; }
+
+echo "==> report: the same request locally and through the daemon"
+"$WORKDIR/report" -request "$WORKDIR/job.json" -only metrics > "$WORKDIR/local.csv"
+"$WORKDIR/report" -request "$WORKDIR/job.json" -only metrics -server "$BASE" > "$WORKDIR/remote.csv"
+[ -s "$WORKDIR/local.csv" ] || { echo "report wrote no metrics" >&2; exit 1; }
+cmp "$WORKDIR/local.csv" "$WORKDIR/remote.csv"
 
 echo "==> bdservd smoke OK (job $ID, hash $HASH1, cache hits $HITS)"
