@@ -100,9 +100,7 @@ func parseArgs(args []string) (*options, error) {
 		// error, not silently ignored.
 		data, err := os.ReadFile(*reqFile)
 		if err == nil {
-			dec := json.NewDecoder(bytes.NewReader(data))
-			dec.DisallowUnknownFields()
-			err = dec.Decode(&req)
+			err = service.DecodeStrict(bytes.NewReader(data), &req)
 		}
 		if err != nil {
 			return nil, fmt.Errorf("-request: %w", err)

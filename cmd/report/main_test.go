@@ -93,6 +93,7 @@ func TestParseArgsRejectsBadSettings(t *testing.T) {
 		"K range":            {[]string{"-request", req(`{"kmin":5,"kmax":3}`)}, "K range"},
 		"unknown linkage":    {[]string{"-request", req(`{"linkage":"median"}`)}, "linkage"},
 		"unknown field":      {[]string{"-request", req(`{"nodez":2}`)}, "unknown field"},
+		"trailing value":     {[]string{"-request", req(`{"nodes":2}{"nodes":3}`)}, "trailing data"},
 		"spec and shorthand": {[]string{"-request", req(`{"spec":` + string(spec) + `}`), "-nodes", "2"}, "mutually exclusive"},
 		"unknown preset":     {[]string{"-request", req(`{"presets":["Nope"]}`)}, "unknown preset"},
 		"unknown flag":       {[]string{"-parallelism", "4"}, "not defined"},

@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -75,13 +74,12 @@ func CellKey(w workloads.Workload, cfg Config, node int) (string, error) {
 	return hex.EncodeToString(sum[:]), nil
 }
 
-// CellCache is the cell-lookup hook CharacterizeCellsCtx consults when
-// one rides on the context: a content-addressed store of workload×node
-// columns (the per-run metric vectors of one workload on one absolute
-// node). Implementations must uphold the determinism contract — a column
-// served under a key must be exactly what recomputing it would produce —
-// and be safe for concurrent use. See internal/cellcache for the on-disk
-// implementation.
+// CellCache is the column store ProbeColumns and StoreColumns talk to: a
+// content-addressed store of workload×node columns (the per-run metric
+// vectors of one workload on one absolute node). Implementations must
+// uphold the determinism contract — a column served under a key must be
+// exactly what recomputing it would produce — and be safe for concurrent
+// use. See internal/cellcache for the on-disk implementation.
 type CellCache interface {
 	// GetCell returns the column under key, or ok=false. workload is the
 	// resolved workload name of the column — attribution only (per-
@@ -94,25 +92,6 @@ type CellCache interface {
 	PutCell(workload, key string, vecs [][]float64)
 }
 
-// cellCacheKey carries the CellCache capability through a context. The
-// hook travels on ctx rather than Config so Config stays a comparable
-// plain-data struct (spec normalization compares it with ==) and so the
-// capability flows from the service layer through core's pipeline
-// wrappers without either package importing the other's cache machinery.
-type cellCacheKey struct{}
-
-// ContextWithCellCache returns a context that makes cc available to any
-// CharacterizeCellsCtx call beneath it.
-func ContextWithCellCache(ctx context.Context, cc CellCache) context.Context {
-	return context.WithValue(ctx, cellCacheKey{}, cc)
-}
-
-// CellCacheFrom extracts the cell-lookup hook, if any.
-func CellCacheFrom(ctx context.Context) (CellCache, bool) {
-	cc, ok := ctx.Value(cellCacheKey{}).(CellCache)
-	return cc, ok && cc != nil
-}
-
 // ProbeColumns looks every workload×node column of the grid under cfg up
 // in cc. It returns the grid's cells indexed [workload][run][node] with
 // each hit column filled and every other cell nil, the keys of the
@@ -122,13 +101,7 @@ func CellCacheFrom(ctx context.Context) (CellCache, bool) {
 // entries as the full grid. A nil cc probes nothing: every cell is nil
 // and keys is nil.
 func ProbeColumns(cc CellCache, suite []workloads.Workload, cfg Config) (cells [][][][]float64, keys [][]string, hits int) {
-	cells = make([][][][]float64, len(suite))
-	for wi := range suite {
-		cells[wi] = make([][][]float64, cfg.Runs)
-		for run := range cells[wi] {
-			cells[wi][run] = make([][]float64, cfg.SlaveNodes)
-		}
-	}
+	cells = newCells(len(suite), cfg)
 	if cc == nil {
 		return cells, nil, 0
 	}

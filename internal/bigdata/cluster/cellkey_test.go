@@ -175,24 +175,39 @@ func TestCellKeyShardEquivalence(t *testing.T) {
 	}
 }
 
-// TestCharacterizeCellsCached is the determinism contract at grid level:
-// a warm-cache run must produce cells identical to the cold run, with
-// every column served from the cache and nothing recomputed.
+// cachedGrid runs one grid the way the unit core does: probe cc, fill
+// the cells it left nil, then store the missed columns. It returns the
+// grid and the furthest progress report.
+func cachedGrid(t *testing.T, cc CellCache, suite []workloads.Workload, cfg Config) (cells [][][][]float64, done, total int) {
+	t.Helper()
+	cells, keys, _ := ProbeColumns(cc, suite, cfg)
+	var mu sync.Mutex
+	cells, err := FillCellsCtx(context.Background(), suite, cfg, cells, func(d, n int) {
+		mu.Lock()
+		defer mu.Unlock()
+		done, total = max(done, d), n
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	StoreColumns(cc, suite, keys, cells)
+	return cells, done, total
+}
+
+// TestCharacterizeCellsCached is the determinism contract of probe →
+// fill → store: a warm-cache run must produce cells identical to the cold
+// run, with every column served from the cache and nothing recomputed.
 func TestCharacterizeCellsCached(t *testing.T) {
 	suite := testSuite(t, 2)
 	cfg := tinyGridConfig()
 
-	plain, err := CharacterizeCellsCtx(context.Background(), suite, cfg, nil)
+	plain, err := FillCellsCtx(context.Background(), suite, cfg, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	cc := newMemCellCache()
-	ctx := ContextWithCellCache(context.Background(), cc)
-	cold, err := CharacterizeCellsCtx(ctx, suite, cfg, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cold, _, _ := cachedGrid(t, cc, suite, cfg)
 	if !reflect.DeepEqual(cold, plain) {
 		t.Fatal("cold cached run differs from uncached run")
 	}
@@ -201,13 +216,7 @@ func TestCharacterizeCellsCached(t *testing.T) {
 		t.Fatalf("cold run: stores=%d hits=%d, want %d/0", cc.stores, cc.hits, wantCols)
 	}
 
-	var progDone, progTotal int
-	warm, err := CharacterizeCellsCtx(ctx, suite, cfg, func(done, total int) {
-		progDone, progTotal = done, total
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	warm, progDone, progTotal := cachedGrid(t, cc, suite, cfg)
 	if !reflect.DeepEqual(warm, plain) {
 		t.Fatal("warm cached run differs from uncached run")
 	}
@@ -228,15 +237,12 @@ func TestCharacterizeCellsCached(t *testing.T) {
 	mut := append([]workloads.Workload(nil), suite...)
 	mut[0].Profile.Compute.LoadFrac += 0.02
 	before := cc.hits
-	mutCells, err := CharacterizeCellsCtx(ctx, mut, cfg, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	mutCells, _, _ := cachedGrid(t, cc, mut, cfg)
 	if cc.hits-before != cfg.SlaveNodes {
 		t.Fatalf("partial warm run hit %d columns, want %d (only the unchanged workload)",
 			cc.hits-before, cfg.SlaveNodes)
 	}
-	plainMut, err := CharacterizeCellsCtx(context.Background(), mut, cfg, nil)
+	plainMut, err := FillCellsCtx(context.Background(), mut, cfg, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,8 +251,78 @@ func TestCharacterizeCellsCached(t *testing.T) {
 	}
 }
 
-// TestProbeAndStoreColumns pins the shared column probe the grid and the
-// coordinator both use: with a partial hit only the hit columns are
+// TestFillCellsKeepsGivenCells tells a skipped cell from a recomputed one:
+// the given cells hold sentinel vectors no simulation produces, and after
+// the fill each is still that very vector (same backing array), while
+// every nil cell holds what the plain grid computes. Progress starts at
+// the given count and ends at the grid total.
+func TestFillCellsKeepsGivenCells(t *testing.T) {
+	suite := testSuite(t, 2)
+	cfg := tinyGridConfig()
+	cfg.Parallelism = 1 // one worker: progress reports arrive in order
+	plain, err := FillCellsCtx(context.Background(), suite, cfg, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	cells := newCells(len(suite), cfg)
+	given := map[[3]int][]float64{}
+	for run := 0; run < cfg.Runs; run++ {
+		// Workload 0's node-1 column and one lone cell of workload 1.
+		given[[3]int{0, run, 1}] = nil
+	}
+	given[[3]int{1, 0, 0}] = nil
+	for at := range given {
+		v := make([]float64, perf.NumMetrics)
+		for i := range v {
+			v[i] = -1 - float64(i)
+		}
+		given[at] = v
+		cells[at[0]][at[1]][at[2]] = v
+	}
+
+	var reports [][2]int
+	filled, err := FillCellsCtx(context.Background(), suite, cfg, cells, func(done, total int) {
+		reports = append(reports, [2]int{done, total})
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if &filled[0] != &cells[0] {
+		t.Fatal("fill returned a new grid instead of the given one")
+	}
+	for wi := range plain {
+		for run := range plain[wi] {
+			for node := range plain[wi][run] {
+				got := cells[wi][run][node]
+				if v, ok := given[[3]int{wi, run, node}]; ok {
+					if &got[0] != &v[0] || got[0] != -1 {
+						t.Fatalf("given cell [%d][%d][%d] was recomputed or replaced", wi, run, node)
+					}
+					continue
+				}
+				if !reflect.DeepEqual(got, plain[wi][run][node]) {
+					t.Fatalf("computed cell [%d][%d][%d] differs from the plain grid", wi, run, node)
+				}
+			}
+		}
+	}
+
+	ntasks := len(suite) * cfg.Runs * cfg.SlaveNodes
+	if len(reports) != ntasks-len(given)+1 {
+		t.Fatalf("%d progress reports, want one for the given cells and one per computed cell (%d)",
+			len(reports), ntasks-len(given)+1)
+	}
+	for i, r := range reports {
+		if want := len(given) + i; r != [2]int{want, ntasks} {
+			t.Fatalf("progress report %d = %v, want [%d %d]", i, r, want, ntasks)
+		}
+	}
+
+}
+
+// TestProbeAndStoreColumns pins the column probe and write-back the unit
+// core runs around every grid: with a partial hit only the hit columns are
 // filled and keys come back only for the misses; a wrong-shape entry is
 // a miss and is deleted; StoreColumns writes exactly the missed columns,
 // after which a re-probe hits everywhere. A NodeOffset makes the keys

@@ -157,47 +157,38 @@ func ReduceCells(cells [][][]float64) []float64 {
 	return perf.AverageVectors(runVectors)
 }
 
-// CharacterizeCellsCtx runs the measurement grid and returns the raw
-// per-cell metric vectors indexed [workload][run][node], in suite order,
-// without the node/run reduction (ReduceCells). The workload×run×node
-// grid is one work queue drained by a bounded pool of Config.Parallelism
-// workers (0 = GOMAXPROCS), each owning a single reusable machine; since
-// per-cell seeds are pure functions of (workload, run, node), the cells
-// are bit-identical at any parallelism. Shard workers run it over a
-// sub-grid, and a coordinator re-assembles cells from several campaigns
-// (split on the workload and node axes) into the full grid and reduces
-// once, reproducing the single-process result bit for bit.
+// FillCellsCtx runs the measurement grid: it computes the nil cells of
+// a grid indexed [workload][run][node] and returns the grid, in suite
+// order and without the node/run reduction (ReduceCells). A nil grid is
+// a fresh one; a given grid must have the full extents (ProbeColumns
+// builds one), and its non-nil cells — measured earlier, or read from a
+// cell cache — are left as they are. The cells to compute form one work
+// queue drained by a bounded pool of Config.Parallelism workers (0 =
+// GOMAXPROCS), each owning a single reusable machine; since per-cell
+// seeds are pure functions of (workload, run, absolute node), the cells
+// are bit-identical at any parallelism, and sub-grids split on the
+// workload and node axes re-assemble into the full grid bit for bit.
 //
 // Workers check ctx between cells and stop as soon as it is cancelled,
-// returning ctx.Err(); progress (if non-nil) is called after every
-// completed cell with the number of cells finished and the grid total.
-//
-// When a CellCache rides on ctx (ContextWithCellCache), every
-// workload×node column is first probed by content address (CellKey):
-// cached columns fill their cells directly and never enter the work
-// queue, and freshly computed columns are stored back afterwards. The
-// cache holds exactly the vectors a recomputation would produce, so the
-// result is byte-identical with the cache hot, cold, or absent — only
-// the work skipped changes. Progress still counts cached cells toward
-// the full grid total, so (done, total) semantics are unchanged.
-func CharacterizeCellsCtx(ctx context.Context, suite []workloads.Workload, cfg Config, progress Progress) ([][][][]float64, error) {
+// returning ctx.Err(). progress (if non-nil) counts given cells as done:
+// it is called once with their number when there are any, then after
+// every computed cell, with the cells finished and the grid total.
+func FillCellsCtx(ctx context.Context, suite []workloads.Workload, cfg Config, cells [][][][]float64, progress Progress) ([][][][]float64, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	if len(suite) == 0 {
 		return nil, fmt.Errorf("cluster: empty suite")
 	}
+	if cells == nil {
+		cells = newCells(len(suite), cfg)
+	}
 
 	type task struct{ wi, run, node, ti int } // ti: flat task index
 	ntasks := len(suite) * cfg.Runs * cfg.SlaveNodes
 
-	// cells[wi][run][node] is one grid cell's metric vector; each task
-	// writes its own cell, so no locking is needed. The cell-cache probe
-	// fills the cached columns, and only the cells it left nil are queued.
-	cc, _ := CellCacheFrom(ctx)
-	cells, keys, hits := ProbeColumns(cc, suite, cfg)
-	cachedCells := hits * cfg.Runs
-
+	// Each task writes its own cell, so no locking is needed; only the
+	// cells the caller left nil are queued.
 	tasks := make(chan task, ntasks)
 	ti, queued := 0, 0
 	for wi := range suite {
@@ -212,8 +203,9 @@ func CharacterizeCellsCtx(ctx context.Context, suite []workloads.Workload, cfg C
 		}
 	}
 	close(tasks)
-	if progress != nil && cachedCells > 0 {
-		progress(cachedCells, ntasks)
+	given := ntasks - queued
+	if progress != nil && given > 0 {
+		progress(given, ntasks)
 	}
 
 	par := cfg.Parallelism
@@ -221,7 +213,7 @@ func CharacterizeCellsCtx(ctx context.Context, suite []workloads.Workload, cfg C
 		par = runtime.GOMAXPROCS(0)
 	}
 	if par > queued {
-		// A fully cached grid spins up no workers (and builds no machines).
+		// A fully given grid spins up no workers (and builds no machines).
 		par = queued
 	}
 
@@ -232,7 +224,7 @@ func CharacterizeCellsCtx(ctx context.Context, suite []workloads.Workload, cfg C
 	errs := make([]error, ntasks)
 	taskWorkload := make([]int, ntasks)
 	var done atomic.Int64
-	done.Store(int64(cachedCells)) // cached cells count toward the grid total
+	done.Store(int64(given)) // given cells count toward the grid total
 	var wg sync.WaitGroup
 	for i := 0; i < par; i++ {
 		wg.Add(1)
@@ -274,10 +266,20 @@ func CharacterizeCellsCtx(ctx context.Context, suite []workloads.Workload, cfg C
 			return nil, fmt.Errorf("cluster: workload %s: %w", suite[taskWorkload[i]].Name, err)
 		}
 	}
-	// Store the freshly computed columns. Only after the whole grid
-	// validated: a partially failed campaign must not seed the cache.
-	StoreColumns(cc, suite, keys, cells)
 	return cells, nil
+}
+
+// newCells allocates an empty grid for n workloads under cfg, indexed
+// [workload][run][node].
+func newCells(n int, cfg Config) [][][][]float64 {
+	cells := make([][][][]float64, n)
+	for wi := range cells {
+		cells[wi] = make([][][]float64, cfg.Runs)
+		for run := range cells[wi] {
+			cells[wi][run] = make([][]float64, cfg.SlaveNodes)
+		}
+	}
+	return cells
 }
 
 func hash(s string) uint64 {

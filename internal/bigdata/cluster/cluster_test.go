@@ -63,7 +63,7 @@ func TestConfigValidate(t *testing.T) {
 // in suite order.
 func characterize(t *testing.T, suite []workloads.Workload, cfg Config) (cells [][][][]float64, rows [][]float64) {
 	t.Helper()
-	cells, err := CharacterizeCellsCtx(context.Background(), suite, cfg, nil)
+	cells, err := FillCellsCtx(context.Background(), suite, cfg, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +198,7 @@ func TestMachineReuseMatchesFresh(t *testing.T) {
 }
 
 func TestCharacterizeEmptySuite(t *testing.T) {
-	if _, err := CharacterizeCellsCtx(context.Background(), nil, fastConfig(), nil); err == nil {
+	if _, err := FillCellsCtx(context.Background(), nil, fastConfig(), nil, nil); err == nil {
 		t.Error("empty suite accepted")
 	}
 }

@@ -13,11 +13,14 @@
 // metric vectors of one workload on one absolute node) per entry, keyed
 // by the full SHA-256 of the column's canonical cell-key spec (64 hex
 // digits, see cluster.CellKey);
-// GetCell and PutCell are that column format on top of Get and Put. A
-// bdservd worker consults its cell cache inside the measurement grid; a
-// bdcoord coordinator's is fed by every finished unit, so a fully-cached
-// unit is assembled coordinator-side and never dispatched. A cached
-// column is exactly the vectors a recomputation would produce.
+// GetCell and PutCell are that column format on top of Get and Put. Both
+// daemons reach their cell cache through one unit core
+// (service.RunUnits): it probes every column of a job once before the
+// grid runs and writes each unit's missed columns back as soon as the
+// unit is in. A bdservd runs the job as one unit, so the grid simulates
+// only the columns the probe missed; a bdcoord assembles a fully cached
+// unit itself and never dispatches it. A cached column is exactly the
+// vectors a recomputation would produce.
 //
 // Lookups carry the workload name purely for attribution: the
 // bd_cellcache_requests_total{workload,result} family and the

@@ -99,7 +99,7 @@ func CharacterizeObservationsCtx(ctx context.Context, suite []workloads.Workload
 	if progress != nil {
 		cp = func(done, total int) { progress(StageCharacterize, done, total) }
 	}
-	cells, err := cluster.CharacterizeCellsCtx(ctx, suite, clusterCfg, cp)
+	cells, err := cluster.FillCellsCtx(ctx, suite, clusterCfg, nil, cp)
 	if err != nil {
 		return nil, err
 	}

@@ -230,13 +230,13 @@ func TestNodeOffsetShiftsSeeds(t *testing.T) {
 	ccfg := fastCluster()
 	ccfg.SlaveNodes = 2
 
-	full, err := cluster.CharacterizeCellsCtx(context.Background(), suite, ccfg, nil)
+	full, err := cluster.FillCellsCtx(context.Background(), suite, ccfg, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	half := ccfg
 	half.NodeOffset, half.SlaveNodes = 1, 1
-	shifted, err := cluster.CharacterizeCellsCtx(context.Background(), suite, half, nil)
+	shifted, err := cluster.FillCellsCtx(context.Background(), suite, half, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,11 +2,13 @@ package service
 
 import (
 	"bytes"
+	"reflect"
 	"strconv"
 	"testing"
 	"time"
 
 	"repro/internal/cellcache"
+	"repro/internal/core"
 )
 
 // runDone submits spec to m, waits for it to finish done and returns its
@@ -92,5 +94,47 @@ func TestManagerCellCacheOverlap(t *testing.T) {
 	stPlain, dataPlain := runDone(t, plain, specB)
 	if !bytes.Equal(dataB, dataPlain) || stB.ResultHash != stPlain.ResultHash {
 		t.Fatalf("cell-cached job B hash %s differs from uncached %s", stB.ResultHash, stPlain.ResultHash)
+	}
+}
+
+// TestManagerCellCacheEventSteps tells a skipped column from a recomputed
+// one through the event stream: job B's cached column (H-Sort, all runs
+// on every node) arrives as one progress step, and every cell after it
+// as its own step, up to the grid total. One grid worker keeps the
+// per-cell reports in order.
+func TestManagerCellCacheEventSteps(t *testing.T) {
+	cells, err := cellcache.Open(t.TempDir(), 0, 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := newTestManager(t, Config{Parallelism: 1, Cells: cells})
+	specA, specB := tinySpec(), tinySpec()
+	specA.Cluster.Runs, specB.Cluster.Runs = 2, 2
+	specA.Workloads = []string{"H-Sort", "S-Sort"}
+	specB.Workloads = []string{"H-Sort", "H-Grep"}
+	nodes, runs := specB.Cluster.SlaveNodes, specB.Cluster.Runs
+
+	runDone(t, m, specA)
+	stB, _ := runDone(t, m, specB)
+	j, ok := m.job(stB.ID)
+	if !ok {
+		t.Fatalf("job B %s has no record", stB.ID)
+	}
+	evs, _, _ := j.EventsSince(0)
+	var done []int
+	for _, ev := range evs {
+		if ev.Type == "progress" && ev.Stage == string(core.StageCharacterize) {
+			if ev.Total != 2*nodes*runs {
+				t.Fatalf("progress total %d, want %d", ev.Total, 2*nodes*runs)
+			}
+			done = append(done, ev.Done)
+		}
+	}
+	want := []int{nodes * runs}
+	for d := nodes*runs + 1; d <= 2*nodes*runs; d++ {
+		want = append(want, d)
+	}
+	if !reflect.DeepEqual(done, want) {
+		t.Fatalf("job B progress steps %v, want %v", done, want)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strings"
 
@@ -279,14 +280,31 @@ func WriteError(w http.ResponseWriter, code int, err error) {
 	WriteJSON(w, code, map[string]string{"error": err.Error()})
 }
 
-// DecodeJSON decodes r's JSON body into v, rejecting unknown fields;
-// what names the body in the error. On failure it writes the error
-// response and returns false: 413 when the body ran past the daemon's
-// size cap (http.MaxBytesHandler), 400 for anything else.
-func DecodeJSON(w http.ResponseWriter, r *http.Request, what string, v any) bool {
-	dec := json.NewDecoder(r.Body)
+// DecodeStrict decodes exactly one JSON value from r into v: unknown
+// fields are an error, and so is anything but whitespace after the value
+// (`{"nodes":2}{"nodes":3}` must not run a 2-node job). The daemons'
+// request bodies and report's -request file go through it.
+func DecodeStrict(r io.Reader, v any) error {
+	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
-	err := dec.Decode(v)
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		if err == nil {
+			return errors.New("trailing data after the JSON value")
+		}
+		return fmt.Errorf("trailing data after the JSON value: %w", err)
+	}
+	return nil
+}
+
+// DecodeJSON decodes r's JSON body into v with DecodeStrict; what names
+// the body in the error. On failure it writes the error response and
+// returns false: 413 when the body ran past the daemon's size cap
+// (http.MaxBytesHandler), 400 for anything else.
+func DecodeJSON(w http.ResponseWriter, r *http.Request, what string, v any) bool {
+	err := DecodeStrict(r.Body, v)
 	if err == nil {
 		return true
 	}

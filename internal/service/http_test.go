@@ -196,6 +196,8 @@ func TestHTTPConvenienceFieldsAndValidation(t *testing.T) {
 
 	for name, body := range map[string]string{
 		"malformed":        `{"workloads":`,
+		"trailing value":   `{"nodes":2}{"nodes":3}`,
+		"trailing garbage": `{"nodes":2} x`,
 		"unknown field":    `{"wrkloads":["H-Sort"]}`,
 		"unknown workload": `{"workloads":["H-Sort","H-Nope"],"instructions":1000}`,
 		"bad linkage":      `{"linkage":"median"}`,

@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"repro/internal/benchio"
-	"repro/internal/bigdata/cluster"
 	"repro/internal/cellcache"
 	"repro/internal/core"
 	"repro/internal/obs"
@@ -242,11 +241,12 @@ type Config struct {
 	CharacterizeOnly bool
 	// Cells, when set, is the daemon's cell cache: a content-addressed
 	// store of characterization-grid columns (one workload on one
-	// absolute node, all runs — see internal/cellcache). The in-process
-	// executor consults it inside the measurement grid, so overlapping
-	// suites recompute only the columns they do not share; Status reports
-	// its counters either way (a coordinator's executor probes the same
-	// store). Purely an accelerator: cached and recomputed results are
+	// absolute node, all runs — see internal/cellcache). Without an
+	// Execute hook, RunUnits probes it before the grid runs and stores
+	// the columns it missed, so overlapping suites recompute only the
+	// columns they do not share; Status reports its counters either way
+	// (a coordinator's executor runs RunUnits over the same store).
+	// Purely an accelerator: cached and recomputed results are
 	// byte-identical. Nil disables it.
 	Cells *cellcache.Store
 	// TraceBuffer bounds each job's span ring in the tracing flight
@@ -257,10 +257,11 @@ type Config struct {
 	// TraceService tags emitted spans with the owning process name
 	// ("bdservd", "bdcoord"); default "service".
 	TraceService string
-	// Execute overrides the local pipeline executor — the hook through
-	// which bdcoord turns a Manager into a shard coordinator while
-	// reusing its queue, cache, job records and event plumbing. Nil runs
-	// jobs in-process.
+	// Execute replaces the whole pipeline — the hook through which bdcoord
+	// turns a Manager into a shard coordinator while reusing its queue,
+	// cache, job records and event plumbing. Nil runs each job in-process
+	// as one unit covering the grid: RunUnits with this daemon's machines
+	// as its Runner, then EncodeResult.
 	Execute ExecuteFunc
 	// Registry receives the manager's metrics (queue depth, jobs by
 	// state, cache and job-record counters, job and stage duration
@@ -999,7 +1000,7 @@ func (m *Manager) settle(j *job, state State, hash, errMsg string) {
 }
 
 // execute computes a job's result bytes — through the configured Execute
-// hook or the local pipeline — and stores them in the result cache.
+// hook or the in-process unit run — and stores them in the result cache.
 func (m *Manager) execute(j *job) (string, error) {
 	progress := func(stage core.Stage, done, total int) {
 		if m.cfg.CellDelay > 0 && stage == core.StageCharacterize && total > 0 {
@@ -1043,7 +1044,7 @@ func (m *Manager) execute(j *job) (string, error) {
 
 	exec := m.cfg.Execute
 	if exec == nil {
-		exec = m.executeLocal
+		exec = m.executeUnits
 	}
 	// The timer wraps the progress chain: stage transitions flow through
 	// it for both the local pipeline and sharded executors, feeding the
@@ -1073,64 +1074,6 @@ func (m *Manager) execute(j *job) (string, error) {
 		return "", fmt.Errorf("service: caching result: %w", err)
 	}
 	return hash, nil
-}
-
-// countingCellCache wraps the manager's cell store for one job run,
-// counting this job's probe outcomes so the cellcache-probe span can
-// carry them as attributes (the store's own counters are daemon-global).
-type countingCellCache struct {
-	cc           cluster.CellCache
-	hits, misses atomic.Int64
-}
-
-func (c *countingCellCache) GetCell(workload, key string, runs, metrics int) ([][]float64, bool) {
-	vecs, ok := c.cc.GetCell(workload, key, runs, metrics)
-	if ok {
-		c.hits.Add(1)
-	} else {
-		c.misses.Add(1)
-	}
-	return vecs, ok
-}
-
-func (c *countingCellCache) PutCell(workload, key string, vecs [][]float64) {
-	c.cc.PutCell(workload, key, vecs)
-}
-
-// executeLocal runs a job's pipeline in-process: the measurement grid,
-// then EncodeResult. With a cell cache configured, the grid probes it
-// column by column (through the context hook, see
-// cluster.ContextWithCellCache); the probe outcome is summarized in a
-// cellcache-probe span under the job's root.
-func (m *Manager) executeLocal(ctx context.Context, spec JobSpec, progress core.Progress) ([]byte, error) {
-	suite, err := spec.ResolveSuite()
-	if err != nil {
-		return nil, err
-	}
-	ccfg := spec.Cluster
-	ccfg.Parallelism = m.cfg.Parallelism
-
-	if m.cfg.Cells != nil {
-		probe := &countingCellCache{cc: m.cfg.Cells}
-		ctx = cluster.ContextWithCellCache(ctx, probe)
-		if tc := obs.TraceFromContext(ctx); tc != nil {
-			// The probes interleave with the grid's startup, so the span
-			// summarizing them is recorded once the job's grid work is
-			// over, as an instant carrying this job's hit/miss counts.
-			defer func() {
-				tc.Instant("cellcache-probe", map[string]string{
-					"hits":   strconv.FormatInt(probe.hits.Load(), 10),
-					"misses": strconv.FormatInt(probe.misses.Load(), 10),
-				})
-			}()
-		}
-	}
-
-	om, err := core.CharacterizeObservationsCtx(ctx, suite, ccfg, progress)
-	if err != nil {
-		return nil, err
-	}
-	return EncodeResult(ctx, spec, om, m.cfg.Parallelism, progress)
 }
 
 // EncodeResult turns a job's full observation matrix into its result

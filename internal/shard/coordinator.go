@@ -6,13 +6,13 @@ import (
 	"fmt"
 	"log/slog"
 	"net/http"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/benchio"
-	"repro/internal/bigdata/cluster"
 	"repro/internal/bigdata/workloads"
 	"repro/internal/cellcache"
 	"repro/internal/core"
@@ -81,11 +81,11 @@ type Config struct {
 
 	// Cells, when set, is the coordinator's shared cell-level result
 	// cache: one workload×node column (all runs) per entry, keyed by the
-	// cell's content address (see cluster.CellKey). It is probed before
-	// dispatch — a unit whose every column is cached is assembled
-	// coordinator-side and never leaves the coordinator — and written
-	// through after every unit completes, so overlapping suites submitted
-	// over time pay only for the cells they add. It is also the
+	// cell's content address (see cluster.CellKey). service.RunUnits
+	// probes it before dispatch — a unit whose every column is cached is
+	// assembled coordinator-side and never leaves the coordinator — and
+	// writes through after every unit completes, so overlapping suites
+	// submitted over time pay only for the cells they add. It is also the
 	// coordinator's only crash recovery: a job re-adopted after a restart
 	// is planned afresh and its probe finds every column stored before the
 	// crash, whatever the new tiling. Nil disables it (a re-adopted job
@@ -109,8 +109,9 @@ type Config struct {
 const dispatchPoll = 10 * time.Millisecond
 
 // Executor fans a job's grid out across a dynamic fleet of bdservd
-// workers through a work-stealing dispatch loop and merges the unit
-// results deterministically. Its Execute method satisfies
+// workers — the HTTP Runner of service.RunUnits, implemented by a
+// work-stealing dispatch loop — and merges the unit results
+// deterministically. Its Execute method satisfies
 // service.ExecuteFunc, so a stock service.Manager (queue, dedupe, result
 // cache, job records, HTTP API) becomes a coordinator by plugging it in.
 // Fleet membership lives in the registry: flag-seeded members plus
@@ -198,39 +199,6 @@ func (e *Executor) Close() {
 	e.wg.Wait()
 }
 
-// progressAgg multiplexes per-unit cell counts into one monotone
-// (done, total) pair over the full grid for the merged event stream.
-type progressAgg struct {
-	mu       sync.Mutex
-	perUnit  []int
-	total    int
-	emitted  int
-	progress core.Progress
-}
-
-// report records unit u at done cells (monotone per unit — a re-queued
-// unit re-counts from zero but never regresses the aggregate).
-func (a *progressAgg) report(u, done int) {
-	if a.progress == nil {
-		return
-	}
-	a.mu.Lock()
-	if done > a.perUnit[u] {
-		a.perUnit[u] = done
-	}
-	sum := 0
-	for _, d := range a.perUnit {
-		sum += d
-	}
-	if sum <= a.emitted {
-		a.mu.Unlock()
-		return
-	}
-	a.emitted = sum
-	a.mu.Unlock()
-	a.progress(core.StageCharacterize, sum, a.total)
-}
-
 // unitQueue is the shared work-stealing state of one job: pending unit
 // indexes, per-unit attempt accounting, and the terminal condition, which
 // closes settledCh the moment it is reached. The fleet is elastic, so
@@ -253,10 +221,8 @@ type unitQueue struct {
 	settledCh   chan struct{}      // closed once the job is over; see settle
 }
 
-// newUnitQueue builds the queue over total units; units flagged in
-// preDone (assembled from the cell cache) are born completed and never
-// dispatched.
-func newUnitQueue(total, maxAttempts int, preDone []bool, onErr context.CancelFunc) *unitQueue {
+// newUnitQueue builds the queue over total pending units.
+func newUnitQueue(total, maxAttempts int, onErr context.CancelFunc) *unitQueue {
 	q := &unitQueue{
 		failedOn:    make([]map[string]bool, total),
 		attempts:    make([]int, total),
@@ -267,10 +233,6 @@ func newUnitQueue(total, maxAttempts int, preDone []bool, onErr context.CancelFu
 	}
 	for u := 0; u < total; u++ {
 		q.failedOn[u] = make(map[string]bool)
-		if preDone != nil && preDone[u] {
-			q.completed++
-			continue
-		}
 		q.pending = append(q.pending, u)
 	}
 	q.settle()
@@ -439,34 +401,21 @@ func (q *unitQueue) stuckCheck(allUnavailable func() bool, grace time.Duration) 
 }
 
 // jobRun bundles the shared per-job dispatch state handed to every
-// dispatcher goroutine. oms entries are written only by the dispatcher
-// holding that unit (a unit is held by at most one attempt at a time)
-// and read after all dispatchers join.
+// dispatcher goroutine: the units RunUnits left to the fleet, indexed
+// like its callbacks, and the queue over them.
 type jobRun struct {
-	id    string // job ID, tagging dispatch log lines
-	q     *unitQueue
-	units []Shard
-	full  service.JobSpec
-	agg   *progressAgg
-	oms   []*core.ObservationMatrix
-	tc    *obs.TraceContext // nil when tracing is disabled
-	suite []workloads.Workload
-	// missKeys holds, per unit, the cell keys of the columns that missed
-	// the cell cache at probe time (cluster.ProbeColumns), so write-back
-	// stores only what the cache lacks; nil entries without a cell cache
-	// and for units born done.
-	missKeys [][][]string
-}
-
-// unitSuite is the slice of the job's resolved suite a unit covers.
-func unitSuite(suite []workloads.Workload, unit Shard) []workloads.Workload {
-	return suite[unit.WorkloadOffset : unit.WorkloadOffset+len(unit.Workloads)]
+	id     string            // job ID, tagging dispatch log lines
+	tc     *obs.TraceContext // nil when tracing is disabled
+	units  []service.PendingUnit
+	report func(i, done int)                  // unit i's cells done so far
+	done   func(i int, cells [][][][]float64) // unit i's validated grid
+	q      *unitQueue
 }
 
 // Execute implements service.ExecuteFunc: plan fine-grained units → run
-// the work-stealing dispatch loop over the live fleet → multiplex
-// progress → merge → (for analyze jobs) run the statistical pipeline
-// once, coordinator-side. The merged result is byte-identical to a
+// them through service.RunUnits with the fleet as its Runner → merge →
+// EncodeResult (for analyze jobs, the statistical pipeline runs once,
+// coordinator-side). The merged result is byte-identical to a
 // single-daemon run of the same spec: per-cell seeds are functions of
 // absolute grid coordinates, cells are re-assembled in canonical order
 // regardless of which worker ran which unit, and the node/run reduction
@@ -478,10 +427,6 @@ func unitSuite(suite []workloads.Workload, unit Shard) []workloads.Workload {
 // crash. Cell keys depend only on the spec and the absolute grid
 // coordinates, never on the tiling, so recovery works per column.
 func (e *Executor) Execute(ctx context.Context, spec service.JobSpec, progress core.Progress) ([]byte, error) {
-	spec, err := spec.Normalized()
-	if err != nil {
-		return nil, err
-	}
 	jobID, _ := spec.ID()
 	tc := obs.TraceFromContext(ctx)
 	parts := len(e.reg.snapshot()) * e.cfg.UnitsPerWorker
@@ -490,88 +435,81 @@ func (e *Executor) Execute(ctx context.Context, spec service.JobSpec, progress c
 	}
 	planSpan := tc.StartSpan("plan")
 	units, err := Plan(spec, parts)
+	var suite []workloads.Workload
+	if err == nil {
+		suite, err = spec.ResolveSuite()
+	}
 	if err != nil {
 		planSpan.EndErr(err)
 		return nil, err
 	}
-	suite, err := spec.ResolveSuite()
-	if err != nil {
-		planSpan.EndErr(err)
-		return nil, err
-	}
-	names := make([]string, len(suite))
-	for i, w := range suite {
-		names[i] = w.Name
-	}
-	runs, nodes := spec.Cluster.Runs, spec.Cluster.SlaveNodes
-
-	agg := &progressAgg{
-		perUnit:  make([]int, len(units)),
-		total:    len(names) * runs * nodes,
-		progress: progress,
-	}
-	if progress != nil {
-		progress(core.StageCharacterize, 0, 0)
-	}
-
 	planSpan.SetAttr("units", strconv.Itoa(len(units)))
 	planSpan.End()
 
-	// Probe the shared cell cache: each unit's workload×node columns are
-	// looked up by content address, and a unit with every column cached
-	// is assembled coordinator-side — born preDone, never dispatched.
-	// Partial hits only record the missed columns' keys here; those are
-	// written through after a worker computes the unit and it validates.
-	oms := make([]*core.ObservationMatrix, len(units))
-	preDone := make([]bool, len(units))
-	missKeys := make([][][]string, len(units))
-	cachedUnits := 0
-	if e.cfg.Cells != nil {
-		probeSpan := tc.StartSpan("cellcache-probe")
-		hits, misses := 0, 0
-		for u, unit := range units {
-			sub := unit.Spec(spec).Cluster
-			cells, keys, n := cluster.ProbeColumns(e.cfg.Cells, unitSuite(suite, unit), sub)
-			hits += n
-			if ncols := len(unit.Workloads) * unit.Nodes; n < ncols {
-				missKeys[u] = keys
-				misses += ncols - n
-				continue
+	run := &jobRun{id: jobID, tc: tc}
+	oms, err := service.RunUnits(ctx, spec, suite, units, e.cfg.Cells,
+		func(ctx context.Context, pending []service.PendingUnit, report func(i, done int), done func(i int, cells [][][][]float64)) error {
+			run.units, run.report, run.done = pending, report, done
+			return e.runUnits(ctx, run)
+		}, progress)
+	if err != nil {
+		return nil, err
+	}
+	if tc != nil {
+		// One instant per planned unit carrying the queue's final attempt
+		// bookkeeping: "attempts" is the charged (failed) count, so the
+		// winning exec span's attempt attribute is always attempts+1 — the
+		// cross-check the chaostest trace property asserts. A unit the cell
+		// cache covered ran no attempt.
+		attempts := make([]int, len(units))
+		if run.q != nil {
+			for i, n := range run.q.attemptCounts() {
+				attempts[run.units[i].Index] = n
 			}
-			oms[u] = &core.ObservationMatrix{
-				Labels:     append([]string(nil), unit.Workloads...),
-				Metrics:    perf.MetricNames(),
-				Cells:      cells,
-				NodeOffset: sub.NodeOffset,
-			}
-			preDone[u] = true
-			cachedUnits++
-			agg.report(u, len(unit.Workloads)*runs*unit.Nodes)
 		}
-		probeSpan.SetAttr("hits", strconv.Itoa(hits))
-		probeSpan.SetAttr("misses", strconv.Itoa(misses))
-		probeSpan.SetAttr("cached_units", strconv.Itoa(cachedUnits))
-		probeSpan.End()
+		for u, n := range attempts {
+			tc.Instant("unit-done", map[string]string{
+				"unit":     strconv.Itoa(u),
+				"attempts": strconv.Itoa(n),
+			})
+		}
 	}
 
-	// The dispatch loop: one goroutine per fleet member, each pulling its
-	// next unit from the shared queue the moment the previous one
-	// completes — fast workers steal the tail a slow one would otherwise
-	// stall on. The supervisor wakes the moment the queue settles, and
-	// otherwise polls the registry so membership changes land mid-job: a
-	// joining worker gets a dispatcher (and starts stealing pending units)
-	// within one poll tick; a leaving worker's dispatcher context is
-	// canceled through its gone channel, releasing its in-flight unit back
-	// to the queue without charging an attempt.
-	// Units from failed or stalled workers are re-queued; a permanent
-	// failure (attempt budget, dead fleet) cancels the siblings.
-	e.log.Info("sharded job dispatch starting", "job", jobID,
-		"units", len(units), "cached_units", cachedUnits,
-		"workers", len(e.reg.snapshot()))
+	mergeSpan := tc.StartSpan("merge")
+	mergeStart := time.Now()
+	om, err := merge(spec, suite, units, oms)
+	e.mx.mergeDuration.Observe(time.Since(mergeStart).Seconds())
+	if err != nil {
+		mergeSpan.EndErr(err)
+		return nil, err
+	}
+	mergeSpan.SetAttr("units", strconv.Itoa(len(units)))
+	mergeSpan.End()
+	e.log.Info("sharded job units merged", "job", jobID,
+		"units", len(units), "merge_duration", time.Since(mergeStart))
+	return service.EncodeResult(ctx, spec, om, e.cfg.Parallelism, progress)
+}
+
+// runUnits is the fleet as a service.Runner: the work-stealing dispatch
+// loop over run's units. One goroutine per fleet member pulls its next
+// unit from the shared queue the moment the previous one completes — fast
+// workers steal the tail a slow one would otherwise stall on. The
+// supervisor wakes the moment the queue settles, and otherwise polls the
+// registry so membership changes land mid-job: a joining worker gets a
+// dispatcher (and starts stealing pending units) within one poll tick; a
+// leaving worker's dispatcher context is canceled through its gone
+// channel, releasing its in-flight unit back to the queue without
+// charging an attempt. Units from failed or stalled workers are
+// re-queued; a permanent failure (attempt budget, dead fleet) cancels
+// the siblings.
+func (e *Executor) runUnits(ctx context.Context, run *jobRun) error {
+	e.log.Info("sharded job dispatch starting", "job", run.id,
+		"units", len(run.units), "workers", len(e.reg.snapshot()))
 	dctx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	q := newUnitQueue(len(units), e.cfg.MaxUnitAttempts, preDone, cancel)
-	run := &jobRun{id: jobID, q: q, units: units, full: spec, agg: agg, oms: oms, tc: tc, suite: suite, missKeys: missKeys}
+	q := newUnitQueue(len(run.units), e.cfg.MaxUnitAttempts, cancel)
+	run.q = q
+	tc := run.tc
 	var wg sync.WaitGroup
 	active := make(map[*workerState]bool)
 	// fleet tracks membership for the trace: a join/leave instant per
@@ -629,38 +567,13 @@ func (e *Executor) Execute(ctx context.Context, spec service.JobSpec, progress c
 	cancel()
 	wg.Wait()
 	if err := ctx.Err(); err != nil {
-		return nil, err
+		return err
 	}
 	if _, qerr := q.settled(); qerr != nil {
-		e.log.Warn("sharded job failed", "job", jobID, "error", qerr)
-		return nil, qerr
+		e.log.Warn("sharded job failed", "job", run.id, "error", qerr)
+		return qerr
 	}
-	if tc != nil {
-		// One instant per settled unit carrying the queue's final attempt
-		// bookkeeping: "attempts" is the charged (failed) count, so the
-		// winning exec span's attempt attribute is always attempts+1 — the
-		// cross-check the chaostest trace property asserts.
-		for u, n := range q.attemptCounts() {
-			tc.Instant("unit-done", map[string]string{
-				"unit":     strconv.Itoa(u),
-				"attempts": strconv.Itoa(n),
-			})
-		}
-	}
-
-	mergeSpan := tc.StartSpan("merge")
-	mergeStart := time.Now()
-	om, err := merge(spec, names, runs, nodes, units, oms)
-	e.mx.mergeDuration.Observe(time.Since(mergeStart).Seconds())
-	if err != nil {
-		mergeSpan.EndErr(err)
-		return nil, err
-	}
-	mergeSpan.SetAttr("units", strconv.Itoa(len(units)))
-	mergeSpan.End()
-	e.log.Info("sharded job units merged", "job", jobID,
-		"units", len(units), "merge_duration", time.Since(mergeStart))
-	return service.EncodeResult(ctx, spec, om, e.cfg.Parallelism, progress)
+	return nil
 }
 
 // dispatch is one worker's dispatch loop: while its breaker admits it,
@@ -700,23 +613,20 @@ func (e *Executor) dispatch(ctx context.Context, w *workerState, run *jobRun) {
 		}
 		attempt := q.attemptNumber(u)
 		unitSpan := run.tc.StartSpan("unit")
-		unitSpan.SetAttr("unit", strconv.Itoa(u))
+		unitSpan.SetAttr("unit", strconv.Itoa(run.units[u].Index))
 		unitSpan.SetAttr("attempt", strconv.Itoa(attempt))
 		unitSpan.SetAttr("worker", w.url)
 		if stolen {
 			unitSpan.SetAttr("stolen", "true")
 		}
 		attemptStart := time.Now()
-		om, err := e.runUnitOn(ctx, w, run, u, unitSpan.ID(), attempt, stolen)
+		cells, err := e.runUnitOn(ctx, w, run, u, unitSpan.ID(), attempt, stolen)
 		if err == nil {
-			run.oms[u] = om
-			// The unit validated: write its missed columns through to the
-			// shared cell cache. Each store is fsynced before its rename,
-			// which is what makes it a crash recovery point.
-			cluster.StoreColumns(e.cfg.Cells, unitSuite(run.suite, run.units[u]), run.missKeys[u], om.Cells)
+			// The unit validated: RunUnits writes its missed columns
+			// through to the shared cell cache.
+			run.done(u, cells)
 			w.recordSuccess()
 			e.mx.unitDuration.With(w.url).Observe(time.Since(attemptStart).Seconds())
-			run.agg.report(u, len(run.units[u].Workloads)*run.full.Cluster.Runs*run.units[u].Nodes)
 			unitSpan.End()
 			q.complete(u)
 			continue
@@ -774,7 +684,7 @@ func (w *unitWatch) touch() { w.last.Store(time.Now().UnixNano()) }
 // status is probed, and only an unanswered probe abandons the attempt —
 // so a healthy worker whose queue is merely busy is never failed over,
 // while a dead-but-connected one is.
-func (e *Executor) runUnitOn(ctx context.Context, w *workerState, run *jobRun, u int, unitSpanID string, attempt int, stolen bool) (*core.ObservationMatrix, error) {
+func (e *Executor) runUnitOn(ctx context.Context, w *workerState, run *jobRun, u int, unitSpanID string, attempt int, stolen bool) ([][][][]float64, error) {
 	stall := e.cfg.StallTimeout
 	actx, cancel := context.WithCancel(ctx)
 	defer cancel()
@@ -816,7 +726,7 @@ func (e *Executor) runUnitOn(ctx context.Context, w *workerState, run *jobRun, u
 		}
 	}()
 
-	om, err := e.attemptUnit(actx, w.client, run, u, unitSpanID, attempt, stolen, uw)
+	cells, err := e.attemptUnit(actx, w.client, run, u, unitSpanID, attempt, stolen, uw)
 	if err != nil && actx.Err() != nil && ctx.Err() == nil {
 		// The watchdog (not the job) aborted the attempt. Report it as a
 		// worker *failure* — deliberately not wrapping the underlying
@@ -824,7 +734,7 @@ func (e *Executor) runUnitOn(ctx context.Context, w *workerState, run *jobRun, u
 		// settle as canceled instead of failed.
 		err = fmt.Errorf("worker unresponsive (no activity for %v and status probe failed): %v", stall, err)
 	}
-	return om, err
+	return cells, err
 }
 
 // attemptUnit is the watchdog-free body of one unit attempt. The attempt
@@ -834,11 +744,11 @@ func (e *Executor) runUnitOn(ctx context.Context, w *workerState, run *jobRun, u
 // the worker in the submission's X-BD-Trace header, so the worker's own
 // stage spans join this trace and are imported under the exec span once
 // the unit validates.
-func (e *Executor) attemptUnit(ctx context.Context, c *client.Client, run *jobRun, u int, unitSpanID string, attempt int, stolen bool, w *unitWatch) (*core.ObservationMatrix, error) {
+func (e *Executor) attemptUnit(ctx context.Context, c *client.Client, run *jobRun, u int, unitSpanID string, attempt int, stolen bool, w *unitWatch) ([][][][]float64, error) {
 	tc := run.tc
 	unit := run.units[u]
-	sub := unit.Spec(run.full)
-	unitAttr := strconv.Itoa(u)
+	sub := unit.Spec
+	unitAttr := strconv.Itoa(unit.Index)
 	var traceParent string
 	if tc != nil {
 		traceParent = obs.FormatTraceParent(tc.TraceID, unitSpanID)
@@ -887,7 +797,7 @@ func (e *Executor) attemptUnit(ctx context.Context, c *client.Client, run *jobRu
 			w.touch()
 			switch ev.Type {
 			case "progress":
-				run.agg.report(u, ev.Done)
+				run.report(u, ev.Done)
 			case "error":
 				return fmt.Errorf("unit job %s failed: %s", st.ID, ev.Error)
 			case "state":
@@ -912,7 +822,7 @@ func (e *Executor) attemptUnit(ctx context.Context, c *client.Client, run *jobRu
 		return nil, err
 	}
 	w.touch()
-	om, err := decodeUnitResult(data, unit, sub)
+	cells, err := decodeUnitResult(data, unit)
 	if err != nil {
 		validateSpan.EndErr(err)
 		return nil, err
@@ -928,68 +838,51 @@ func (e *Executor) attemptUnit(ctx context.Context, c *client.Client, run *jobRu
 			tc.Import(export.Spans, execSpan.ID(), c.BaseURL, map[string]string{"unit": unitAttr})
 		}
 	}
-	return om, nil
+	return cells, nil
 }
 
-// decodeUnitResult unmarshals one unit's raw result bytes and validates
-// the matrix shape against the unit's plan.
-func decodeUnitResult(data []byte, unit Shard, sub service.JobSpec) (*core.ObservationMatrix, error) {
+// decodeUnitResult unmarshals one unit's raw result bytes and checks the
+// worker's observation sub-matrix against the unit: workload identity and
+// order, run/node extents, node offset, and the exact canonical metric
+// schema. Catching a wrong-shape response here makes it a *unit-level*
+// failure — re-queued and retried on another worker — instead of a
+// job-level merge error, and stops a mixed-version or corrupted worker
+// from feeding bad cells into a confidently-hashed merged result.
+func decodeUnitResult(data []byte, unit service.PendingUnit) ([][][][]float64, error) {
 	var oj benchio.ObservationsJSON
 	if err := json.Unmarshal(data, &oj); err != nil {
 		return nil, fmt.Errorf("decoding unit result: %w", err)
 	}
-	om, err := oj.Observations()
+	om, err := oj.Observations() // consistent extents, one vector per metric
 	if err != nil {
 		return nil, err
 	}
-	if err := validateUnitResult(om, unit, sub); err != nil {
-		return nil, err
+	sub := unit.Spec.Cluster
+	switch {
+	case !slices.Equal(om.Labels, unit.Workloads):
+		return nil, fmt.Errorf("unit result workloads %q, want %q", om.Labels, unit.Workloads)
+	case om.Runs() != sub.Runs || om.Nodes() != unit.Nodes:
+		return nil, fmt.Errorf("unit result extents %d runs × %d nodes, want %d×%d",
+			om.Runs(), om.Nodes(), sub.Runs, unit.Nodes)
+	case om.NodeOffset != sub.NodeOffset:
+		return nil, fmt.Errorf("unit result node offset %d, want %d", om.NodeOffset, sub.NodeOffset)
+	case !slices.Equal(om.Metrics, perf.MetricNames()):
+		return nil, fmt.Errorf("unit result metrics %q differ from the canonical schema", om.Metrics)
 	}
-	return om, nil
-}
-
-// validateUnitResult checks a worker's observation sub-matrix against the
-// unit's sub-spec: workload identity and order, run/node extents, node
-// offset, and the exact canonical metric schema. Catching a wrong-shape
-// response here makes it a *unit-level* failure — re-queued and retried
-// on another worker — instead of a job-level merge error, and stops a
-// mixed-version or corrupted worker from feeding bad cells into a
-// confidently-hashed merged result.
-func validateUnitResult(om *core.ObservationMatrix, unit Shard, sub service.JobSpec) error {
-	if len(om.Labels) != len(unit.Workloads) {
-		return fmt.Errorf("unit result has %d workloads, want %d", len(om.Labels), len(unit.Workloads))
-	}
-	for i, name := range unit.Workloads {
-		if om.Labels[i] != name {
-			return fmt.Errorf("unit result workload %d is %q, want %q", i, om.Labels[i], name)
-		}
-	}
-	if om.Runs() != sub.Cluster.Runs || om.Nodes() != unit.Nodes {
-		return fmt.Errorf("unit result extents %d runs × %d nodes, want %d×%d",
-			om.Runs(), om.Nodes(), sub.Cluster.Runs, unit.Nodes)
-	}
-	if om.NodeOffset != sub.Cluster.NodeOffset {
-		return fmt.Errorf("unit result node offset %d, want %d", om.NodeOffset, sub.Cluster.NodeOffset)
-	}
-	want := perf.MetricNames()
-	if len(om.Metrics) != len(want) {
-		return fmt.Errorf("unit result has %d metrics, want %d", len(om.Metrics), len(want))
-	}
-	for i, m := range want {
-		if om.Metrics[i] != m {
-			return fmt.Errorf("unit result metric %d is %q, want %q", i, om.Metrics[i], m)
-		}
-	}
-	return nil
+	return om.Cells, nil
 }
 
 // merge re-assembles the unit matrices into the full grid in canonical
 // cell order — workloads in suite order, then runs, then absolute node
-// index — verifying exact coverage.
-func merge(spec service.JobSpec, names []string, runs, nodes int, units []Shard, oms []*core.ObservationMatrix) (*core.ObservationMatrix, error) {
-	var metrics []string
-	cells := make([][][][]float64, len(names))
+// index — verifying exact coverage. RunUnits built every unit matrix
+// over the canonical metric schema, and each worker's result was checked
+// against it (decodeUnitResult).
+func merge(spec service.JobSpec, suite []workloads.Workload, units []Shard, oms []*core.ObservationMatrix) (*core.ObservationMatrix, error) {
+	runs, nodes := spec.Cluster.Runs, spec.Cluster.SlaveNodes
+	names := make([]string, len(suite))
+	cells := make([][][][]float64, len(suite))
 	for w := range cells {
+		names[w] = suite[w].Name
 		cells[w] = make([][][]float64, runs)
 		for r := range cells[w] {
 			cells[w][r] = make([][]float64, nodes)
@@ -997,30 +890,8 @@ func merge(spec service.JobSpec, names []string, runs, nodes int, units []Shard,
 	}
 	for si, sh := range units {
 		om := oms[si]
-		if om == nil {
-			return nil, fmt.Errorf("shard: unit %d produced no matrix", si)
-		}
-		if metrics == nil {
-			metrics = om.Metrics
-		} else {
-			// Columns must agree exactly across units — per-unit
-			// validation enforces the canonical schema, and this is the
-			// merge-time backstop against stitching mismatched matrices
-			// into a wrong (but confidently hashed) result.
-			if len(metrics) != len(om.Metrics) {
-				return nil, fmt.Errorf("shard: unit %d has %d metrics, want %d", si, len(om.Metrics), len(metrics))
-			}
-			for mi := range metrics {
-				if metrics[mi] != om.Metrics[mi] {
-					return nil, fmt.Errorf("shard: unit %d metric %d is %q, want %q", si, mi, om.Metrics[mi], metrics[mi])
-				}
-			}
-		}
 		for wi := range om.Labels {
 			w := sh.WorkloadOffset + wi
-			if w >= len(names) || names[w] != om.Labels[wi] {
-				return nil, fmt.Errorf("shard: unit %d workload %q misaligned", si, om.Labels[wi])
-			}
 			for r := 0; r < runs; r++ {
 				for nd := 0; nd < sh.Nodes; nd++ {
 					tgt := sh.NodeOffset + nd
@@ -1043,7 +914,7 @@ func merge(spec service.JobSpec, names []string, runs, nodes int, units []Shard,
 	}
 	return &core.ObservationMatrix{
 		Labels:     names,
-		Metrics:    metrics,
+		Metrics:    perf.MetricNames(),
 		Cells:      cells,
 		NodeOffset: spec.Cluster.NodeOffset,
 	}, nil

@@ -425,7 +425,7 @@ func TestUnitQueueSettledChannel(t *testing.T) {
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			canceled := false
-			q := newUnitQueue(c.total, c.maxAttempts, nil, func() { canceled = true })
+			q := newUnitQueue(c.total, c.maxAttempts, func() { canceled = true })
 			for i, step := range c.steps {
 				select {
 				case <-q.settledCh:
@@ -445,11 +445,11 @@ func TestUnitQueueSettledChannel(t *testing.T) {
 			q.wait(context.Background(), time.Hour) // returns at once on a settled queue
 		})
 	}
-	// A job whose every unit came from the cell cache is born settled.
-	q := newUnitQueue(2, 3, []bool{true, true}, func() {})
+	// A queue with no unit to run is born settled.
+	q := newUnitQueue(0, 3, func() {})
 	select {
 	case <-q.settledCh:
 	default:
-		t.Error("queue born done has an open settled channel")
+		t.Error("empty queue has an open settled channel")
 	}
 }
