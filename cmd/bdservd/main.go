@@ -10,9 +10,13 @@
 // <data-dir>/jobs/<id>.json and is read back on boot, so a restarted
 // daemon still serves previously completed jobs' status and results and
 // re-adopts the jobs it left unfinished. The daemon binds -addr before
-// it reads anything, so a port clash exits without side effects. With -characterize-only the daemon accepts only
-// observation-matrix jobs — the worker role behind a bdcoord shard
-// coordinator. With -register it self-registers with a coordinator
+// it reads anything, so a port clash exits without side effects. With
+// -characterize-only the daemon accepts only observation-matrix jobs —
+// the worker role behind a bdcoord shard coordinator — and keeps its jobs
+// and results in memory: the coordinator is a unit's recovery point, so
+// the worker writes only its cell cache under -data-dir, and jobs/ and
+// results/ an older worker wrote there are neither read nor removed.
+// With -register it self-registers with a coordinator
 // under a heartbeat lease (renewed every lease-ttl/3, retried with
 // backoff across coordinator restarts) once it is serving, and releases
 // the lease on shutdown. The flags shared with bdcoord, the startup and
@@ -66,7 +70,7 @@ func run(ctx context.Context) error {
 	var (
 		workers  = flag.Int("workers", 1, "concurrently executing jobs")
 		charOnly = flag.Bool("characterize-only", false,
-			"accept only observation-matrix jobs (shard-worker role)")
+			"accept only observation-matrix jobs and keep them in memory (shard-worker role; -data-dir holds only the cell cache)")
 		throttle = flag.Duration("throttle-cell", 0,
 			"artificial sleep per completed grid cell (testing knob: simulates a slow worker; never affects results)")
 		register = flag.String("register", "",

@@ -102,8 +102,9 @@ func (c Config) Validate() error {
 }
 
 // nodeWorker bundles the per-worker simulation state that is reused
-// across node-runs: one machine (caches, TLBs, predictors — by far the
-// largest allocation of the hot path) and one snapshot buffer.
+// across node-runs, and across grids through workerPools: one machine
+// (caches, TLBs, predictors — by far the largest allocation of the hot
+// path) and one snapshot buffer.
 type nodeWorker struct {
 	m   *machine.Machine
 	res machine.RunResult
@@ -115,6 +116,38 @@ func newNodeWorker(cfg Config) (*nodeWorker, error) {
 		return nil, err
 	}
 	return &nodeWorker{m: m}, nil
+}
+
+// maxWorkerPools bounds how many machine configurations keep a pool of
+// idle node workers. Jobs name their machine, so a daemon can be fed
+// ever-new configurations; past the bound every pool is forgotten and
+// the runtime reclaims their machines.
+const maxWorkerPools = 16
+
+// workerPools holds the idle node workers of finished grids, one
+// sync.Pool per machine configuration, so a daemon running many small
+// grids builds a machine (~8 MB of cache arrays at Westmere scale) once
+// per worker instead of once per grid. A sync.Pool lets the runtime drop
+// idle machines at garbage collection, so an idle daemon gives their
+// memory back.
+var workerPools struct {
+	mu    sync.Mutex
+	pools map[machine.Config]*sync.Pool
+}
+
+// workerPool returns the pool of idle node workers for mc.
+func workerPool(mc machine.Config) *sync.Pool {
+	workerPools.mu.Lock()
+	defer workerPools.mu.Unlock()
+	p := workerPools.pools[mc]
+	if p == nil {
+		if workerPools.pools == nil || len(workerPools.pools) >= maxWorkerPools {
+			workerPools.pools = make(map[machine.Config]*sync.Pool)
+		}
+		p = new(sync.Pool)
+		workerPools.pools[mc] = p
+	}
+	return p
 }
 
 // runNode simulates one (workload, run, node) cell of the measurement
@@ -168,6 +201,10 @@ func ReduceCells(cells [][][]float64) []float64 {
 // seeds are pure functions of (workload, run, absolute node), the cells
 // are bit-identical at any parallelism, and sub-grids split on the
 // workload and node axes re-assemble into the full grid bit for bit.
+// Workers take their machines from the pool of cfg.Machine's idle
+// workers and return them when the grid is done, canceled or not:
+// runNode resets a machine before every cell, so a reused machine
+// measures exactly like a fresh one.
 //
 // Workers check ctx between cells and stop as soon as it is cancelled,
 // returning ctx.Err(). progress (if non-nil) counts given cells as done:
@@ -225,12 +262,20 @@ func FillCellsCtx(ctx context.Context, suite []workloads.Workload, cfg Config, c
 	taskWorkload := make([]int, ntasks)
 	var done atomic.Int64
 	done.Store(int64(given)) // given cells count toward the grid total
+	pool := workerPool(cfg.Machine)
 	var wg sync.WaitGroup
 	for i := 0; i < par; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			nw, werr := newNodeWorker(cfg)
+			nw, _ := pool.Get().(*nodeWorker)
+			var werr error
+			if nw == nil {
+				nw, werr = newNodeWorker(cfg)
+			}
+			if werr == nil {
+				defer pool.Put(nw)
+			}
 			for t := range tasks {
 				taskWorkload[t.ti] = t.wi
 				if werr != nil {

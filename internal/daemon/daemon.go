@@ -54,7 +54,7 @@ type Flags struct {
 func RegisterFlags(fs *flag.FlagSet, addr, dataDir string) *Flags {
 	f := &Flags{}
 	fs.StringVar(&f.Addr, "addr", addr, "listen address")
-	fs.StringVar(&f.DataDir, "data-dir", dataDir, "on-disk result store (<data-dir>/results), job records (<data-dir>/jobs) and cell cache ('' = memory only, no restart recovery)")
+	fs.StringVar(&f.DataDir, "data-dir", dataDir, "on-disk result store (<data-dir>/results), job records (<data-dir>/jobs) and cell cache ('' = memory only, no restart recovery); a -characterize-only worker writes only the cell cache there")
 	fs.IntVar(&f.Queue, "queue", 64, "max queued jobs")
 	fs.IntVar(&f.CacheEntries, "cache-entries", 256, "in-memory LRU result entries")
 	fs.IntVar(&f.MaxJobs, "max-jobs", 1024, "max retained job records (oldest terminal evicted)")
@@ -62,7 +62,7 @@ func RegisterFlags(fs *flag.FlagSet, addr, dataDir string) *Flags {
 	fs.StringVar(&f.CellCache, "cell-cache", "auto", "cell-level result cache dir ('auto' = <data-dir>/cells, '' = disabled): caches one workload×node column per entry so overlapping suites compute only new cells")
 	fs.IntVar(&f.CellCacheEntries, "cell-cache-entries", 0, "max on-disk cell cache entries (0 = default)")
 	fs.DurationVar(&f.CellCacheMaxAge, "cell-cache-max-age", 0, "evict cell-cache entries older than this (mtime sweep; 0 = no age bound)")
-	fs.DurationVar(&f.DrainTimeout, "drain-timeout", 30*time.Second, "on SIGTERM/SIGINT: how long to let in-flight jobs finish before cutting them short (they re-adopt on restart)")
+	fs.DurationVar(&f.DrainTimeout, "drain-timeout", 30*time.Second, "on SIGTERM/SIGINT: how long to let in-flight jobs finish before cutting them short (they re-adopt on restart; a -characterize-only worker's are failed over by its coordinator)")
 	fs.StringVar(&f.LogLevel, "log-level", "info", "log level: debug, info, warn, error")
 	fs.StringVar(&f.LogFormat, "log-format", "text", "log format: text, json")
 	fs.DurationVar(&f.StatsInterval, "stats-interval", time.Minute, "period of the one-line INFO stats summary (0 disables)")
@@ -75,7 +75,8 @@ func RegisterFlags(fs *flag.FlagSet, addr, dataDir string) *Flags {
 
 // dataPath is <data-dir>/name, or "" (disabled) without a data dir: the
 // "auto" cell cache is <data-dir>/cells (the manager itself keeps results
-// in <data-dir>/results and job records in <data-dir>/jobs).
+// in <data-dir>/results and job records in <data-dir>/jobs, unless it is
+// a characterize-only worker's; see NewManager).
 func (f *Flags) dataPath(name string) string {
 	if f.DataDir == "" {
 		return ""
@@ -172,9 +173,19 @@ func (d *Daemon) Addr() net.Addr { return d.ln.Addr() }
 // fields (Workers, Execute, CharacterizeOnly, CellDelay); the shared
 // flags and pieces fill the rest. It reads the job records back, so
 // re-adopted jobs start here.
+//
+// A characterize-only worker keeps its jobs and results in memory: its
+// units' one recovery point is the coordinator, which stores each unit's
+// columns the moment the unit validates and fails a lost unit over, so
+// a unit job a restarted worker re-adopted would have no consumer. Its
+// <data-dir> holds only the cell cache; jobs/ and results/ an older
+// worker wrote there are neither read nor removed.
 func (d *Daemon) NewManager(cfg service.Config) (*service.Manager, error) {
 	f := d.flags
-	cfg.DataDir, cfg.Cells = f.DataDir, d.Cells
+	cfg.Cells = d.Cells
+	if !cfg.CharacterizeOnly {
+		cfg.DataDir = f.DataDir
+	}
 	cfg.QueueDepth, cfg.CacheEntries, cfg.MaxJobs, cfg.Parallelism = f.Queue, f.CacheEntries, f.MaxJobs, f.Parallelism
 	// Flag semantics (0 = off) map to the config's (negative = off).
 	cfg.TraceBuffer = f.TraceBuffer
@@ -206,7 +217,8 @@ type Hooks struct {
 // until ctx ends. Then it shuts down in order: the role's stop hook, stop
 // accepting connections, let in-flight jobs drain within -drain-timeout,
 // close the manager; jobs a failed drain cuts short are re-adopted on
-// restart. Call NewManager first.
+// restart (a characterize-only worker's units are failed over by their
+// coordinator instead). Call NewManager first.
 func (d *Daemon) Serve(ctx context.Context, h http.Handler, hooks Hooks) error {
 	srv := &http.Server{
 		Handler:           http.MaxBytesHandler(obs.LogRequests(h, d.Log, d.Registry), MaxBodyBytes),
@@ -246,7 +258,7 @@ func (d *Daemon) Serve(ctx context.Context, h http.Handler, hooks Hooks) error {
 		return err
 	}
 	if !d.mgr.Drain(d.flags.DrainTimeout) {
-		d.Log.Warn("drain timeout: cutting in-flight jobs short (they will be re-adopted on restart)")
+		d.Log.Warn("drain timeout: cutting in-flight jobs short (re-adopted on restart, or failed over by the coordinator on a characterize-only worker)")
 	}
 	d.mgr.Close()
 	return nil

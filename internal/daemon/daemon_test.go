@@ -174,6 +174,93 @@ func TestServeAndShutdown(t *testing.T) {
 	}
 }
 
+// TestWorkerKeepsNoJobState: a characterize-only worker with a data dir
+// keeps its jobs and results in memory. A unit job writes no job record
+// and no result file, only its cells; a resubmission is answered from
+// memory; and what an older worker left in jobs/ and results/ is neither
+// read nor removed.
+func TestWorkerKeepsNoJobState(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "data")
+	old := map[string]string{
+		filepath.Join(dir, "jobs", strings.Repeat("a", 32)+".json"):    `{"state":"queued"}`,
+		filepath.Join(dir, "results", strings.Repeat("b", 32)+".json"): `{}`,
+	}
+	for path, body := range old {
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	d, err := Bind("bdservd", testFlags(t, "-addr", "127.0.0.1:0", "-data-dir", dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	mgr, err := d.NewManager(service.Config{CharacterizeOnly: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := len(mgr.List()); n != 0 {
+		t.Fatalf("worker adopted %d jobs from an older worker's records", n)
+	}
+	nodes, instr := 2, 1000
+	req := service.JobRequest{Mode: service.ModeObservations, Workloads: []string{"H-Sort", "S-Sort"}, Nodes: &nodes, Instructions: &instr}
+	spec, err := req.ToSpec()
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := mgr.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(60 * time.Second)
+	for st.State != service.StateDone {
+		if st.State == service.StateFailed || st.State == service.StateCanceled || time.Now().After(deadline) {
+			t.Fatalf("unit job ended %s: %s", st.State, st.Error)
+		}
+		time.Sleep(5 * time.Millisecond)
+		st, _ = mgr.Get(st.ID)
+	}
+	want, ok := mgr.Result(st.ID)
+	if !ok {
+		t.Fatal("unit job has no result")
+	}
+
+	for _, sub := range []string{"jobs", "results"} {
+		entries, err := os.ReadDir(filepath.Join(dir, sub))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(entries) != 1 {
+			t.Errorf("<data-dir>/%s holds %d entries after a unit job, want only the older worker's", sub, len(entries))
+		}
+	}
+	for path, body := range old {
+		if got, err := os.ReadFile(path); err != nil || string(got) != body {
+			t.Errorf("older worker's %s: %q, %v; want it untouched", path, got, err)
+		}
+	}
+	if n, _ := d.Registry.ReadScalar("bd_job_record_writes_total"); n != 0 {
+		t.Errorf("bd_job_record_writes_total = %v, want 0", n)
+	}
+	if cells, err := filepath.Glob(filepath.Join(dir, "cells", "*.json")); err != nil || len(cells) != len(spec.Workloads)*nodes {
+		t.Errorf("<data-dir>/cells holds %d columns (%v), want %d", len(cells), err, len(spec.Workloads)*nodes)
+	}
+
+	again, err := mgr.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !again.CacheHit || again.State != service.StateDone || again.ResultHash != st.ResultHash {
+		t.Fatalf("resubmission: %+v, want a cache hit with hash %s", again, st.ResultHash)
+	}
+	if got, ok := mgr.Result(st.ID); !ok || string(got) != string(want) {
+		t.Fatal("resubmission's result differs from the first run's")
+	}
+}
+
 // TestBindPortHeld pins the startup order: with the listen address
 // already taken, Bind fails before anything exists under <data-dir> — no
 // job records to read back, no cell store.

@@ -148,8 +148,10 @@ func NewHandler(m *Manager) http.Handler {
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
 		// A failing job-record write degrades the daemon until a write
 		// succeeds again: it refuses new submissions and a restart could
-		// lose jobs. The 503 also takes a disk-failing shard worker out of
-		// its coordinator's rotation — probes fail, the breaker opens.
+		// lose jobs. A characterize-only shard worker writes no job
+		// records, so a failing disk never turns it 503: its cell writes
+		// fail soft (a miss, never wrong bytes) and it keeps serving
+		// correct units.
 		if ok, detail := m.records.health(); !ok {
 			WriteJSON(w, http.StatusServiceUnavailable, map[string]string{
 				"status": "degraded", "job_records": detail,

@@ -218,6 +218,31 @@ func TestHTTPConvenienceFieldsAndValidation(t *testing.T) {
 	}
 }
 
+// TestHTTPCharacterizeOnly pins the worker role at the HTTP surface: a
+// characterize-only manager refuses an analysis job with 400, before it
+// queues anything, and runs an observations job to a result.
+func TestHTTPCharacterizeOnly(t *testing.T) {
+	srv, m := newTestServer(t, Config{Parallelism: 2, CharacterizeOnly: true})
+	analyze, obs := tinySpec(), tinySpec()
+	obs.Mode = ModeObservations
+	if _, code := postJob(t, srv, fmt.Sprintf(`{"spec":%s}`, mustJSON(t, analyze))); code != http.StatusBadRequest {
+		t.Fatalf("analyze-mode spec: code %d, want 400", code)
+	}
+	if n := len(m.List()); n != 0 {
+		t.Fatalf("a refused analysis job left %d jobs", n)
+	}
+	st, code := postJob(t, srv, fmt.Sprintf(`{"spec":%s}`, mustJSON(t, obs)))
+	if code != http.StatusAccepted {
+		t.Fatalf("observations spec: code %d, want 202", code)
+	}
+	if fin := waitTerminal(t, m, st.ID, 120*time.Second); fin.State != StateDone {
+		t.Fatalf("observations job finished %s: %s", fin.State, fin.Error)
+	}
+	if code := getJSON(t, srv.URL+"/v1/jobs/"+st.ID+"/result", nil); code != http.StatusOK {
+		t.Fatalf("observations result: code %d, want 200", code)
+	}
+}
+
 // Custom-workload request forms: inline definitions, preset names, and
 // their interaction with validation and the spec/convenience exclusivity
 // rule.

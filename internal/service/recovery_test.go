@@ -142,9 +142,10 @@ func TestDrainWaitsAndRefusesNewWork(t *testing.T) {
 
 // TestRecordWriteFailureRejectsAndDegrades: a job record that cannot
 // be written refuses the submission — no job is left behind — and turns
-// /healthz 503 degraded, which is what a coordinator's prober needs to
-// breaker a disk-failing worker out of rotation. The next successful
-// write clears it.
+// /healthz 503 degraded, so an operator or load balancer sees a daemon
+// that could lose jobs on restart. The next successful write clears it.
+// A characterize-only shard worker keeps no job records, so this never
+// takes one out of its coordinator's rotation.
 func TestRecordWriteFailureRejectsAndDegrades(t *testing.T) {
 	dir := t.TempDir()
 	m := newTestManager(t, Config{DataDir: dir, Execute: fakeExec(0)})

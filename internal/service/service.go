@@ -237,7 +237,10 @@ type Config struct {
 	CellDelay time.Duration
 	// CharacterizeOnly restricts the daemon to observation-matrix jobs
 	// (Mode == ModeObservations) — the worker role in a sharded
-	// deployment, where analysis runs coordinator-side.
+	// deployment, where analysis runs coordinator-side. The daemon
+	// bootstrap gives such a manager no DataDir: the coordinator is its
+	// units' recovery point, so the worker keeps jobs and results in
+	// memory and writes only its Cells.
 	CharacterizeOnly bool
 	// Cells, when set, is the daemon's cell cache: a content-addressed
 	// store of characterization-grid columns (one workload on one
